@@ -20,7 +20,13 @@ from .catcolim import (
     comparison_q,
 )
 from .diagcat import DiagObject, strict_hom_bijection
-from .errors import BoundExceeded, FibrelabError, ResourceExceeded
+from .errors import (
+    BoundExceeded,
+    DanglingToken,
+    FibrelabError,
+    ResourceExceeded,
+    ShapeMismatch,
+)
 from .fincat import (
     FinFunctor,
     comma,
@@ -106,6 +112,16 @@ def functor_to_json(f):
 
 def load_set_diagram(raw):
     shape = load_category(raw["shape"])
+    objects = set(shape.objects)
+    for a in raw["sets"]:
+        if a not in objects:
+            raise DanglingToken(("set for undeclared object", a))
+    for a in shape.objects:
+        if a not in raw["sets"]:
+            raise ShapeMismatch(("missing set", a))
+    for m in raw["functions"]:
+        if not shape.has_mor(m):
+            raise DanglingToken(("function for undeclared morphism", m))
     sets = {a: FinSet(tuple(v)) for a, v in raw["sets"].items()}
     functions = {
         m: FinFunction(sets[shape.dom(m)], sets[shape.cod(m)], mapping)
@@ -734,6 +750,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "bound", 0) < 0:
+            raise FibrelabError(("negative --bound", args.bound))
         return args.fn(args)
     except (FibrelabError, AssertionError) as exc:
         sys.stdout.write(

@@ -146,9 +146,7 @@ def search_cleavage(p, direction):
                 if p.ob(y) != side:
                     continue
                 found = sorted(
-                    m
-                    for m in e.mor_tokens
-                    if e.cod(m) == y and p.mor(m) == u and is_cartesian(p, m)
+                    m for m in e.into(y) if p.mor(m) == u and is_cartesian(p, m)
                 )
                 if not found:
                     return None
@@ -160,8 +158,8 @@ def search_cleavage(p, direction):
                     continue
                 found = sorted(
                     m
-                    for m in e.mor_tokens
-                    if e.dom(m) == x and p.mor(m) == u and is_cocartesian(p, m)
+                    for m in e.out_of(x)
+                    if p.mor(m) == u and is_cocartesian(p, m)
                 )
                 if not found:
                     return None

@@ -8,10 +8,17 @@ table on composable pairs.  The composition convention is
     compose(g, f) = "f then g"
 
 throughout the package.
+
+A :class:`FinCategory` is immutable once built.  Its constructor freezes the
+tables and indexes the morphisms by (dom, cod), by dom and by cod, so hom-sets
+and the composable pairs and triples that validation visits are read off the
+indexes instead of found by scanning every morphism.  Each instance is
+validated at most once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (
     AssociativityViolation,
@@ -25,28 +32,38 @@ from .report import failed, passed
 
 
 class FinCategory:
-    """A finite category as explicit tables.
+    """A finite category as explicit, immutable tables.
 
-    The constructor only stores the data; use :func:`validate_category` (or
-    the :func:`category` builder, which fills in identity composites) to get
-    a checked instance.
+    The constructor freezes the data (tuples and read-only mappings) and
+    builds three indexes over the morphism records, each in declaration
+    order: by (dom, cod), by dom and by cod.  It does not validate; use
+    :func:`validate_category` (or the :func:`category` builder, which fills
+    in identity composites) to get a checked instance.  :meth:`check`
+    validates at most once: after it passes, later calls return at once.
     """
 
     def __init__(self, objects, morphisms, identities, composition, name=""):
         self.objects = tuple(objects)
         self.morphisms = tuple((t, d, c) for (t, d, c) in morphisms)
-        self.identities = dict(identities)
-        self.composition = dict(composition)
+        self.identities = MappingProxyType(dict(identities))
+        self._composition = dict(composition)
+        self.composition = MappingProxyType(self._composition)
         self.name = name
+        self.mor_tokens = tuple(t for t, _, _ in self.morphisms)
         self._dom = {t: d for t, d, _ in self.morphisms}
         self._cod = {t: c for t, _, c in self.morphisms}
-        self._identity_tokens = set(self.identities.values())
+        self._identity_tokens = frozenset(self.identities.values())
+        hom, out_of, into = {}, {}, {}
+        for t, d, c in self.morphisms:
+            hom.setdefault((d, c), []).append(t)
+            out_of.setdefault(d, []).append(t)
+            into.setdefault(c, []).append(t)
+        self._hom = {k: tuple(v) for k, v in hom.items()}
+        self._out_of = {k: tuple(v) for k, v in out_of.items()}
+        self._into = {k: tuple(v) for k, v in into.items()}
+        self._checked = False
 
     # -- accessors ----------------------------------------------------------
-
-    @property
-    def mor_tokens(self):
-        return tuple(t for t, _, _ in self.morphisms)
 
     def dom(self, f):
         return self._dom[f]
@@ -67,26 +84,37 @@ class FinCategory:
         return f in self._dom
 
     def hom(self, a, b):
-        return [t for t, d, c in self.morphisms if d == a and c == b]
+        """The morphisms a -> b, in declaration order."""
+        return self._hom.get((a, b), ())
+
+    def out_of(self, a):
+        """The morphisms with domain a, in declaration order."""
+        return self._out_of.get(a, ())
+
+    def into(self, b):
+        """The morphisms with codomain b, in declaration order."""
+        return self._into.get(b, ())
 
     def compose(self, g, f):
         """Return g∘f ("f then g")."""
         if self._cod[f] != self._dom[g]:
             raise MissingComposite(("not composable", g, f))
         try:
-            return self.composition[(g, f)]
+            return self._composition[(g, f)]
         except KeyError:
             raise MissingComposite((g, f)) from None
 
     def composable_pairs(self):
+        """Every composable pair (g, f), g outer in declaration order."""
         for g in self.mor_tokens:
-            for f in self.mor_tokens:
-                if self._cod[f] == self._dom[g]:
-                    yield g, f
+            for f in self.into(self._dom[g]):
+                yield g, f
 
     # -- validation ---------------------------------------------------------
 
     def check(self):
+        if self._checked:
+            return self
         objset = set(self.objects)
         if len(objset) != len(self.objects):
             raise DanglingToken(("duplicate object token", self.objects))
@@ -102,7 +130,8 @@ class FinCategory:
                 raise DanglingToken(("missing identity", a))
             if self._dom[i] != a or self._cod[i] != a:
                 raise IdentityViolation(("identity endpoints", a, i))
-        for (g, f), gf in self.composition.items():
+        comp = self._composition
+        for (g, f), gf in comp.items():
             if g not in morset or f not in morset or gf not in morset:
                 raise DanglingToken(("composition entry", g, f, gf))
             if self._cod[f] != self._dom[g]:
@@ -110,24 +139,23 @@ class FinCategory:
             if self._dom[gf] != self._dom[f] or self._cod[gf] != self._cod[g]:
                 raise IdentityViolation(("dom/cod of composite", g, f, gf))
         for g, f in self.composable_pairs():
-            if (g, f) not in self.composition:
+            if (g, f) not in comp:
                 raise MissingComposite((g, f))
+        # from here on every composable pair has a composite with the right
+        # endpoints, so plain table lookups cannot fail
         for f in self.mor_tokens:
-            if self.compose(self.id_of(self._cod[f]), f) != f:
+            if comp[(self.identities[self._cod[f]], f)] != f:
                 raise IdentityViolation(("left identity", f))
-            if self.compose(f, self.id_of(self._dom[f])) != f:
+            if comp[(f, self.identities[self._dom[f]])] != f:
                 raise IdentityViolation(("right identity", f))
+        into = self._into
         for h in self.mor_tokens:
-            for g in self.mor_tokens:
-                if self._cod[g] != self._dom[h]:
-                    continue
-                for f in self.mor_tokens:
-                    if self._cod[f] != self._dom[g]:
-                        continue
-                    if self.compose(h, self.compose(g, f)) != self.compose(
-                        self.compose(h, g), f
-                    ):
+            for g in into[self._dom[h]]:
+                hg = comp[(h, g)]
+                for f in into[self._dom[g]]:
+                    if comp[(h, comp[(g, f)])] != comp[(hg, f)]:
                         raise AssociativityViolation((h, g, f))
+        self._checked = True
         return self
 
     # -- plumbing -----------------------------------------------------------
@@ -169,6 +197,16 @@ class FinCategory:
         }
 
 
+def group_by_cod(morphisms):
+    """Morphism records (token, dom, cod) grouped by codomain, each group in
+    declaration order: the composable-pair index of a category under
+    construction."""
+    into = {}
+    for rec in morphisms:
+        into.setdefault(rec[2], []).append(rec)
+    return into
+
+
 def category(objects, morphisms, identities, composition, name=""):
     """Build and validate a FinCategory, filling in identity composites."""
     morphisms = [(t, d, c) for (t, d, c) in morphisms]
@@ -183,6 +221,15 @@ def category(objects, morphisms, identities, composition, name=""):
         if i_dom is not None:
             table.setdefault((t, i_dom), t)
     return FinCategory(objects, morphisms, identities, table, name=name).check()
+
+
+def _require_hashable(tokens):
+    """Reject a token that cannot key a table (a JSON list or object)."""
+    for t in tokens:
+        try:
+            hash(t)
+        except TypeError:
+            raise DanglingToken(("unhashable token", t)) from None
 
 
 def validate_category(raw):
@@ -209,11 +256,15 @@ def validate_category(raw):
         else:
             t, d, c = m
             morphisms.append((t, d, c))
+    for tokens in (objects, identities.values(), *morphisms):
+        _require_hashable(tokens)
     composition = {}
     if isinstance(comp_raw, dict):
         composition = {tuple(k.split()): v for k, v in comp_raw.items()}
+        _require_hashable(composition.values())
     else:
         for g, f, gf in comp_raw:
+            _require_hashable((g, f, gf))
             composition[(g, f)] = gf
     return category(
         objects, morphisms, identities, composition, name=raw.get("name", "")
@@ -519,10 +570,9 @@ def comma(f, g):
     for m, t1, t2 in morphisms:
         mor_by_data[(t1, t2, pairs[m])] = m
     composition = {}
+    into = group_by_cod(morphisms)
     for m2, s2, t2 in morphisms:
-        for m1, s1, t1 in morphisms:
-            if t1 != s2:
-                continue
+        for m1, s1, _ in into.get(s2, ()):
             p = a_cat.compose(pairs[m2][0], pairs[m1][0])
             q = b_cat.compose(pairs[m2][1], pairs[m1][1])
             composition[(m2, m1)] = mor_by_data[(s1, t2, (p, q))]
@@ -581,9 +631,7 @@ def is_final(q):
             return i
 
         for (a1, u1) in nodes:
-            for f in a_cat.mor_tokens:
-                if a_cat.dom(f) != a1:
-                    continue
+            for f in a_cat.out_of(a1):
                 u2 = k_cat.compose(q.mor(f), u1)
                 i, j = find(index[(a1, u1)]), find(index[(a_cat.cod(f), u2)])
                 if i != j:

@@ -23,6 +23,7 @@ from .fincat import (
     FinCategory,
     FinFunctor,
     compose_functor,
+    group_by_cod,
     identity_functor,
 )
 from .finset import FinFunction, SetDiagram, identity_function
@@ -141,9 +142,7 @@ def groth_co(phi):
         fb = phi.fibre(b)
         for x in phi.fibre(a).objects:
             ux = t.ob(x)
-            for f in fb.mor_tokens:
-                if fb.dom(f) != ux:
-                    continue
+            for f in fb.out_of(ux):
                 m = "%s|%s|%s" % (u, x, f)
                 morphisms.append((m, obj_token(a, x), obj_token(b, fb.cod(f))))
                 mor_data[m] = (u, x, f, fb.cod(f))
@@ -157,11 +156,10 @@ def groth_co(phi):
     composition = {}
     dom_of = {m: d for m, d, _ in morphisms}
     cod_of = {m: c for m, _, c in morphisms}
+    into = group_by_cod((m, dom_of[m], cod_of[m]) for m in mor_data)
     for m2 in mor_data:
         v, y0, g, _ = mor_data[m2]
-        for m1 in mor_data:
-            if cod_of[m1] != dom_of[m2]:
-                continue
+        for m1, _, _ in into.get(dom_of[m2], ()):
             u, x, f, _ = mor_data[m1]
             vu = sh.compose(v, u)
             fc = phi.fibre(sh.cod(v))
@@ -214,9 +212,7 @@ def groth_contra(phi):
         fa = phi.fibre(a)
         for y in phi.fibre(b).objects:
             uy = t.ob(y)
-            for f in fa.mor_tokens:
-                if fa.cod(f) != uy:
-                    continue
+            for f in fa.into(uy):
                 m = "%s|%s|%s" % (u, f, y)
                 morphisms.append((m, obj_token(a, fa.dom(f)), obj_token(b, y)))
                 mor_data[m] = (u, fa.dom(f), f, y)
@@ -230,11 +226,10 @@ def groth_contra(phi):
     composition = {}
     dom_of = {m: d for m, d, _ in morphisms}
     cod_of = {m: c for m, _, c in morphisms}
+    into = group_by_cod((m, dom_of[m], cod_of[m]) for m in mor_data)
     for m2 in mor_data:
         v, _, g, z = mor_data[m2]
-        for m1 in mor_data:
-            if cod_of[m1] != dom_of[m2]:
-                continue
+        for m1, _, _ in into.get(dom_of[m2], ()):
             u, _, f, _ = mor_data[m1]
             vu = sh.compose(v, u)
             fa = phi.fibre(sh.dom(u))

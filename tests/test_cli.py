@@ -192,3 +192,60 @@ def test_explain_rejects_garbage(tmp_path, capsys):
     p.write_text("not json at all")
     code, _ = run(capsys, "explain", str(p))
     assert code == 2
+
+
+def test_validate_rejects_unhashable_token(tmp_path, capsys):
+    p = tmp_path / "unhashable.json"
+    p.write_text(json.dumps({"objects": [["x"]], "morphisms": [], "identities": {}}))
+    code, out = run(capsys, "validate", str(p))
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["status"] == "invalid_input"
+    assert "unhashable" in rep["witness"]["error"]
+
+
+@pytest.mark.parametrize(
+    "key, token, value",
+    [
+        ("functions", "zz", {"x": "y"}),  # morphism the shape lacks
+        ("sets", "q", ["z"]),  # object the shape lacks
+        ("sets", "1", None),  # object of the shape left without a set
+    ],
+)
+def test_colimit_set_rejects_undeclared_tokens(tmp_path, capsys, key, token, value):
+    raw = {
+        "shape": fixtures.all_categories()["TWO"].to_dict(),
+        "sets": {"0": ["x"], "1": ["y"]},
+        "functions": {"a": {"x": "y"}},
+    }
+    if value is None:
+        del raw[key][token]
+    else:
+        raw[key][token] = value
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(raw))
+    code, out = run(capsys, "--no-timing", "colimit-set", str(p))
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["status"] == "invalid_input"
+    assert token in rep["witness"]["error"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["colimit-cat", "--phi", "PHI"],
+        ["comparison-q", "--phi", "PHI"],
+        ["check-cdf", "--phi", "PHI", "--x", "PHI"],
+        ["check-general-cdf", "--phi", "PHI", "--t", "PHI"],
+        ["corpus"],
+    ],
+)
+def test_negative_bound_is_invalid_input(tmp_path, capsys, command):
+    phi = write_diagram(tmp_path, "span-push3")
+    argv = [phi if a == "PHI" else a for a in command]
+    code, out = run(capsys, "--no-timing", *argv, "--bound", "-1")
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["status"] == "invalid_input"
+    assert "bound" in rep["witness"]["error"]

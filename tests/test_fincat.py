@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,9 +8,11 @@ from fibrelab.errors import (
     AssociativityViolation,
     DanglingToken,
     FibrelabError,
+    IdentityViolation,
     MissingComposite,
 )
 from fibrelab.fincat import (
+    FinCategory,
     FinFunctor,
     category,
     comma,
@@ -215,3 +219,142 @@ def test_random_posets_are_valid_categories(seed):
     c.check()
     assert _is_poset(c)
     assert opposite(opposite(c)) == c
+
+
+# -- the brute-force core, kept as the oracle for the indexed one ----------
+
+
+def oracle_hom(c, a, b):
+    return [t for t, d, e in c.morphisms if d == a and e == b]
+
+
+def oracle_composable_pairs(c):
+    for g in c.mor_tokens:
+        for f in c.mor_tokens:
+            if c.cod(f) == c.dom(g):
+                yield g, f
+
+
+def oracle_check(c):
+    """Validation by scanning every morphism pair and triple."""
+    objset = set(c.objects)
+    if len(objset) != len(c.objects):
+        raise DanglingToken(("duplicate object token", c.objects))
+    morset = set(c.mor_tokens)
+    if len(morset) != len(c.morphisms):
+        raise DanglingToken(("duplicate morphism token", c.mor_tokens))
+    for t, d, e in c.morphisms:
+        if d not in objset or e not in objset:
+            raise DanglingToken(("morphism endpoints undeclared", t, d, e))
+    for a in c.objects:
+        i = c.identities.get(a)
+        if i is None or i not in morset:
+            raise DanglingToken(("missing identity", a))
+        if c.dom(i) != a or c.cod(i) != a:
+            raise IdentityViolation(("identity endpoints", a, i))
+    for (g, f), gf in c.composition.items():
+        if g not in morset or f not in morset or gf not in morset:
+            raise DanglingToken(("composition entry", g, f, gf))
+        if c.cod(f) != c.dom(g):
+            raise DanglingToken(("entry for non-composable pair", g, f))
+        if c.dom(gf) != c.dom(f) or c.cod(gf) != c.cod(g):
+            raise IdentityViolation(("dom/cod of composite", g, f, gf))
+    for g, f in oracle_composable_pairs(c):
+        if (g, f) not in c.composition:
+            raise MissingComposite((g, f))
+    for f in c.mor_tokens:
+        if c.compose(c.id_of(c.cod(f)), f) != f:
+            raise IdentityViolation(("left identity", f))
+        if c.compose(f, c.id_of(c.dom(f))) != f:
+            raise IdentityViolation(("right identity", f))
+    for h in c.mor_tokens:
+        for g in c.mor_tokens:
+            if c.cod(g) != c.dom(h):
+                continue
+            for f in c.mor_tokens:
+                if c.cod(f) != c.dom(g):
+                    continue
+                if c.compose(h, c.compose(g, f)) != c.compose(c.compose(h, g), f):
+                    raise AssociativityViolation((h, g, f))
+    return c
+
+
+def _random_category(rng):
+    """A valid category from randgen or the fixtures, products included so
+    that hom-sets with several morphisms occur."""
+    from fibrelab.grothendieck import groth_co
+    from fibrelab.randgen import random_cat_diagram, random_poset
+
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_poset(rng)
+    if kind == 1:
+        return product(CATS[rng.choice(sorted(CATS))], random_poset(rng, 3, "q"))
+    if kind == 2:
+        return product(CATS[rng.choice(sorted(CATS))], CATS[rng.choice(sorted(CATS))])
+    return groth_co(random_cat_diagram(rng, 3)).total
+
+
+def _corrupt(rng, c):
+    """The tables of ``c`` with at most one composition entry damaged."""
+    table = dict(c.composition)
+    key = rng.choice(list(table))
+    kind = rng.randrange(5)
+    if kind == 1:  # another composite with the right endpoints
+        parallel = [
+            (g, f)
+            for g, f in table
+            if len(c.hom(c.dom(f), c.cod(g))) > 1
+            and not c.is_identity(g)
+            and not c.is_identity(f)
+        ]
+        key = rng.choice(parallel or [key])
+        hom = c.hom(c.dom(key[1]), c.cod(key[0]))
+        table[key] = rng.choice([m for m in hom if m != table[key]] or hom)
+    elif kind == 2:  # any morphism at all
+        table[key] = rng.choice(c.mor_tokens)
+    elif kind == 3:
+        del table[key]
+    elif kind == 4:  # an entry for a pair that does not compose
+        g, f = rng.choice(c.mor_tokens), rng.choice(c.mor_tokens)
+        if c.cod(f) != c.dom(g):
+            table[(g, f)] = g
+    return FinCategory(c.objects, c.morphisms, c.identities, table)
+
+
+def _outcome(check, c):
+    try:
+        check(c)
+    except FibrelabError as exc:
+        return type(exc), exc.args
+    return None
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=200, deadline=None)
+def test_indexed_core_agrees_with_brute_force(seed):
+    rng = random.Random(seed)
+    c = _corrupt(rng, _random_category(rng))
+    # a fresh instance per check, since check() remembers a pass
+    fresh = FinCategory(c.objects, c.morphisms, c.identities, c.composition)
+    assert _outcome(FinCategory.check, c) == _outcome(oracle_check, fresh)
+    assert list(c.composable_pairs()) == list(oracle_composable_pairs(c))
+    for a in c.objects:
+        assert list(c.out_of(a)) == [t for t, d, _ in c.morphisms if d == a]
+        assert list(c.into(a)) == [t for t, _, e in c.morphisms if e == a]
+        for b in c.objects:
+            assert list(c.hom(a, b)) == oracle_hom(c, a, b)
+
+
+def test_check_memo_and_frozen_tables():
+    s3 = CATS["S3"]
+    assert s3.check() is s3
+    with pytest.raises(TypeError):
+        s3.composition[("p021", "p021")] = "p021"
+    with pytest.raises(TypeError):
+        s3.identities["*"] = "p021"
+    # a failed check records nothing: it fails again
+    bad = FinCategory(["x"], [("i", "x", "x")], {"x": "i"}, {})
+    for _ in range(2):
+        with pytest.raises(MissingComposite):
+            bad.check()
