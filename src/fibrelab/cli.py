@@ -93,6 +93,11 @@ def load_category(raw):
 
 
 def load_functor(raw):
+    keys = ("source", "target", "on_objects", "on_morphisms")
+    fields = raw if isinstance(raw, dict) else {}
+    bad = [k for k in keys if not isinstance(fields.get(k), dict)]
+    if bad:
+        raise DanglingToken(("not a functor description", bad))
     src = load_category(raw["source"])
     tgt = load_category(raw["target"])
     return FinFunctor(

@@ -8,7 +8,6 @@ morphisms are validated and composed on demand.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .catcolim import colimit_cat
@@ -277,32 +276,35 @@ def strict_category(dobj):
     return comma(identity_functor(dobj.ambient), dobj.diagram)
 
 
+def _strict_index(cy):
+    """Inverse tables of a strict category: comma triple -> object token,
+    and (pair, dom, cod) -> the first morphism token carrying them."""
+    objects, morphisms = {}, {}
+    for t, trip in cy.triples.items():
+        objects.setdefault(trip, t)
+    for t in cy.category.mor_tokens:
+        key = (cy.pairs[t], cy.category.dom(t), cy.category.cod(t))
+        morphisms.setdefault(key, t)
+    return objects, morphisms
+
+
 def strictify(m):
     """Strict(F, φ): Id↓X -> Id↓Y, (a, i, u) ↦ (a, F i, φ_i·u)."""
     m.check()
     assert m.variant == "forward" and m.source.kind == "cat"
     amb = m.source.ambient
     cx, cy = strict_category(m.source), strict_category(m.target)
+    objects, morphisms = _strict_index(cy)
     f = m.functor_part
-    on_objects = {}
-    for tok, (a, i, u) in cx.triples.items():
-        target_u = amb.compose(m.at(i), u)
-        on_objects[tok] = next(
-            t
-            for t, (a2, j2, u2) in cy.triples.items()
-            if (a2, j2, u2) == (a, f.ob(i), target_u)
-        )
+    on_objects = {
+        tok: objects[(a, f.ob(i), amb.compose(m.at(i), u))]
+        for tok, (a, i, u) in cx.triples.items()
+    }
     on_morphisms = {}
     for tok, (p, q) in cx.pairs.items():
         src, tgt = cx.category.dom(tok), cx.category.cod(tok)
-        image = (p, f.mor(q))
-        on_morphisms[tok] = next(
-            t
-            for t in cy.category.mor_tokens
-            if cy.pairs[t] == image
-            and cy.category.dom(t) == on_objects[src]
-            and cy.category.cod(t) == on_objects[tgt]
-        )
+        key = ((p, f.mor(q)), on_objects[src], on_objects[tgt])
+        on_morphisms[tok] = morphisms[key]
     return cy, FinFunctor(cx.category, cy.category, on_objects, on_morphisms).check()
 
 
@@ -311,25 +313,17 @@ def lax_to_strict(x_dobj, y_dobj, m):
     (F, φ): X -> Y becomes the functor H: I -> Id↓Y over the ambient,
     H(i) = (X i, F i, φ_i)."""
     cy = strict_category(y_dobj)
+    objects, morphisms = _strict_index(cy)
     f = m.functor_part
     x = x_dobj.diagram
-    on_objects = {}
-    for i in x_dobj.shape.objects:
-        key = (x.ob(i), f.ob(i), m.at(i))
-        on_objects[i] = next(
-            t for t, trip in cy.triples.items() if trip == key
-        )
+    on_objects = {
+        i: objects[(x.ob(i), f.ob(i), m.at(i))] for i in x_dobj.shape.objects
+    }
     on_morphisms = {}
     for q in x_dobj.shape.mor_tokens:
-        image = (x.mor(q), f.mor(q))
         src, tgt = x_dobj.shape.dom(q), x_dobj.shape.cod(q)
-        on_morphisms[q] = next(
-            t
-            for t in cy.category.mor_tokens
-            if cy.pairs[t] == image
-            and cy.category.dom(t) == on_objects[src]
-            and cy.category.cod(t) == on_objects[tgt]
-        )
+        key = ((x.mor(q), f.mor(q)), on_objects[src], on_objects[tgt])
+        on_morphisms[q] = morphisms[key]
     return FinFunctor(
         x_dobj.shape, cy.category, on_objects, on_morphisms
     ).check()
@@ -361,25 +355,17 @@ def strict_to_lax(x_dobj, y_dobj, h):
 
 def enumerate_forward(x_dobj, y_dobj):
     """All forward morphisms (F, φ) between two cat-valued diagrams."""
-    from .fibrations import enumerate_functors
+    from .fibrations import enumerate_functors, natural_families
 
     amb = x_dobj.ambient
+    x, y = x_dobj.diagram, y_dobj.diagram
     out = []
     for f in enumerate_functors(x_dobj.shape, y_dobj.shape):
-        objs = x_dobj.shape.objects
-        pools = [
-            amb.hom(x_dobj.diagram.ob(i), y_dobj.diagram.ob(f.ob(i)))
-            for i in objs
-        ]
-        for combo in itertools.product(*pools):
-            m = DiagMorphism(
-                "forward", x_dobj, y_dobj, f, tuple(zip(objs, combo))
-            )
-            try:
-                m.check()
-            except NotAMorphism:
-                continue
-            out.append(m)
+        pools = {i: amb.hom(x.ob(i), y.ob(f.ob(i))) for i in x.source.objects}
+        along_f = lambda m: y.mor(f.mor(m))
+        for comp in natural_families(amb, x.source, pools, x.mor, along_f):
+            m = DiagMorphism("forward", x_dobj, y_dobj, f, tuple(comp.items()))
+            out.append(m.check())
     return out
 
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    DanglingToken,
     HomBijectionFailure,
     NoBaseLimit,
     NoFibreLimit,
     NonFunctorialTransition,
     NotAMorphism,
     NotCartesian,
+    ShapeMismatch,
     SplitLawViolation,
     SquareNotCommuting,
     TerminalityFailure,
@@ -24,6 +26,7 @@ from .errors import (
     UnverifiedCleavage,
 )
 from .fincat import FinCategory, FinFunctor, compose_functor, identity_functor
+from .finset import forward_check, search
 from .grothendieck import CatDiagram, GrothendieckResult, groth_co, obj_token
 from .report import failed, passed
 
@@ -464,22 +467,15 @@ class CatCone:
 
 
 def enumerate_cones(f):
-    """All cones over a functor F: D -> C, by exhaustive search."""
-    import itertools
-
+    """All cones over a functor F: D -> C, by exhaustive search: for each
+    apex, the natural transformations from the constant functor to F."""
     d_cat, c_cat = f.source, f.target
-    objs = list(d_cat.objects)
-    non_id = [m for m in d_cat.mor_tokens if not d_cat.is_identity(m)]
     cones = []
     for apex in c_cat.objects:
-        choices = [c_cat.hom(apex, f.ob(d)) for d in objs]
-        for combo in itertools.product(*choices):
-            legs = dict(zip(objs, combo))
-            if all(
-                c_cat.compose(f.mor(m), legs[d_cat.dom(m)]) == legs[d_cat.cod(m)]
-                for m in non_id
-            ):
-                cones.append(CatCone(apex, legs))
+        pools = {d: c_cat.hom(apex, f.ob(d)) for d in d_cat.objects}
+        at_apex = lambda m: c_cat.id_of(apex)
+        for legs in natural_families(c_cat, d_cat, pools, at_apex, f.mor):
+            cones.append(CatCone(apex, legs))
     return cones
 
 
@@ -872,34 +868,33 @@ class DiagOfFunctor:
         a, shape_i, x = src
         b, shape_j, y = tgt
         e, base = self.p.source, self.p.target
+        objs = shape_i.objects
+
+        def over(w, s, t):
+            return [c for c in e.hom(s, t) if self.p.mor(c) == w]
+
         checked = 0
         for u in base.hom(a, b):
             push = phi_p.transition(u)
+            delta = {i: cofib_data.lifting[(u, x.ob(i))] for i in objs}
             for f in enumerate_functors(shape_i, shape_j):
                 # side one: lax components φ with Pφ = Δu
-                lax = _enumerate_lax(self, src, tgt, u, f)
-                # side two: vertical ψ: u_!X -> Y∘F in the fibre over b
+                along_f = lambda m: y.mor(f.mor(m))
+                pools = {i: over(u, x.ob(i), y.ob(f.ob(i))) for i in objs}
+                lax = natural_families(e, shape_i, pools, x.mor, along_f)
+                # side two: vertical ψ: u_!X -> Y∘F in the fibre over b; fibre
+                # tokens are shared with E, so u_! applies directly
                 id_b = base.id_of(b)
-                vert = _enumerate_vertical(
-                    self.p, e, shape_i, x, y, f, push, cofib_data, u, id_b
-                )
-                image = set()
-                for psi in vert:
-                    phi_c = tuple(
-                        sorted(
-                            (
-                                i,
-                                e.compose(
-                                    psi[i], cofib_data.lifting[(u, x.ob(i))]
-                                ),
-                            )
-                            for i in shape_i.objects
-                        )
-                    )
-                    image.add(phi_c)
-                lax_set = {
-                    tuple(sorted(c.items())) for c in lax
+                pools = {
+                    i: over(id_b, e.cod(delta[i]), y.ob(f.ob(i))) for i in objs
                 }
+                pushed = lambda m: push.mor(x.mor(m))
+                vert = natural_families(e, shape_i, pools, pushed, along_f)
+                image = {
+                    tuple(sorted((i, e.compose(psi[i], delta[i])) for i in objs))
+                    for psi in vert
+                }
+                lax_set = {tuple(sorted(c.items())) for c in lax}
                 if image != lax_set or len(image) != len(vert):
                     return failed(
                         "hom_bijection_check",
@@ -910,81 +905,57 @@ class DiagOfFunctor:
 
 
 def enumerate_functors(i_cat, j_cat):
-    """All functors I -> J, by brute force over object and morphism maps."""
-    import itertools
-
-    out = []
+    """All functors I -> J, by exhaustive search: object maps that give
+    every non-identity morphism a nonempty hom-set, then morphism maps
+    that preserve composition."""
     objs = list(i_cat.objects)
-    for ob_combo in itertools.product(j_cat.objects, repeat=len(objs)):
+    mors = [m for m in i_cat.mor_tokens if not i_cat.is_identity(m)]
+    variables = mors + [i_cat.id_of(a) for a in objs]
+    hom_exists = [
+        ((i_cat.dom(m), i_cat.cod(m)), lambda a, b: bool(j_cat.hom(a, b)))
+        for m in mors
+    ]
+    preserves = [
+        ((g, h, i_cat.compose(g, h)), lambda g2, h2, gh2: j_cat.compose(g2, h2) == gh2)
+        for g, h in i_cat.composable_pairs()
+    ]
+    out = []
+    object_pools = {a: j_cat.objects for a in objs}
+    for ob_combo in search(objs, forward_check(object_pools, hom_exists)):
         on_objects = dict(zip(objs, ob_combo))
-        mors = [m for m in i_cat.mor_tokens if not i_cat.is_identity(m)]
-        choice_lists = [
-            j_cat.hom(on_objects[i_cat.dom(m)], on_objects[i_cat.cod(m)])
+        pools = {
+            m: j_cat.hom(on_objects[i_cat.dom(m)], on_objects[i_cat.cod(m)])
             for m in mors
-        ]
-        if any(not c for c in choice_lists):
-            continue
-        for mor_combo in itertools.product(*choice_lists):
-            on_morphisms = dict(zip(mors, mor_combo))
-            for a in i_cat.objects:
-                on_morphisms[i_cat.id_of(a)] = j_cat.id_of(on_objects[a])
+        }
+        for a in objs:
+            pools[i_cat.id_of(a)] = [j_cat.id_of(on_objects[a])]
+        for mor_combo in search(variables, forward_check(pools, preserves)):
+            on_morphisms = dict(zip(variables, mor_combo))
             try:
                 out.append(
                     FinFunctor(i_cat, j_cat, on_objects, on_morphisms).check()
                 )
-            except Exception:
+            except (DanglingToken, ShapeMismatch):
                 continue
     return out
 
 
-def _enumerate_lax(diag, src, tgt, u, f):
-    import itertools
-
-    a, shape_i, x = src
-    b, shape_j, y = tgt
-    e = diag.p.source
-    per_obj = []
-    objs = list(shape_i.objects)
-    for i in objs:
-        per_obj.append(
-            [
-                c
-                for c in e.hom(x.ob(i), y.ob(f.ob(i)))
-                if diag.p.mor(c) == u
-            ]
-        )
-    out = []
-    for combo in itertools.product(*per_obj):
-        comp = dict(zip(objs, combo))
-        try:
-            diag.validate_morphism(src, tgt, u, f, comp)
-        except NotAMorphism:
+def natural_families(e, shape, pools, top, bottom):
+    """Components c_i in pools[i] with c_j∘top(m) = bottom(m)∘c_i in E for
+    every non-identity m: i -> j of the shape, as dicts over its objects."""
+    if not all(pools.values()):
+        return []
+    objs = list(shape.objects)
+    constraints = []
+    for m in shape.mor_tokens:
+        if shape.is_identity(m):
             continue
-        out.append(comp)
-    return out
-
-
-def _enumerate_vertical(p, e, shape_i, x, y, f, push, cofib_data, u, id_b):
-    import itertools
-
-    objs = list(shape_i.objects)
-    per_obj = []
-    for i in objs:
-        src_ob = e.cod(cofib_data.lifting[(u, x.ob(i))])  # u_!(X i)
-        per_obj.append(
-            [c for c in e.hom(src_ob, y.ob(f.ob(i))) if p.mor(c) == id_b]
+        t, b = top(m), bottom(m)
+        constraints.append(
+            (
+                (shape.dom(m), shape.cod(m)),
+                lambda ci, cj, t=t, b=b: e.compose(cj, t) == e.compose(b, ci),
+            )
         )
-    out = []
-    for combo in itertools.product(*per_obj):
-        psi = dict(zip(objs, combo))
-        natural = True
-        for m in shape_i.mor_tokens:
-            i, j = shape_i.dom(m), shape_i.cod(m)
-            # fibre tokens are shared with E, so u_! applies directly
-            pushed = push.mor(x.mor(m))
-            if e.compose(psi[j], pushed) != e.compose(y.mor(f.mor(m)), psi[i]):
-                natural = False
-                break
-        if natural:
-            out.append(psi)
-    return out
+    natural = forward_check(pools, constraints)
+    return [dict(zip(objs, combo)) for combo in search(objs, natural)]

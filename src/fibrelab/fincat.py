@@ -291,10 +291,11 @@ class FinFunctor:
         return self.on_morphisms[f]
 
     def check(self):
+        target_objects = set(self.target.objects)
         for a in self.source.objects:
             if a not in self.on_objects:
                 raise DanglingToken(("functor misses object", a))
-            if self.on_objects[a] not in set(self.target.objects):
+            if self.on_objects[a] not in target_objects:
                 raise DanglingToken(("functor image object undeclared", a))
         for f, d, c in self.source.morphisms:
             if f not in self.on_morphisms:

@@ -1,13 +1,15 @@
 """Finite sets, functions, FinSet-valued diagrams, and their (co)limits.
 
 Colimits are computed by union-find over the tagged disjoint union with the
-smallest token as canonical representative; limits enumerate the full product
-of the object sets and filter for compatibility (with a configurable tuple
-cap, since the product is exponential in the number of objects).
+smallest token as canonical representative.  Limits are compatible families,
+found by :func:`search`: a backtracking search that checks each constraint as
+soon as its variables are assigned.  The same search enumerates every other
+kind of compatible family in the engine (Ran extensions, cones, functors,
+lax morphisms); it refuses a search that visits more than ``SEARCH_NODE_CAP``
+nodes.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -18,7 +20,7 @@ from .errors import (
 )
 from .report import failed, passed
 
-LIMIT_TUPLE_CAP = 10**6
+SEARCH_NODE_CAP = 10**6
 
 
 class UnionFind:
@@ -263,27 +265,87 @@ def colimit_set(x):
     return SetCocone(x, apex, legs, classify).check()
 
 
-def limit_set(x, cap=LIMIT_TUPLE_CAP):
+_EXHAUSTED = object()
+
+
+def search(variables, candidates):
+    """All assignments of ``variables`` that every constraint admits, as
+    value tuples in exactly the order of the Cartesian product of the pools.
+
+    ``candidates(var, partial)`` lists, in pool order, the values of ``var``
+    that satisfy every constraint whose variables are all in ``partial`` (the
+    values of the variables before ``var``) or ``var``.  The search is
+    iterative; more than ``SEARCH_NODE_CAP`` assigned values (nodes) raise
+    ResourceExceeded.
+    """
+    if not variables:
+        return [()]
+    found, partial, nodes = [], {}, 0
+    stack = [iter(candidates(variables[0], partial))]
+    while stack:
+        depth = len(stack) - 1
+        var = variables[depth]
+        value = next(stack[-1], _EXHAUSTED)
+        if value is _EXHAUSTED:
+            stack.pop()
+            partial.pop(var, None)
+            continue
+        nodes += 1
+        if nodes > SEARCH_NODE_CAP:
+            raise ResourceExceeded(("search nodes", nodes, SEARCH_NODE_CAP))
+        partial[var] = value
+        if depth + 1 == len(variables):
+            found.append(tuple(partial.values()))
+        else:
+            stack.append(iter(candidates(variables[depth + 1], partial)))
+    return found
+
+
+def forward_check(pools, constraints):
+    """The ``candidates`` of :func:`search` over the variables ``list(pools)``
+    with values ``pools[var]`` and ``constraints`` ``(scope, test)``, where
+    ``test`` takes the scope's values; each is checked at its last variable.
+    """
+    position = {v: n for n, v in enumerate(pools)}
+    due = {v: [] for v in pools}
+    for scope, test in constraints:
+        due[max(scope, key=position.__getitem__)].append((scope, test))
+
+    def candidates(var, partial):
+        checks = due[var]
+        return [
+            value
+            for value in pools[var]
+            if all(
+                test(*[value if s == var else partial[s] for s in scope])
+                for scope, test in checks
+            )
+        ]
+
+    return candidates
+
+
+def limit_set(x):
     """Limit of a FinSet-valued diagram: compatible families as tuples.
 
-    The full product is enumerated and filtered, so the cost is
-    Π|sets|; beyond ``cap`` tuples a ResourceExceeded is raised.
+    The families are found by :func:`search` over the objects in shape
+    order, one constraint per non-identity morphism, so the cost follows
+    the families and their partial prefixes rather than Π|sets|.
     """
     objs = list(x.shape.objects)
-    total = 1
-    for a in objs:
-        total *= len(x.sets[a])
-    if total > cap:
-        raise ResourceExceeded(("limit_set", total, cap))
-    non_id = [(f, d, c) for f, d, c in x.shape.morphisms if not x.shape.is_identity(f)]
+    constraints = [
+        ((d, c), lambda vd, vc, fn=x.fn(f): fn(vd) == vc)
+        for f, d, c in x.shape.morphisms
+        if not x.shape.is_identity(f)
+    ]
+    pools = {a: x.sets[a] for a in objs}
     members = []
     families = {}
-    for combo in itertools.product(*(x.sets[a] for a in objs)):
+    for combo in search(objs, forward_check(pools, constraints)):
         fam = dict(zip(objs, combo))
-        if all(x.fn(f)(fam[d]) == fam[c] for f, d, c in non_id):
-            tok = "(%s)" % ",".join(element_token(a, fam[a]) for a in objs)
-            members.append(tok)
-            families[tok] = fam
+        tok = "(%s)" % ",".join(element_token(a, fam[a]) for a in objs)
+        members.append(tok)
+        families[tok] = fam
     apex = FinSet(tuple(members))
     legs = {
         a: FinFunction(apex, x.sets[a], {t: families[t][a] for t in members})

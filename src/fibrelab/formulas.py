@@ -599,7 +599,7 @@ def check_general_limit_recomposition(t, bound=DEFAULT_BOUND, seed=None):
     rans = {d: ran(kres.cocone[d], t.diagram_at(d)) for d in sh.objects}
     # X(k): compatible D-indexed families of Ran-values, with transitions
     # R_d(k) -> R_e(k) applying ψ^u inside each comma family
-    sets, functions = {}, {}
+    functions = {}
     ran_token = {
         d: {
             k: {tuple(sorted(f.items())): tok for tok, f in rans[d].classify[k].items()}
@@ -618,42 +618,26 @@ def check_general_limit_recomposition(t, bound=DEFAULT_BOUND, seed=None):
         }
         return ran_token[e][k][tuple(sorted(image.items()))]
 
-    d_sets = {}
+    d_sets, x_sets, index = {}, {}, {}
     for k in k_cat.objects:
-        members = []
-        families = {}
-        import itertools as _it
-
-        pools = [tuple(rans[d].extension.sets[k]) for d in sh.objects]
-        for combo in _it.product(*pools):
-            fam = dict(zip(sh.objects, combo))
-            ok = True
-            for u, d, e in sh.morphisms:
-                if sh.is_identity(u):
-                    continue
-                if transition_value(u, d, e, k, fam[d]) != fam[e]:
-                    ok = False
-                    break
-            if ok:
-                tok = "(%s)" % ",".join(
-                    "%s.%s" % (d, fam[d]) for d in sh.objects
-                )
-                members.append(tok)
-                families[tok] = fam
-        sets[k] = members
-        d_sets[k] = families
-    from .finset import FinSet
-
-    x_sets = {k: FinSet(tuple(sets[k])) for k in k_cat.objects}
+        r_k = {d: rans[d].extension.sets[k] for d in sh.objects}
+        steps = {
+            u: FinFunction(
+                r_k[d],
+                r_k[e],
+                {tok: transition_value(u, d, e, k, tok) for tok in r_k[d]},
+            )
+            for u, d, e in sh.morphisms
+        }
+        cone = limit_set(SetDiagram(sh, r_k, steps))
+        x_sets[k], d_sets[k] = cone.apex, cone.families
+        index[k] = {tuple(fam.values()): tok for tok, fam in cone.families.items()}
     for m in k_cat.mor_tokens:
         k1, k2 = k_cat.dom(m), k_cat.cod(m)
         mapping = {}
         for tok, fam in d_sets[k1].items():
-            image = {d: rans[d].extension.fn(m)(fam[d]) for d in sh.objects}
-            target = next(
-                tk for tk, f2 in d_sets[k2].items() if f2 == image
-            )
-            mapping[tok] = target
+            image = tuple(rans[d].extension.fn(m)(fam[d]) for d in sh.objects)
+            mapping[tok] = index[k2][image]
         functions[m] = FinFunction(x_sets[k1], x_sets[k2], mapping)
     x = SetDiagram(k_cat, x_sets, functions).check()
     lhs = limit_set(x)

@@ -3,12 +3,12 @@ factorization used by the general colimit decomposition.
 
 Left Kan extensions are computed pointwise: (Lan_F X)(j) is the colimit of X
 over the comma category F↓j, realised directly by union-find over triples
-(i, u: F i -> j, element of X(i)).  Right Kan extensions dually enumerate
-compatible families over j↓F.
+(i, u: F i -> j, element of X(i)).  Right Kan extensions dually are the
+compatible families over j↓F, found by the backtracking search of
+:func:`fibrelab.finset.search`.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import IncompatibleFamily, NoSolution, ShapeMismatch
@@ -18,6 +18,8 @@ from .finset import (
     SetDiagram,
     SetNat,
     UnionFind,
+    forward_check,
+    search,
 )
 
 
@@ -96,34 +98,29 @@ def ran(f, x):
     x.check()
     f.check()
     i_cat, j_cat = f.source, f.target
-    sets, families = {}, {}
+    sets, families, nodes, index = {}, {}, {}, {}
     for j in j_cat.objects:
-        # comma objects (i, u: j -> F i)
-        nodes = [
+        # comma objects (i, u: j -> F i); m: i1 -> i2 sends (i1, u) to
+        # (i2, Fm∘u), and a family must follow X(m) along it
+        nodes[j] = [
             (i, u) for i in i_cat.objects for u in j_cat.hom(j, f.ob(i))
         ]
-        fams = []
-        for combo in itertools.product(*(x.sets[i] for i, _ in nodes)):
-            fam = dict(zip(nodes, combo))
-            ok = True
-            for m in i_cat.mor_tokens:
-                i1, i2 = i_cat.dom(m), i_cat.cod(m)
-                for u in j_cat.hom(j, f.ob(i1)):
-                    if fam[(i2, j_cat.compose(f.mor(m), u))] != x.fn(m)(
-                        fam[(i1, u)]
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                fams.append(fam)
-        toks = {}
-        for fam in fams:
+        constraints = []
+        for m in i_cat.mor_tokens:
+            i1, i2 = i_cat.dom(m), i_cat.cod(m)
+            for u in j_cat.hom(j, f.ob(i1)):
+                scope = ((i1, u), (i2, j_cat.compose(f.mor(m), u)))
+                constraints.append(
+                    (scope, lambda v1, v2, fn=x.fn(m): fn(v1) == v2)
+                )
+        pools = {(i, u): x.sets[i] for i, u in nodes[j]}
+        toks, index[j] = {}, {}
+        for combo in search(nodes[j], forward_check(pools, constraints)):
             tok = "(%s)" % ",".join(
-                "%s|%s.%s" % (i, u, fam[(i, u)]) for i, u in nodes
+                "%s|%s.%s" % (i, u, e) for (i, u), e in zip(nodes[j], combo)
             )
-            toks[tok] = fam
+            toks[tok] = dict(zip(nodes[j], combo))
+            index[j][combo] = tok
         sets[j] = FinSet(tuple(toks))
         families[j] = toks
     functions = {}
@@ -132,17 +129,10 @@ def ran(f, x):
         # restrict a family over j1 along u ↦ u∘v
         mapping = {}
         for tok, fam in families[j1].items():
-            restricted = {
-                (i, u): fam[(i, j_cat.compose(u, v))]
-                for i in x.shape.objects
-                for u in j_cat.hom(j2, f.ob(i))
-            }
-            target = next(
-                t
-                for t, g in families[j2].items()
-                if g == restricted
+            restricted = tuple(
+                fam[(i, j_cat.compose(u, v))] for i, u in nodes[j2]
             )
-            mapping[tok] = target
+            mapping[tok] = index[j2][restricted]
         functions[v] = FinFunction(sets[j1], sets[j2], mapping)
     ext = SetDiagram(j_cat, sets, functions).check()
     counit = {}

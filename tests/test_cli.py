@@ -249,3 +249,26 @@ def test_negative_bound_is_invalid_input(tmp_path, capsys, command):
     rep = json.loads(out)
     assert rep["status"] == "invalid_input"
     assert "bound" in rep["witness"]["error"]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        None,  # a cat-diagram file in place of a functor
+        {"on_objects": 5, "on_morphisms": {}},
+        [1, 2],
+    ],
+)
+def test_free_cofibration_rejects_a_non_functor(tmp_path, capsys, raw):
+    if raw is None:
+        path = os.path.join(FIXDIR, "semidirect.json")
+    else:
+        if isinstance(raw, dict):
+            one = fixtures.all_categories()["ONE"].to_dict()
+            raw.update(source=one, target=one)
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps(raw))
+        path = str(p)
+    code, out = run(capsys, "--no-timing", "free-cofibration", path)
+    assert code == 2
+    assert json.loads(out)["status"] == "invalid_input"

@@ -1,13 +1,18 @@
+import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fibrelab import fixtures
-from fibrelab.errors import SquareNotCommuting
+from fibrelab.errors import FibrelabError, SquareNotCommuting
 from fibrelab.fibrations import (
+    DiagOfFunctor,
     bifibration_check,
     cleavage_from_groth,
+    enumerate_cones,
+    enumerate_functors,
     factorize,
     fibre,
     free_cofibration,
@@ -22,7 +27,7 @@ from fibrelab.fibrations import (
 )
 from fibrelab.fincat import FinFunctor, compose_functor, identity_functor
 from fibrelab.grothendieck import groth_co, groth_contra, opposed_fibres
-from fibrelab.randgen import random_bifibration, random_cat_diagram
+from fibrelab.randgen import random_bifibration, random_cat_diagram, random_poset
 
 CATS = fixtures.all_categories()
 DIAGS = fixtures.all_cat_diagrams()
@@ -207,3 +212,118 @@ def test_random_bifibrations_satisfy_triangle_identities(seed):
         if not base.is_identity(u):
             assert u in witness.units
             assert u in witness.counits
+
+
+def test_hom_bijection_check_on_embedded_objects():
+    # every pair of one-object diagrams E^P(x), E^P(y) over the Grothendieck
+    # projections of the shipped covariant diagrams
+    checked = 0
+    for name in ("span-push3", "semidirect"):
+        gr = groth_co(DIAGS[name])
+        diag = DiagOfFunctor(gr.projection)
+        objs = [diag.embed(x) for x in gr.total.objects]
+        for src in objs:
+            for tgt in objs:
+                rep = diag.hom_bijection_check(cleavage_from_groth(gr), src, tgt)
+                assert rep.ok, (name, src[2].on_objects, tgt[2].on_objects, rep.witness)
+                checked += rep.stats["pairs_checked"]
+    assert checked == 15
+
+
+# -- the search against product-then-filter oracles --------------------------
+
+
+def brute_force_functors(i_cat, j_cat):
+    """Every object map, then every morphism map, kept when it checks."""
+    out = []
+    objs = list(i_cat.objects)
+    mors = [m for m in i_cat.mor_tokens if not i_cat.is_identity(m)]
+    for ob_combo in itertools.product(j_cat.objects, repeat=len(objs)):
+        on_objects = dict(zip(objs, ob_combo))
+        pools = [
+            j_cat.hom(on_objects[i_cat.dom(m)], on_objects[i_cat.cod(m)])
+            for m in mors
+        ]
+        for mor_combo in itertools.product(*pools):
+            on_morphisms = dict(zip(mors, mor_combo))
+            for a in objs:
+                on_morphisms[i_cat.id_of(a)] = j_cat.id_of(on_objects[a])
+            try:
+                out.append(FinFunctor(i_cat, j_cat, on_objects, on_morphisms).check())
+            except FibrelabError:
+                continue
+    return out
+
+
+def brute_force_cones(f):
+    """Every tuple of legs out of every apex, kept when it commutes."""
+    d_cat, c_cat = f.source, f.target
+    objs = list(d_cat.objects)
+    cones = []
+    for apex in c_cat.objects:
+        pools = [c_cat.hom(apex, f.ob(d)) for d in objs]
+        for combo in itertools.product(*pools):
+            legs = dict(zip(objs, combo))
+            if all(
+                c_cat.compose(f.mor(m), legs[d_cat.dom(m)]) == legs[d_cat.cod(m)]
+                for m in d_cat.mor_tokens
+            ):
+                cones.append((apex, list(legs.items())))
+    return cones
+
+
+def functor_tables(functors):
+    return [
+        (list(f.on_objects.items()), list(f.on_morphisms.items())) for f in functors
+    ]
+
+
+def _functor_tuples(i_cat, j_cat):
+    total = 0
+    for ob_combo in itertools.product(j_cat.objects, repeat=len(i_cat.objects)):
+        on_objects = dict(zip(i_cat.objects, ob_combo))
+        total += math.prod(
+            len(j_cat.hom(on_objects[d], on_objects[c]))
+            for m, d, c in i_cat.morphisms
+            if not i_cat.is_identity(m)
+        )
+    return total
+
+
+SOURCES = ("ONE", "TWO", "SPAN", "PAIR", "PUSH3", "Z2", "Z3", "S3")
+TOTALS = {
+    name: groth_co(phi).total for name, phi in DIAGS.items() if name != "loop-coeq"
+}
+
+
+@st.composite
+def category_pairs(draw):
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    src = draw(st.sampled_from(SOURCES + ("poset",)))
+    src = random_poset(rng, 4) if src == "poset" else CATS[src]
+    tgt = draw(st.sampled_from(SOURCES + tuple(TOTALS) + ("poset",)))
+    if tgt == "poset":
+        tgt = random_poset(rng, 4, prefix="q")
+    else:
+        tgt = TOTALS.get(tgt) or CATS[tgt]
+    assume(_functor_tuples(src, tgt) <= 20000)
+    return src, tgt
+
+
+@given(category_pairs())
+@settings(max_examples=80, deadline=None)
+def test_enumerate_functors_matches_brute_force(pair):
+    src, tgt = pair
+    found = enumerate_functors(src, tgt)
+    assert functor_tables(found) == functor_tables(brute_force_functors(src, tgt))
+
+
+@given(category_pairs(), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_enumerate_cones_matches_brute_force(pair, pick):
+    src, tgt = pair
+    functors = enumerate_functors(src, tgt)
+    assume(functors)
+    f = functors[pick % len(functors)]
+    cones = [(c.apex, list(c.legs.items())) for c in enumerate_cones(f)]
+    assert cones == brute_force_cones(f)

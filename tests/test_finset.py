@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibrelab import fixtures
-from fibrelab.errors import NonUnique, NotACoconeError
+from fibrelab.errors import NonUnique, NotACoconeError, ResourceExceeded
 from fibrelab.finset import (
     FinFunction,
     FinSet,
@@ -17,7 +17,7 @@ from fibrelab.finset import (
     mediate,
     restrict,
 )
-from fibrelab.fincat import FinFunctor
+from fibrelab.fincat import FinFunctor, category
 
 CATS = fixtures.all_categories()
 
@@ -155,18 +155,81 @@ def test_mediating_map_from_colimit_to_itself_is_identity(x):
     assert all(h(e) == e for e in co.apex)
 
 
-@given(random_diagrams())
-@settings(max_examples=30, deadline=None)
+def brute_force_limit(x):
+    """The product-then-filter limit: every tuple of the product of the
+    object sets in order, kept when each non-identity morphism agrees."""
+    objs = list(x.shape.objects)
+    non_id = [(f, d, c) for f, d, c in x.shape.morphisms if not x.shape.is_identity(f)]
+    members, families = [], {}
+    for combo in itertools.product(*(x.sets[a] for a in objs)):
+        fam = dict(zip(objs, combo))
+        if all(x.fn(f)(fam[d]) == fam[c] for f, d, c in non_id):
+            tok = "(%s)" % ",".join("%s.%s" % (a, fam[a]) for a in objs)
+            members.append(tok)
+            families[tok] = fam
+    return members, families
+
+
+@st.composite
+def random_free_diagrams(draw):
+    """Random sets and arbitrary functions on a shape with no composites, so
+    every choice is a diagram and most tuples fail some morphism."""
+    shape = CATS[draw(st.sampled_from(("ONE", "TWO", "SPAN", "PAIR")))]
+    sizes = {a: draw(st.integers(0, 4)) for a in shape.objects}
+    for f, d, c in shape.morphisms:
+        if not sizes[c]:
+            sizes[d] = 0  # nothing maps into the empty set
+    sets = {
+        a: FinSet(tuple("%s%d" % (a, n) for n in range(sizes[a])))
+        for a in shape.objects
+    }
+    functions = {}
+    for f, d, c in shape.morphisms:
+        if shape.is_identity(f):
+            functions[f] = identity_function(sets[d])
+        else:
+            images = [draw(st.sampled_from(sets[c].elements)) for _ in sets[d]]
+            functions[f] = FinFunction(sets[d], sets[c], dict(zip(sets[d], images)))
+    return SetDiagram(shape, sets, functions).check()
+
+
+@given(st.one_of(random_diagrams(), random_free_diagrams()))
+@settings(max_examples=150, deadline=None)
 def test_limit_families_are_exactly_the_compatible_tuples(x):
     li = limit_set(x)
-    li.check()
-    objs = list(x.shape.objects)
-    count = 0
-    for combo in itertools.product(*(x.sets[d].elements for d in objs)):
-        fam = dict(zip(objs, combo))
-        if all(
-            x.fn(m)(fam[x.shape.dom(m)]) == fam[x.shape.cod(m)]
-            for m in x.shape.mor_tokens
-        ):
-            count += 1
-    assert len(li.apex) == count
+    members, families = brute_force_limit(x)
+    assert list(li.apex) == members
+    assert list(li.families.items()) == list(families.items())
+    for a in x.shape.objects:
+        assert li.legs[a].mapping == {t: families[t][a] for t in members}
+
+
+def test_limit_of_long_chain_is_found_not_refused():
+    # 4**10 tuples in the product, but only the 4 families through c0
+    from fibrelab.randgen import chain, coproduct_diagrams, representable_diagram
+
+    shape = chain(10)
+    x = coproduct_diagrams(shape, [representable_diagram(shape, "c0")] * 4)
+    assert len(limit_set(x).apex) == 4
+
+
+def test_huge_limit_is_refused():
+    # a discrete shape on two objects: 1001 * 1000 families, more than the
+    # search may visit
+    shape = category(
+        ["p", "q"],
+        [("1p", "p", "p"), ("1q", "q", "q")],
+        {"p": "1p", "q": "1q"},
+        {},
+    )
+    sets = {
+        "p": FinSet(tuple("p%d" % n for n in range(1001))),
+        "q": FinSet(tuple("q%d" % n for n in range(1000))),
+    }
+    x = SetDiagram(
+        shape,
+        sets,
+        {"1p": identity_function(sets["p"]), "1q": identity_function(sets["q"])},
+    )
+    with pytest.raises(ResourceExceeded):
+        limit_set(x)

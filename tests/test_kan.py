@@ -1,8 +1,10 @@
 """Pointwise Kan extensions against the colimit/limit degenerate cases and
 a hand-checked comma-category instance."""
+import itertools
+import math
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fibrelab import fixtures
 from fibrelab.fincat import FinFunctor, constant_functor, identity_functor
@@ -143,3 +145,78 @@ def test_ran_counit_is_natural(inst):
         lhs = res.extension.fn(f.mor(m)).then(res.unit_or_counit[i2])
         rhs = res.unit_or_counit[i1].then(x.fn(m))
         assert lhs == rhs
+
+
+def brute_force_ran(f, x):
+    """Ran by product-then-filter: for each j every tuple over the comma
+    objects (i, u: j -> F i), kept when it follows every X(m); families are
+    restricted along v by a linear scan."""
+    i_cat, j_cat = f.source, f.target
+    sets, families = {}, {}
+    for j in j_cat.objects:
+        nodes = [(i, u) for i in i_cat.objects for u in j_cat.hom(j, f.ob(i))]
+        toks = {}
+        for combo in itertools.product(*(x.sets[i] for i, _ in nodes)):
+            fam = dict(zip(nodes, combo))
+            if all(
+                fam[(i_cat.cod(m), j_cat.compose(f.mor(m), u))]
+                == x.fn(m)(fam[(i_cat.dom(m), u)])
+                for m in i_cat.mor_tokens
+                for u in j_cat.hom(j, f.ob(i_cat.dom(m)))
+            ):
+                tok = "(%s)" % ",".join(
+                    "%s|%s.%s" % (i, u, fam[(i, u)]) for i, u in nodes
+                )
+                toks[tok] = fam
+        sets[j] = list(toks)
+        families[j] = toks
+    functions = {}
+    for v in j_cat.mor_tokens:
+        j1, j2 = j_cat.dom(v), j_cat.cod(v)
+        mapping = {}
+        for tok, fam in families[j1].items():
+            restricted = {
+                (i, u): fam[(i, j_cat.compose(u, v))]
+                for i in i_cat.objects
+                for u in j_cat.hom(j2, f.ob(i))
+            }
+            mapping[tok] = next(t for t, g in families[j2].items() if g == restricted)
+        functions[v] = mapping
+    return sets, families, functions
+
+
+def product_size(f, x):
+    return sum(
+        math.prod(
+            len(x.sets[i]) ** len(f.target.hom(j, f.ob(i))) for i in f.source.objects
+        )
+        for j in f.target.objects
+    )
+
+
+@st.composite
+def fixture_ran_instances(draw):
+    from fibrelab.fibrations import enumerate_functors
+
+    names = ("ONE", "TWO", "SPAN", "PAIR", "PUSH3", "Z2", "Z3")
+    src = CATS[draw(st.sampled_from(names))]
+    tgt = CATS[draw(st.sampled_from(names))]
+    functors = enumerate_functors(src, tgt)
+    assume(functors)
+    f = functors[draw(st.integers(0, len(functors) - 1))]
+    x = random_set_diagram(random.Random(draw(st.integers(0, 10**6))), src, 2)
+    return f, x
+
+
+@given(st.one_of(lan_instances(), fixture_ran_instances()))
+@settings(max_examples=120, deadline=None)
+def test_ran_matches_brute_force(inst):
+    f, x = inst
+    assume(product_size(f, x) <= 20000)
+    res = ran(f, x)
+    sets, families, functions = brute_force_ran(f, x)
+    for j in f.target.objects:
+        assert list(res.extension.sets[j]) == sets[j]
+        assert list(res.classify[j].items()) == list(families[j].items())
+    for v in f.target.mor_tokens:
+        assert res.extension.fn(v).mapping == functions[v]
