@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import BoundExceeded, NaturalityFailure, NotUniversal
+from .errors import BoundExceeded, NaturalityFailure
 from .fincat import FinCategory, FinFunctor, compose_functor
 from .finset import UnionFind
 from .report import failed, passed

@@ -18,16 +18,13 @@ from .errors import (
     VariantMismatch,
 )
 from .fincat import (
-    CommaCategory,
     FinCategory,
     FinFunctor,
-    NatTransformation,
     comma,
     compose_functor,
     constant_functor,
     identity_functor,
     opposite,
-    opposite_functor,
 )
 from .finset import (
     FinFunction,
@@ -512,11 +509,11 @@ def dualize(m):
     assert m.source.kind == "cat"
     flip = "forward" if m.variant == "backward" else "backward"
     dual_src = DiagObject(
-        opposite(m.target.shape), opposite_functor(m.target.diagram), "cat"
+        opposite(m.target.shape), m.target.diagram.op, "cat"
     )
     dual_tgt = DiagObject(
-        opposite(m.source.shape), opposite_functor(m.source.diagram), "cat"
+        opposite(m.source.shape), m.source.diagram.op, "cat"
     )
     return DiagMorphism(
-        flip, dual_src, dual_tgt, opposite_functor(m.functor_part), m.components
+        flip, dual_src, dual_tgt, m.functor_part.op, m.components
     ).check()

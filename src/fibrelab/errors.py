@@ -75,10 +75,6 @@ class NotALaxCocone(FibrelabError):
 
 # --- fibrations -------------------------------------------------------------
 
-class NotCartesian(FibrelabError):
-    pass
-
-
 class SplitLawViolation(FibrelabError):
     pass
 
@@ -144,10 +140,6 @@ class BoundExceeded(FibrelabError):
 
 
 class NaturalityFailure(FibrelabError):
-    pass
-
-
-class NotUniversal(FibrelabError):
     pass
 
 

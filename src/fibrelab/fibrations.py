@@ -5,10 +5,22 @@ functor.
 Everything here is oracle-grade: cartesianness is checked by exhaustive
 filler enumeration, limits by exhaustive terminal-cone search, adjunctions
 by exhaustive hom counting.
+
+Only the cofibration side is written out.  A morphism is P-cartesian iff
+it is cocartesian for P^op (``p.op``, same tokens), and a cleavage of P is
+the same lifting dict read as a cocleavage of P^op
+(:meth:`CleavageData.dual`): θ^u_y of P is the cocartesian lifting of u at
+y for P^op.  The fibration operations hand their input to the dual and map
+the result back: the extracted diagram through ``opposed_fibres``, the two
+halves of a factorization swapped, a split-law pair reported as
+[outer, inner, z] in the base of P.  Because the split law is checked over
+the composable pairs of B^op, inner morphism first, a cleavage that breaks
+it at several pairs can be reported at another pair than the first one in
+B's own order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     DanglingToken,
@@ -17,7 +29,6 @@ from .errors import (
     NoFibreLimit,
     NonFunctorialTransition,
     NotAMorphism,
-    NotCartesian,
     ShapeMismatch,
     SplitLawViolation,
     SquareNotCommuting,
@@ -25,9 +36,16 @@ from .errors import (
     TriangleViolation,
     UnverifiedCleavage,
 )
-from .fincat import FinCategory, FinFunctor, compose_functor, identity_functor
+from .fincat import FinCategory, FinFunctor, compose_functor
 from .finset import forward_check, search
-from .grothendieck import CatDiagram, GrothendieckResult, groth_co, obj_token
+from .grothendieck import (
+    CatDiagram,
+    GrothendieckResult,
+    groth_co,
+    groth_contra,
+    obj_token,
+    opposed_fibres,
+)
 from .report import failed, passed
 
 
@@ -51,34 +69,13 @@ def fibre(p, b):
 
 
 def is_cartesian(p, m):
-    """Exhaustive unique-filler check for P-cartesianness of m."""
-    e, b = p.source, p.target
-    x, y = e.dom(m), e.cod(m)
-    u = p.mor(m)
-    for z in e.objects:
-        for h in e.hom(z, y):
-            for w in b.hom(p.ob(z), p.ob(x)):
-                if b.compose(u, w) != p.mor(h):
-                    continue
-                fillers = [
-                    t
-                    for t in e.hom(z, x)
-                    if e.compose(m, t) == h and p.mor(t) == w
-                ]
-                if len(fillers) != 1:
-                    return failed(
-                        "is_cartesian",
-                        {
-                            "morphism": m,
-                            "test": [z, h, w],
-                            "fillers": fillers,
-                        },
-                    )
-    return passed("is_cartesian", morphism=m)
+    """Exhaustive unique-filler check for P-cartesianness of m: m is
+    cocartesian for P^op."""
+    return replace(is_cocartesian(p.op, m), check_name="is_cartesian")
 
 
 def is_cocartesian(p, m):
-    """Dual unique-filler check (m is cocartesian iff cartesian for P^op)."""
+    """Exhaustive unique-filler check for P-cocartesianness of m."""
     e, b = p.source, p.target
     x, y = e.dom(m), e.cod(m)
     u = p.mor(m)
@@ -117,6 +114,11 @@ class CleavageData:
     def __post_init__(self):
         assert self.direction in ("fibration", "cofibration")
 
+    def dual(self):
+        """The same liftings as a cleavage of the other direction for P^op."""
+        other = "cofibration" if self.direction == "fibration" else "fibration"
+        return CleavageData(self.base_functor.op, other, self.lifting, self.verified)
+
 
 def cleavage_from_groth(gr: GrothendieckResult):
     """The canonical CleavageData of a Grothendieck projection.
@@ -138,94 +140,81 @@ def search_cleavage(p, direction):
 
     Picks the smallest-token (co)cartesian lifting per (base morphism,
     fibre object); returns None when some lifting is missing (P is not a
-    (co)fibration).
+    (co)fibration).  A fibration is searched as a cofibration of P^op.
     """
-    e, b = p.source, p.target
+    q = p.op if direction == "fibration" else p
+    e, b = q.source, q.target
     lifting = {}
     for u in b.mor_tokens:
-        if direction == "fibration":
-            side = b.cod(u)
-            for y in e.objects:
-                if p.ob(y) != side:
-                    continue
-                found = sorted(
-                    m for m in e.into(y) if p.mor(m) == u and is_cartesian(p, m)
-                )
-                if not found:
-                    return None
-                lifting[(u, y)] = found[0]
-        else:
-            side = b.dom(u)
-            for x in e.objects:
-                if p.ob(x) != side:
-                    continue
-                found = sorted(
-                    m
-                    for m in e.out_of(x)
-                    if p.mor(m) == u and is_cocartesian(p, m)
-                )
-                if not found:
-                    return None
-                lifting[(u, x)] = found[0]
+        side = b.dom(u)
+        for x in e.objects:
+            if q.ob(x) != side:
+                continue
+            found = sorted(
+                m for m in e.out_of(x) if q.mor(m) == u and is_cocartesian(q, m)
+            )
+            if not found:
+                return None
+            lifting[(u, x)] = found[0]
     return CleavageData(p, direction, lifting)
 
 
 def _transport_functor(data, u, fibres):
-    """The reindexing functor induced by a split cleavage along u.
-
-    Fibration: u* : E_b -> E_a; cofibration: u_! : E_a -> E_b.  Morphism
-    images are found by unique vertical filler search.
-    """
+    """The reindexing functor u_! : E_a -> E_b induced by a split
+    cocleavage along u.  Morphism images are found by unique vertical
+    filler search."""
     p = data.base_functor
     e, b = p.source, p.target
-    a_obj, b_obj = b.dom(u), b.cod(u)
-    if data.direction == "fibration":
-        src, tgt = fibres[b_obj], fibres[a_obj]
-        on_objects = {y: e.dom(data.lifting[(u, y)]) for y in src.objects}
-        on_morphisms = {}
-        for j in src.mor_tokens:
-            y, y2 = src.dom(j), src.cod(j)
-            want = e.compose(j, data.lifting[(u, y)])
-            cands = [
-                t
-                for t in tgt.hom(on_objects[y], on_objects[y2])
-                if e.compose(data.lifting[(u, y2)], t) == want
-            ]
-            if len(cands) != 1:
-                raise NonFunctorialTransition((u, j, cands))
-            on_morphisms[j] = cands[0]
-    else:
-        src, tgt = fibres[a_obj], fibres[b_obj]
-        on_objects = {x: e.cod(data.lifting[(u, x)]) for x in src.objects}
-        on_morphisms = {}
-        for j in src.mor_tokens:
-            x, x2 = src.dom(j), src.cod(j)
-            want = e.compose(data.lifting[(u, x2)], j)
-            cands = [
-                t
-                for t in tgt.hom(on_objects[x], on_objects[x2])
-                if e.compose(t, data.lifting[(u, x)]) == want
-            ]
-            if len(cands) != 1:
-                raise NonFunctorialTransition((u, j, cands))
-            on_morphisms[j] = cands[0]
+    src, tgt = fibres[b.dom(u)], fibres[b.cod(u)]
+    on_objects = {x: e.cod(data.lifting[(u, x)]) for x in src.objects}
+    on_morphisms = {}
+    for j in src.mor_tokens:
+        x, x2 = src.dom(j), src.cod(j)
+        want = e.compose(data.lifting[(u, x2)], j)
+        cands = [
+            t
+            for t in tgt.hom(on_objects[x], on_objects[x2])
+            if e.compose(t, data.lifting[(u, x)]) == want
+        ]
+        if len(cands) != 1:
+            raise NonFunctorialTransition((u, j, cands))
+        on_morphisms[j] = cands[0]
     return FinFunctor(src, tgt, on_objects, on_morphisms).check()
 
 
-def _verify_split(data, check_name):
+def _verify_split(data, direction):
     """Common engine behind verify_split_fibration / verify_split_cofibration.
 
-    Returns (report, extracted CatDiagram or None).
+    Returns (report, extracted CatDiagram or None).  A cleavage is verified
+    as the cocleavage of P^op and its covariant diagram on B^op is turned
+    back by ``opposed_fibres``; a split-law witness is given as
+    [outer, inner, z] in the base of P.
     """
+    check_name = "verify_split_" + direction
+    if data.direction != direction:
+        return failed(check_name, {"direction": data.direction}), None
+    data.base_functor.check()
+    if direction == "cofibration":
+        return _verify_cocleavage(data, check_name)
+    dual = data.dual()
+    report, phi = _verify_cocleavage(dual, check_name)
+    data.verified = dual.verified
+    if phi is not None:
+        return report, opposed_fibres(phi)
+    if "split_law" in report.witness:
+        inner, outer, z = report.witness["split_law"]
+        report.witness["split_law"] = [outer, inner, z]
+    return report, None
+
+
+def _verify_cocleavage(data, check_name):
+    """_verify_split for a cocleavage of a functor that is checked."""
     p = data.base_functor
-    p.check()
     e, b = p.source, p.target
     fibres = {a: fibre(p, a) for a in b.objects}
-    is_fib = data.direction == "fibration"
-    # each lifting present, well-typed, and (co)cartesian
+    # each lifting present, well-typed, and cocartesian
     for u in b.mor_tokens:
-        over = b.cod(u) if is_fib else b.dom(u)
-        for z in fibres[over].objects:
+        for z in fibres[b.dom(u)].objects:
             m = data.lifting.get((u, z))
             if m is None or not e.has_mor(m):
                 return (
@@ -237,13 +226,12 @@ def _verify_split(data, check_name):
                     failed(check_name, {"lifting_over_wrong_base": [u, z, m]}),
                     None,
                 )
-            end = e.cod(m) if is_fib else e.dom(m)
-            if end != z:
+            if e.dom(m) != z:
                 return (
                     failed(check_name, {"lifting_endpoint": [u, z, m]}),
                     None,
                 )
-            r = is_cartesian(p, m) if is_fib else is_cocartesian(p, m)
+            r = is_cocartesian(p, m)
             if not r:
                 return (
                     failed(check_name, {"not_cartesian": [u, z, m], "detail": r.witness}),
@@ -267,29 +255,17 @@ def _verify_split(data, check_name):
     # split composition law
     for v, u in b.composable_pairs():
         vu = b.compose(v, u)
-        if is_fib:
-            for z in fibres[b.cod(v)].objects:
-                vz = transitions[v].ob(z)
-                if data.lifting[(vu, z)] != e.compose(
-                    data.lifting[(v, z)], data.lifting[(u, vz)]
-                ):
-                    return (
-                        failed(check_name, {"split_law": [v, u, z]}),
-                        None,
-                    )
-        else:
-            for z in fibres[b.dom(u)].objects:
-                uz = transitions[u].ob(z)
-                if data.lifting[(vu, z)] != e.compose(
-                    data.lifting[(v, uz)], data.lifting[(u, z)]
-                ):
-                    return (
-                        failed(check_name, {"split_law": [v, u, z]}),
-                        None,
-                    )
-    variance = "contravariant" if is_fib else "covariant"
+        for z in fibres[b.dom(u)].objects:
+            uz = transitions[u].ob(z)
+            if data.lifting[(vu, z)] != e.compose(
+                data.lifting[(v, uz)], data.lifting[(u, z)]
+            ):
+                return (
+                    failed(check_name, {"split_law": [v, u, z]}),
+                    None,
+                )
     try:
-        phi = CatDiagram(b, fibres, transitions, variance).check()
+        phi = CatDiagram(b, fibres, transitions, "covariant").check()
     except Exception as exc:  # pragma: no cover - guarded above
         return failed(check_name, {"extracted_diagram_invalid": str(exc)}), None
     data.verified = True
@@ -306,15 +282,11 @@ def _verify_split(data, check_name):
 def verify_split_fibration(data):
     """Verify a split cleavage; on pass also return the extracted
     contravariant CatDiagram (the indexed category of P)."""
-    if data.direction != "fibration":
-        return failed("verify_split_fibration", {"direction": data.direction}), None
-    return _verify_split(data, "verify_split_fibration")
+    return _verify_split(data, "fibration")
 
 
 def verify_split_cofibration(data):
-    if data.direction != "cofibration":
-        return failed("verify_split_cofibration", {"direction": data.direction}), None
-    return _verify_split(data, "verify_split_cofibration")
+    return _verify_split(data, "cofibration")
 
 
 @dataclass
@@ -333,23 +305,13 @@ def factorize(data, f):
     """
     if not data.verified:
         raise UnverifiedCleavage((data.direction,))
+    if data.direction == "fibration":
+        dual = factorize(data.dual(), f)
+        return FactorizationResult(dual.second, dual.first, "(vertical,cartesian)")
     p = data.base_functor
     e, b = p.source, p.target
-    u = p.mor(f)
-    if data.direction == "fibration":
-        theta = data.lifting[(u, e.cod(f))]
-        a = p.ob(e.dom(f))
-        id_a = b.id_of(a)
-        cands = [
-            t
-            for t in e.hom(e.dom(f), e.dom(theta))
-            if p.mor(t) == id_a and e.compose(theta, t) == f
-        ]
-        assert len(cands) == 1, ("cartesian filler not unique", f, cands)
-        return FactorizationResult(cands[0], theta, "(vertical,cartesian)")
-    delta = data.lifting[(u, e.dom(f))]
-    bb = p.ob(e.cod(f))
-    id_b = b.id_of(bb)
+    delta = data.lifting[(p.mor(f), e.dom(f))]
+    id_b = b.id_of(p.ob(e.cod(f)))
     cands = [
         t
         for t in e.hom(e.cod(delta), e.cod(f))
@@ -722,33 +684,37 @@ def reconstitute(data):
     indexed category and back.
 
     Extracts the Cat-valued diagram of P, rebuilds the total category, and
-    checks that the comparison functor (u, f) ↦ θ^u∘f (dually f∘δ^u) is
-    bijective on objects and morphisms, commutes with the projections, and
-    preserves the cleavage.
+    checks that the comparison functor (u, f) ↦ f∘δ^u is bijective on
+    objects and morphisms, commutes with the projections, and preserves the
+    cleavage.  A fibration's total is rebuilt by ``groth_contra`` and
+    compared as the cofibration P^op, where (u, f) ↦ θ^u∘f reads
+    (u, f) ↦ f∘δ^u.
     """
-    from .grothendieck import groth_contra
-
-    p = data.base_functor
-    e = p.source
-    if data.direction == "fibration":
+    direction = data.direction
+    if direction == "fibration":
         rep, phi = verify_split_fibration(data)
+        if not rep:
+            return rep
+        gr = groth_contra(phi)
+        # P^op is compared with the opposite total, fibre objects swapped
+        total = gr.total.op
+        mor_data = {m: (u, y, f, x) for m, (u, x, f, y) in gr.mor_data.items()}
+        data = data.dual()
     else:
         rep, phi = verify_split_cofibration(data)
-    if not rep:
-        return rep
-    gr = groth_contra(phi) if data.direction == "fibration" else groth_co(phi)
-    on_objects = {}
-    for tok in gr.total.objects:
-        _, x = tok.split("|", 1)
-        on_objects[tok] = x
-    on_morphisms = {}
-    for m, (u, x, fmor, y) in gr.mor_data.items():
-        if data.direction == "fibration":
-            on_morphisms[m] = e.compose(data.lifting[(u, y)], fmor)
-        else:
-            on_morphisms[m] = e.compose(fmor, data.lifting[(u, x)])
+        if not rep:
+            return rep
+        gr = groth_co(phi)
+        total, mor_data = gr.total, gr.mor_data
+    p = data.base_functor
+    e = p.source
+    on_objects = {tok: tok.split("|", 1)[1] for tok in total.objects}
+    on_morphisms = {
+        m: e.compose(fmor, data.lifting[(u, x)])
+        for m, (u, x, fmor, _) in mor_data.items()
+    }
     try:
-        k = FinFunctor(gr.total, e, on_objects, on_morphisms).check()
+        k = FinFunctor(total, e, on_objects, on_morphisms).check()
     except Exception as exc:
         return failed("reconstitute", {"comparison_not_functorial": str(exc)})
     if sorted(on_objects.values()) != sorted(e.objects):
@@ -757,7 +723,7 @@ def reconstitute(data):
         seen = sorted(on_morphisms.values())
         missing = [m for m in e.mor_tokens if m not in set(seen)]
         return failed("reconstitute", {"morphisms_not_bijective": missing})
-    for m in gr.mor_data:
+    for m in mor_data:
         if p.mor(on_morphisms[m]) != gr.projection.mor(m):
             return failed("reconstitute", {"projection_square": m})
     for key, c in gr.cleavage.items():
@@ -765,7 +731,7 @@ def reconstitute(data):
             return failed("reconstitute", {"cleavage_not_preserved": list(key)})
     return passed(
         "reconstitute",
-        direction=data.direction,
+        direction=direction,
         objects=len(e.objects),
         morphisms=len(e.morphisms),
     )
@@ -786,19 +752,6 @@ class DiagOfFunctor:
 
     def __init__(self, p):
         self.p = p.check()
-
-    def validate_object(self, a, shape, x):
-        x.check()
-        if x.source != shape or x.target != self.p.source:
-            raise NotAMorphism(("object diagram shape",))
-        id_a = self.p.target.id_of(a)
-        for i in shape.objects:
-            if self.p.ob(x.ob(i)) != a:
-                raise NotAMorphism(("object outside fibre", i))
-        for m in shape.mor_tokens:
-            if self.p.mor(x.mor(m)) != id_a:
-                raise NotAMorphism(("morphism outside fibre", m))
-        return (a, shape, x)
 
     def embed(self, x):
         """E^P: an object x of E as a ONE-shaped diagram in its fibre."""
@@ -851,12 +804,6 @@ class DiagOfFunctor:
                 for i in src[1].objects
             },
         )
-
-    def b_projection(self, obj):
-        return obj[0]
-
-    def d_projection(self, obj):
-        return obj[1]
 
     def hom_bijection_check(self, cofib_data, src, tgt):
         """Verify that for a split cofibration P, morphisms (u, F, φ) are in

@@ -14,6 +14,13 @@ tables and indexes the morphisms by (dom, cod), by dom and by cod, so hom-sets
 and the composable pairs and triples that validation visits are read off the
 indexes instead of found by scanning every morphism.  Each instance is
 validated at most once.
+
+Duality goes through the ``op`` properties.  ``c.op`` is built on first use
+and cached: the same tokens in the same order, dom and cod swapped, the
+composition table transposed.  ``c.op.op is c``, and a passing ``check()``
+of either one holds for both, so ``opposite(c)`` neither copies nor re-checks
+a category that was checked already.  ``F.op`` is the same object and
+morphism maps between the opposite categories.
 """
 from __future__ import annotations
 
@@ -62,6 +69,7 @@ class FinCategory:
         self._out_of = {k: tuple(v) for k, v in out_of.items()}
         self._into = {k: tuple(v) for k, v in into.items()}
         self._checked = False
+        self._op = None
 
     # -- accessors ----------------------------------------------------------
 
@@ -76,9 +84,6 @@ class FinCategory:
 
     def is_identity(self, f):
         return f in self._identity_tokens
-
-    def has_object(self, a):
-        return a in self._dom or a in self.identities
 
     def has_mor(self, f):
         return f in self._dom
@@ -156,7 +161,43 @@ class FinCategory:
                     if comp[(h, comp[(g, f)])] != comp[(hg, f)]:
                         raise AssociativityViolation((h, g, f))
         self._checked = True
+        if self._op is not None:
+            self._op._checked = True
         return self
+
+    @property
+    def op(self):
+        """The opposite category, built on first use and cached."""
+        if self._op is None:
+            op = FinCategory(
+                self.objects,
+                [(t, c, d) for t, d, c in self.morphisms],
+                self.identities,
+                {(f, g): gf for (g, f), gf in self._composition.items()},
+                name=(self.name + "^op") if self.name else "",
+            )
+            op._checked = self._checked
+            op._op = self
+            self._op = op
+        return self._op
+
+    def renamed(self, names):
+        """The same category with each morphism token t renamed ``names[t]``.
+
+        ``names`` must be injective, so the copy keeps a passing check.
+        """
+        copy = FinCategory(
+            self.objects,
+            [(names[t], d, c) for t, d, c in self.morphisms],
+            {a: names[i] for a, i in self.identities.items()},
+            {
+                (names[g], names[f]): names[gf]
+                for (g, f), gf in self._composition.items()
+            },
+            name=self.name,
+        )
+        copy._checked = self._checked
+        return copy
 
     # -- plumbing -----------------------------------------------------------
 
@@ -290,6 +331,13 @@ class FinFunctor:
     def mor(self, f):
         return self.on_morphisms[f]
 
+    @property
+    def op(self):
+        """The same maps, between the opposite categories."""
+        return FinFunctor(
+            self.source.op, self.target.op, self.on_objects, self.on_morphisms
+        )
+
     def check(self):
         target_objects = set(self.target.objects)
         for a in self.source.objects:
@@ -416,69 +464,14 @@ def identity_nat(f):
     )
 
 
-def nat_vertical(beta, alpha):
-    """Vertical composite β·α : F -> H of α: F -> G and β: G -> H."""
-    if alpha.target != beta.source:
-        raise ShapeMismatch(("vertical composition", "middle functor differs"))
-    cat = alpha.source.target
-    return NatTransformation(
-        alpha.source,
-        beta.target,
-        {
-            i: cat.compose(beta.at(i), alpha.at(i))
-            for i in alpha.source.source.objects
-        },
-    )
-
-
-def nat_whisker(x, y):
-    """Whisker a transformation with a functor.
-
-    ``nat_whisker(H, α)`` (functor first) is Hα with components H(α_i);
-    ``nat_whisker(α, H)`` is αH with components α_{H(k)}.
-    """
-    if isinstance(x, FinFunctor) and isinstance(y, NatTransformation):
-        h, alpha = x, y
-        if alpha.source.target != h.source:
-            raise ShapeMismatch(("left whisker", "targets differ"))
-        return NatTransformation(
-            compose_functor(h, alpha.source),
-            compose_functor(h, alpha.target),
-            {i: h.mor(alpha.at(i)) for i in alpha.source.source.objects},
-        )
-    if isinstance(x, NatTransformation) and isinstance(y, FinFunctor):
-        alpha, h = x, y
-        if h.target != alpha.source.source:
-            raise ShapeMismatch(("right whisker", "sources differ"))
-        return NatTransformation(
-            compose_functor(alpha.source, h),
-            compose_functor(alpha.target, h),
-            {k: alpha.at(h.ob(k)) for k in h.source.objects},
-        )
-    raise ShapeMismatch(("nat_whisker", "expects (functor, nat) or (nat, functor)"))
-
-
 # ---------------------------------------------------------------------------
 # opposite, product, comma
 # ---------------------------------------------------------------------------
 
 
 def opposite(c):
-    """The opposite category: same tokens, dom/cod swapped, table transposed."""
-    return FinCategory(
-        c.objects,
-        [(t, cc, d) for t, d, cc in c.morphisms],
-        c.identities,
-        {(g, f): gf for (f, g), gf in c.composition.items()},
-        name=(c.name + "^op") if c.name else "",
-    ).check()
-
-
-def opposite_functor(f):
-    """The same functor viewed between the opposite categories."""
-    return FinFunctor(
-        opposite(f.source), opposite(f.target), f.on_objects, f.on_morphisms
-    )
+    """The checked opposite category ``c.check().op``."""
+    return c.check().op
 
 
 def product(c, d):
@@ -502,23 +495,6 @@ def product(c, d):
                 d.compose(g1, f1),
             )
     return FinCategory(objects, morphisms, identities, composition).check()
-
-
-def product_projections(c, d):
-    p = product(c, d)
-    left = FinFunctor(
-        p,
-        c,
-        {"(%s,%s)" % (a, b): a for a in c.objects for b in d.objects},
-        {"(%s,%s)" % (f, g): f for f in c.mor_tokens for g in d.mor_tokens},
-    )
-    right = FinFunctor(
-        p,
-        d,
-        {"(%s,%s)" % (a, b): b for a in c.objects for b in d.objects},
-        {"(%s,%s)" % (f, g): g for f in c.mor_tokens for g in d.mor_tokens},
-    )
-    return p, left, right
 
 
 @dataclass

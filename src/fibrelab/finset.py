@@ -45,12 +45,6 @@ class UnionFind:
         if px != py:
             self.parent[px] = self.parent[py] = min(px, py)
 
-    def classes(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
-
 
 @dataclass(frozen=True)
 class FinSet:
@@ -110,11 +104,6 @@ def identity_function(s):
     return FinFunction(s, s, {x: x for x in s})
 
 
-def compose_function(g, f):
-    """g∘f (apply f first)."""
-    return f.then(g)
-
-
 class SetDiagram:
     """A functor from a finite shape category into finite sets."""
 
@@ -122,9 +111,6 @@ class SetDiagram:
         self.shape = shape
         self.sets = dict(sets)
         self.functions = dict(functions)
-
-    def set_at(self, obj):
-        return self.sets[obj]
 
     def fn(self, mor):
         return self.functions[mor]

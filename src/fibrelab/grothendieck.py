@@ -1,13 +1,18 @@
 """Both Grothendieck constructions with their (co)cleavages and fibre
 injections, the hat/check correspondence between diagrams on the total
-category and diagram-valued families, lax-cocone extension, and the
-reconstitution round-trip for split (co)fibrations.
+category and diagram-valued families, and lax-cocone extension.
+
+Only the covariant construction is built from the tables.  The
+contravariant one is derived: for Φ: B^op -> Cat, ∫Φ is the opposite of the
+covariant construction on the pointwise opposite diagram
+(:func:`opposed_fibres`), with its morphism tokens renamed.
 
 Token conventions: a total object over base object ``a`` with fibre object
 ``x`` is ``"a|x"``.  A covariant total morphism (u, f) with source fibre
 object x is ``"u|x|f"`` (x is recorded because the transition functor need
 not be injective on objects, so (u, f) alone would be ambiguous); the
-contravariant dual records the target fibre object: ``"u|f|y"``.
+contravariant dual records the target fibre object: ``"u|f|y"``, the name
+:func:`groth_contra` gives to the morphism ``"u|y|f"`` of the opposite.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ from .fincat import (
     group_by_cod,
     identity_functor,
 )
-from .finset import FinFunction, SetDiagram, identity_function
+from .finset import SetDiagram, identity_function
 
 
 def obj_token(a, x):
@@ -50,8 +55,8 @@ class CatDiagram:
         for u in shape.mor_tokens:
             t = transitions.get(u, "id")
             if t == "id":
-                d = shape.dom(u) if variance == "covariant" else shape.cod(u)
-                c = shape.cod(u) if variance == "covariant" else shape.dom(u)
+                # end fibres are equal, so the one over dom u serves both
+                d, c = shape.dom(u), shape.cod(u)
                 if self.fibres[d] != self.fibres[c]:
                     raise NonFunctorialDiagram(("identity shorthand on", u))
                 t = identity_functor(self.fibres[d])
@@ -128,12 +133,13 @@ def groth_co(phi):
     """
     if phi.variance != "covariant":
         raise NonFunctorialDiagram(("groth_co expects a covariant diagram",))
-    phi.check()
+    return _groth_co(phi.check())
+
+
+def _groth_co(phi):
+    """groth_co on a diagram that is already checked."""
     sh = phi.shape
-    objects = []
-    for a in sh.objects:
-        for x in phi.fibre(a).objects:
-            objects.append(obj_token(a, x))
+    over = {obj_token(a, x): a for a in sh.objects for x in phi.fibre(a).objects}
     morphisms = []
     mor_data = {}
     token_of = {}
@@ -154,23 +160,17 @@ def groth_co(phi):
                 (sh.id_of(a), x, phi.fibre(a).id_of(x))
             ]
     composition = {}
-    dom_of = {m: d for m, d, _ in morphisms}
-    cod_of = {m: c for m, _, c in morphisms}
-    into = group_by_cod((m, dom_of[m], cod_of[m]) for m in mor_data)
-    for m2 in mor_data:
-        v, y0, g, _ = mor_data[m2]
-        for m1, _, _ in into.get(dom_of[m2], ()):
+    into = group_by_cod(morphisms)
+    for m2, d2, _ in morphisms:
+        v, _, g, _ = mor_data[m2]
+        fc = phi.fibre(sh.cod(v))
+        for m1, _, _ in into.get(d2, ()):
             u, x, f, _ = mor_data[m1]
-            vu = sh.compose(v, u)
-            fc = phi.fibre(sh.cod(v))
             comp_f = fc.compose(g, phi.transition(v).mor(f))
-            composition[(m2, m1)] = token_of[(vu, x, comp_f)]
-    total = FinCategory(objects, morphisms, identities, composition).check()
+            composition[(m2, m1)] = token_of[(sh.compose(v, u), x, comp_f)]
+    total = FinCategory(over, morphisms, identities, composition).check()
     projection = FinFunctor(
-        total,
-        sh,
-        {obj_token(a, x): a for a in sh.objects for x in phi.fibre(a).objects},
-        {m: mor_data[m][0] for m in mor_data},
+        total, sh, over, {m: mor_data[m][0] for m in mor_data}
     ).check()
     cleavage = {}
     for u, a, b in sh.morphisms:
@@ -194,82 +194,51 @@ def groth_contra(phi):
 
     Objects (b, y); morphisms (u: a -> b, f: x -> Φu(y) in Φa); composition
     (v, g)·(u, f) = (v·u, Φu(g)·f).  Comes with the split cleavage
-    θ^u_y = (u, 1) and fibre injections.
+    θ^u_y = (u, 1) and fibre injections.  Built as the opposite of the
+    covariant construction on :func:`opposed_fibres` of Φ, whose morphism
+    "u|y|f" is renamed "u|f|y" and has its fibre objects swapped in
+    ``mor_data``.  That total is the renamed opposite of a checked category,
+    so it is trusted and not checked again.
     """
     if phi.variance != "contravariant":
         raise NonFunctorialDiagram(("groth_contra expects a contravariant diagram",))
-    phi.check()
-    sh = phi.shape
-    objects = []
-    for a in sh.objects:
-        for x in phi.fibre(a).objects:
-            objects.append(obj_token(a, x))
-    morphisms = []
-    mor_data = {}
-    token_of = {}
-    for u, a, b in sh.morphisms:
-        t = phi.transition(u)  # fibre(b) -> fibre(a)
-        fa = phi.fibre(a)
-        for y in phi.fibre(b).objects:
-            uy = t.ob(y)
-            for f in fa.into(uy):
-                m = "%s|%s|%s" % (u, f, y)
-                morphisms.append((m, obj_token(a, fa.dom(f)), obj_token(b, y)))
-                mor_data[m] = (u, fa.dom(f), f, y)
-                token_of[(u, f, y)] = m
-    identities = {}
-    for a in sh.objects:
-        for x in phi.fibre(a).objects:
-            identities[obj_token(a, x)] = token_of[
-                (sh.id_of(a), phi.fibre(a).id_of(x), x)
-            ]
-    composition = {}
-    dom_of = {m: d for m, d, _ in morphisms}
-    cod_of = {m: c for m, _, c in morphisms}
-    into = group_by_cod((m, dom_of[m], cod_of[m]) for m in mor_data)
-    for m2 in mor_data:
-        v, _, g, z = mor_data[m2]
-        for m1, _, _ in into.get(dom_of[m2], ()):
-            u, _, f, _ = mor_data[m1]
-            vu = sh.compose(v, u)
-            fa = phi.fibre(sh.dom(u))
-            comp_f = fa.compose(phi.transition(u).mor(g), f)
-            composition[(m2, m1)] = token_of[(vu, comp_f, z)]
-    total = FinCategory(objects, morphisms, identities, composition).check()
+    co = _groth_co(opposed_fibres(phi.check()))
+    names = {m: "%s|%s|%s" % (u, f, y) for m, (u, y, f, _) in co.mor_data.items()}
+    total = co.total.op.renamed(names)
     projection = FinFunctor(
         total,
-        sh,
-        {obj_token(a, x): a for a in sh.objects for x in phi.fibre(a).objects},
-        {m: mor_data[m][0] for m in mor_data},
-    ).check()
-    cleavage = {}
-    for u, a, b in sh.morphisms:
-        t = phi.transition(u)
-        for y in phi.fibre(b).objects:
-            cleavage[(u, y)] = token_of[(u, phi.fibre(a).id_of(t.ob(y)), y)]
-    injections = {}
-    for b in sh.objects:
-        fb = phi.fibre(b)
-        injections[b] = FinFunctor(
-            fb,
+        phi.shape,
+        co.projection.on_objects,
+        {names[m]: u for m, u in co.projection.on_morphisms.items()},
+    )
+    injections = {
+        a: FinFunctor(
+            phi.fibre(a),
             total,
-            {y: obj_token(b, y) for y in fb.objects},
-            {h: token_of[(sh.id_of(b), h, fb.cod(h))] for h in fb.mor_tokens},
-        ).check()
-    return GrothendieckResult(phi, total, projection, cleavage, injections, mor_data)
+            j.on_objects,
+            {h: names[m] for h, m in j.on_morphisms.items()},
+        )
+        for a, j in co.injections.items()
+    }
+    return GrothendieckResult(
+        phi,
+        total,
+        projection,
+        {key: names[m] for key, m in co.cleavage.items()},
+        injections,
+        {names[m]: (u, x, f, y) for m, (u, y, f, x) in co.mor_data.items()},
+    )
 
 
 def opposed_fibres(phi):
     """The pointwise dual diagram: opposite base, fibre-wise opposites,
     opposite transitions, swapped variance.  A covariant Φ on D becomes the
-    contravariant Φ^op on D^op (and back), so the two Grothendieck
-    constructions can be compared on the same data."""
-    from .fincat import opposite, opposite_functor
-
+    contravariant Φ^op on D^op (and back), and ``opposed_fibres`` twice
+    gives back the same categories (``c.op.op is c``)."""
     return CatDiagram(
-        opposite(phi.shape),
-        {a: opposite(c) for a, c in phi.fibres.items()},
-        {u: opposite_functor(t) for u, t in phi.transitions.items()},
+        phi.shape.op,
+        {a: c.op for a, c in phi.fibres.items()},
+        {u: t.op for u, t in phi.transitions.items()},
         variance=(
             "contravariant" if phi.variance == "covariant" else "covariant"
         ),
@@ -446,11 +415,3 @@ def lax_cocone_extend(phi, sigma, phis):
         b = sh.cod(u)
         assert m == g.total.compose(g.injections[b].mor(f), g.cleavage[(u, x)])
     return t
-
-
-def reconstitute(data):
-    """Round-trip a verified split (co)fibration through the indexed-category
-    extraction and back; see fibrations.reconstitute."""
-    from . import fibrations
-
-    return fibrations.reconstitute(data)

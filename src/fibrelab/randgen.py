@@ -9,11 +9,8 @@ adjoints).
 """
 from __future__ import annotations
 
-import itertools
-import random
-
 from . import fixtures
-from .fincat import FinCategory, FinFunctor, category, identity_functor
+from .fincat import FinFunctor, category
 from .finset import FinFunction, FinSet, SetDiagram
 from .grothendieck import CatDiagram, groth_co, guitart_hat
 

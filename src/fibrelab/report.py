@@ -6,7 +6,6 @@ equation, or a counterexample tuple) and some size statistics.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -44,9 +43,6 @@ class VerificationReport:
         if self.seed is not None:
             out["seed"] = self.seed
         return out
-
-    def to_json(self, include_timing=True):
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
 
 
 def passed(check_name, witness=None, seed=None, **stats):

@@ -272,3 +272,29 @@ def test_free_cofibration_rejects_a_non_functor(tmp_path, capsys, raw):
     code, out = run(capsys, "--no-timing", "free-cofibration", path)
     assert code == 2
     assert json.loads(out)["status"] == "invalid_input"
+
+
+@pytest.mark.parametrize(
+    "on_objects, on_morphisms",
+    [
+        ({"*": ["x"]}, {"1": "1"}),  # a list as an object image
+        ({"*": "*"}, {"1": {"a": 1}}),  # a mapping as a morphism image
+    ],
+)
+def test_free_cofibration_rejects_unhashable_image_tokens(
+    tmp_path, capsys, on_objects, on_morphisms
+):
+    one = fixtures.all_categories()["ONE"].to_dict()
+    raw = {
+        "source": one,
+        "target": one,
+        "on_objects": on_objects,
+        "on_morphisms": on_morphisms,
+    }
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(raw))
+    code, out = run(capsys, "--no-timing", "free-cofibration", str(p))
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["status"] == "invalid_input"
+    assert "unhashable" in rep["witness"]["error"]
