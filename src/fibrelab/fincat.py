@@ -181,24 +181,6 @@ class FinCategory:
             self._op = op
         return self._op
 
-    def renamed(self, names):
-        """The same category with each morphism token t renamed ``names[t]``.
-
-        ``names`` must be injective, so the copy keeps a passing check.
-        """
-        copy = FinCategory(
-            self.objects,
-            [(names[t], d, c) for t, d, c in self.morphisms],
-            {a: names[i] for a, i in self.identities.items()},
-            {
-                (names[g], names[f]): names[gf]
-                for (g, f), gf in self._composition.items()
-            },
-            name=self.name,
-        )
-        copy._checked = self._checked
-        return copy
-
     # -- plumbing -----------------------------------------------------------
 
     def __eq__(self, other):

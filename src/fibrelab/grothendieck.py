@@ -5,14 +5,13 @@ category and diagram-valued families, and lax-cocone extension.
 Only the covariant construction is built from the tables.  The
 contravariant one is derived: for Φ: B^op -> Cat, ∫Φ is the opposite of the
 covariant construction on the pointwise opposite diagram
-(:func:`opposed_fibres`), with its morphism tokens renamed.
+(:func:`opposed_fibres`), with its morphisms named "u|f|y".
 
 Token conventions: a total object over base object ``a`` with fibre object
 ``x`` is ``"a|x"``.  A covariant total morphism (u, f) with source fibre
 object x is ``"u|x|f"`` (x is recorded because the transition functor need
 not be injective on objects, so (u, f) alone would be ambiguous); the
-contravariant dual records the target fibre object: ``"u|f|y"``, the name
-:func:`groth_contra` gives to the morphism ``"u|y|f"`` of the opposite.
+contravariant dual records the target fibre object: ``"u|f|y"``.
 """
 from __future__ import annotations
 
@@ -136,8 +135,13 @@ def groth_co(phi):
     return _groth_co(phi.check())
 
 
-def _groth_co(phi):
-    """groth_co on a diagram that is already checked."""
+def _co_token(u, x, f):
+    return "%s|%s|%s" % (u, x, f)
+
+
+def _groth_co(phi, token=_co_token):
+    """groth_co on a diagram that is already checked; ``token(u, x, f)``
+    names the total morphism (u, f) out of the fibre object x."""
     sh = phi.shape
     over = {obj_token(a, x): a for a in sh.objects for x in phi.fibre(a).objects}
     morphisms = []
@@ -149,7 +153,7 @@ def _groth_co(phi):
         for x in phi.fibre(a).objects:
             ux = t.ob(x)
             for f in fb.out_of(ux):
-                m = "%s|%s|%s" % (u, x, f)
+                m = token(u, x, f)
                 morphisms.append((m, obj_token(a, x), obj_token(b, fb.cod(f))))
                 mor_data[m] = (u, x, f, fb.cod(f))
                 token_of[(u, x, f)] = m
@@ -196,37 +200,23 @@ def groth_contra(phi):
     (v, g)·(u, f) = (v·u, Φu(g)·f).  Comes with the split cleavage
     θ^u_y = (u, 1) and fibre injections.  Built as the opposite of the
     covariant construction on :func:`opposed_fibres` of Φ, whose morphism
-    "u|y|f" is renamed "u|f|y" and has its fibre objects swapped in
-    ``mor_data``.  That total is the renamed opposite of a checked category,
-    so it is trusted and not checked again.
+    (u, f) out of y is named "u|f|y" from the start, so the check of that
+    covariant total is the check of ∫Φ on its final tokens (a duplicate
+    token is refused there).  ``mor_data`` has its fibre objects swapped.
     """
     if phi.variance != "contravariant":
         raise NonFunctorialDiagram(("groth_contra expects a contravariant diagram",))
-    co = _groth_co(opposed_fibres(phi.check()))
-    names = {m: "%s|%s|%s" % (u, f, y) for m, (u, y, f, _) in co.mor_data.items()}
-    total = co.total.op.renamed(names)
-    projection = FinFunctor(
-        total,
-        phi.shape,
-        co.projection.on_objects,
-        {names[m]: u for m, u in co.projection.on_morphisms.items()},
+    co = _groth_co(
+        opposed_fibres(phi.check()),
+        token=lambda u, y, f: "%s|%s|%s" % (u, f, y),
     )
-    injections = {
-        a: FinFunctor(
-            phi.fibre(a),
-            total,
-            j.on_objects,
-            {h: names[m] for h, m in j.on_morphisms.items()},
-        )
-        for a, j in co.injections.items()
-    }
     return GrothendieckResult(
         phi,
-        total,
-        projection,
-        {key: names[m] for key, m in co.cleavage.items()},
-        injections,
-        {names[m]: (u, x, f, y) for m, (u, y, f, x) in co.mor_data.items()},
+        co.total.op,
+        co.projection.op,
+        co.cleavage,
+        {a: j.op for a, j in co.injections.items()},
+        {m: (u, x, f, y) for m, (u, y, f, x) in co.mor_data.items()},
     )
 
 

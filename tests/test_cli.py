@@ -298,3 +298,42 @@ def test_free_cofibration_rejects_unhashable_image_tokens(
     rep = json.loads(out)
     assert rep["status"] == "invalid_input"
     assert "unhashable" in rep["witness"]["error"]
+
+
+def test_grothendieck_dual_refuses_colliding_morphism_tokens(tmp_path, capsys):
+    # over a: the morphisms (a, b|c, d) and (a, b, c|d) are both "a|b|c|d"
+    def discrete(objects):
+        return {
+            "objects": objects,
+            "morphisms": [{"id": "i" + y, "dom": y, "cod": y} for y in objects],
+            "identities": {y: "i" + y for y in objects},
+        }
+
+    fibre0 = {
+        "objects": ["p", "q"],
+        "morphisms": [
+            {"id": "ip", "dom": "p", "cod": "p"},
+            {"id": "iq", "dom": "q", "cod": "q"},
+            {"id": "b|c", "dom": "p", "cod": "q"},
+            {"id": "b", "dom": "p", "cod": "q"},
+        ],
+        "identities": {"p": "ip", "q": "iq"},
+    }
+    raw = {
+        "base": fixtures.all_categories()["TWO"].to_dict(),
+        "variance": "contravariant",
+        "fibres": {"0": fibre0, "1": discrete(["d", "c|d"])},
+        "transitions": {
+            "a": {
+                "on_objects": {"d": "q", "c|d": "q"},
+                "on_morphisms": {"id": "iq", "ic|d": "iq"},
+            }
+        },
+    }
+    p = tmp_path / "phi.json"
+    p.write_text(json.dumps(raw))
+    code, out = run(capsys, "--no-timing", "grothendieck", "--dual", "--phi", str(p))
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["status"] == "invalid_input"
+    assert "duplicate morphism token" in json.dumps(rep["witness"])

@@ -439,6 +439,44 @@ def test_groth_contra_matches_the_oracle(seed):
     got.total.check()
 
 
+def piped_contra_diagram(over_one, parallel):
+    """A contravariant diagram on TWO whose tokens contain "|": Φ1 discrete
+    on ``over_one``, Φ0 with the ``parallel`` arrows p -> q, Φa constant q."""
+    fibre1 = category(over_one, [("i" + y, y, y) for y in over_one],
+                      {y: "i" + y for y in over_one}, {})
+    fibre0 = category(
+        ["p", "q"],
+        [("ip", "p", "p"), ("iq", "q", "q")] + [(f, "p", "q") for f in parallel],
+        {"p": "ip", "q": "iq"},
+        {},
+    )
+    phia = FinFunctor(
+        fibre1, fibre0, {y: "q" for y in over_one}, {"i" + y: "iq" for y in over_one}
+    ).check()
+    return CatDiagram(
+        CATS["TWO"], {"0": fibre0, "1": fibre1}, {"a": phia}, "contravariant"
+    ).check()
+
+
+def test_groth_contra_refuses_colliding_tokens_as_the_oracle_does():
+    # (a, b|c, d) and (a, b, c|d) are both named "a|b|c|d"; their
+    # covariant names "a|d|b|c" and "a|c|d|b" differ
+    contra = piped_contra_diagram(["d", "c|d"], ["b|c", "b"])
+    with pytest.raises(FibrelabError) as want:
+        oracle_groth_contra(contra)
+    with pytest.raises(type(want.value)) as got:
+        groth_contra(contra)
+    assert got.value.args == want.value.args
+
+
+def test_groth_contra_accepts_colliding_covariant_names():
+    # (a, b|c, d) and (a, c, d|b) would both be "a|d|b|c" under the
+    # covariant naming; their contravariant names differ
+    contra = piped_contra_diagram(["d", "d|b"], ["b|c", "c"])
+    got, want = groth_contra(contra), oracle_groth_contra(contra)
+    assert result_fields(got) == result_fields(want)
+
+
 def test_groth_contra_rejects_a_covariant_diagram():
     with pytest.raises(NonFunctorialDiagram):
         groth_contra(DIAGS["span-push3"])
