@@ -349,35 +349,31 @@ def bifibration_check(theta, delta):
     if not rep_c:
         raise UnverifiedCleavage(("cofibration", rep_c.witness))
     fibres = phi_c.fibres
+
+    def unit(u, kind, cat, over, there, back, lift, through):
+        """For each z over ``over`` the one vertical t: z -> back(there z) of
+        ``cat`` with through(u, there z)·t = lift(u, z).  The counit is the
+        unit of P^op: E^op over cod u, transitions and cleavages swapped."""
+        maps, vertical = {}, b.id_of(over)
+        for z in fibres[over].objects:
+            zz, want = there.ob(z), lift[(u, z)]
+            cands = [
+                t
+                for t in cat.hom(z, back.ob(zz))
+                if p.mor(t) == vertical
+                and cat.compose(through[(u, zz)], t) == want
+            ]
+            if len(cands) != 1:
+                raise TriangleViolation((u, kind, z, cands))
+            maps[z] = cands[0]
+        return maps
+
     units, counits = {}, {}
     for u in b.mor_tokens:
         a_obj, b_obj = b.dom(u), b.cod(u)
         push, pull = phi_c.transition(u), phi_f.transition(u)
-        id_a, id_b = b.id_of(a_obj), b.id_of(b_obj)
-        eta = {}
-        for x in fibres[a_obj].objects:
-            want = delta.lifting[(u, x)]
-            cands = [
-                t
-                for t in e.hom(x, pull.ob(push.ob(x)))
-                if p.mor(t) == id_a
-                and e.compose(theta.lifting[(u, push.ob(x))], t) == want
-            ]
-            if len(cands) != 1:
-                raise TriangleViolation((u, "unit", x, cands))
-            eta[x] = cands[0]
-        eps = {}
-        for y in fibres[b_obj].objects:
-            want = theta.lifting[(u, y)]
-            cands = [
-                t
-                for t in e.hom(push.ob(pull.ob(y)), y)
-                if p.mor(t) == id_b
-                and e.compose(t, delta.lifting[(u, pull.ob(y))]) == want
-            ]
-            if len(cands) != 1:
-                raise TriangleViolation((u, "counit", y, cands))
-            eps[y] = cands[0]
+        eta = unit(u, "unit", e, a_obj, push, pull, delta.lifting, theta.lifting)
+        eps = unit(u, "counit", e.op, b_obj, pull, push, theta.lifting, delta.lifting)
         # triangle identities
         for x in fibres[a_obj].objects:
             if e.compose(eps[push.ob(x)], push.mor(eta[x])) != e.id_of(push.ob(x)):

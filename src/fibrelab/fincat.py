@@ -456,25 +456,28 @@ def opposite(c):
     return c.check().op
 
 
+def pair_token(a, b):
+    """The token of the pair (a, b) in a product category."""
+    return "(%s,%s)" % (a, b)
+
+
 def product(c, d):
-    """The product category with pair tokens ``(c-token,d-token)``."""
-    objects = ["(%s,%s)" % (a, b) for a in c.objects for b in d.objects]
+    """The product category with pair tokens :func:`pair_token`."""
+    p = pair_token
+    objects = [p(a, b) for a in c.objects for b in d.objects]
     morphisms = [
-        ("(%s,%s)" % (f, g), "(%s,%s)" % (fd, gd), "(%s,%s)" % (fc, gc))
+        (p(f, g), p(fd, gd), p(fc, gc))
         for f, fd, fc in c.morphisms
         for g, gd, gc in d.morphisms
     ]
     identities = {
-        "(%s,%s)" % (a, b): "(%s,%s)" % (c.id_of(a), d.id_of(b))
-        for a in c.objects
-        for b in d.objects
+        p(a, b): p(c.id_of(a), d.id_of(b)) for a in c.objects for b in d.objects
     }
     composition = {}
     for g2, f2 in c.composable_pairs():
         for g1, f1 in d.composable_pairs():
-            composition[("(%s,%s)" % (g2, g1), "(%s,%s)" % (f2, f1))] = "(%s,%s)" % (
-                c.compose(g2, f2),
-                d.compose(g1, f1),
+            composition[(p(g2, g1), p(f2, f1))] = p(
+                c.compose(g2, f2), d.compose(g1, f1)
             )
     return FinCategory(objects, morphisms, identities, composition).check()
 

@@ -15,7 +15,7 @@ from .catcolim import (
 )
 from .diagcat import colimit_in_diag
 from .errors import IllFormedComparison, NonFunctorialFamily
-from .fincat import FinFunctor, opposite
+from .fincat import FinFunctor, identity_functor, opposite, pair_token
 from .finset import (
     FinFunction,
     SetCocone,
@@ -27,7 +27,13 @@ from .finset import (
     mediate,
     restrict,
 )
-from .grothendieck import DiagFamily, groth_co, groth_contra, guitart_hat
+from .grothendieck import (
+    CatDiagram,
+    DiagFamily,
+    groth_co,
+    groth_contra,
+    guitart_hat,
+)
 from .kan import joint_lan_factor, ran
 from .report import failed, passed
 
@@ -45,26 +51,98 @@ def _well_defined_map(pairs, check_name, label):
     return mapping
 
 
-def _inner_colimit_transitions(shape, inner, target_class):
-    """Build the D-shaped diagram of inner colimit apexes, with transitions
-    induced on classes by ``target_class(u, member) -> apex element``."""
-    sets = {d: inner[d].apex for d in shape.objects}
-    functions = {}
-    for u, d, e in shape.morphisms:
-        pairs = [
-            (cls, target_class(u, member))
-            for member, cls in inner[d].classify.items()
-        ]
-        mapping = _well_defined_map(pairs, "inner_transition", u)
-        functions[u] = FinFunction(sets[d], sets[e], mapping)
-    return SetDiagram(shape, sets, functions).check()
-
-
 def _certify_comparison(check_name, h, seed=None, **stats):
     bij = is_bijection(h)
     if not bij:
         return failed(check_name, {"comparison": bij.witness}, seed=seed, **stats)
     return passed(check_name, seed=seed, **stats)
+
+
+def _decomposition(check_name, family, lhs, leg, seed=None):
+    """Compare the colimit cocone ``lhs`` with the D-colimit of the member
+    colimits of a DiagFamily on D, whose transitions push classes along
+    (Φu, φ^u).  ``leg(d, i, el)`` is the element of ``lhs.apex`` that ``el``
+    in X_d(i) goes to; the induced map out of the iterated colimit is
+    certified well defined, then bijective.  Returns the report, the member
+    colimits and the iterated colimit."""
+    sh = family.shape
+    inner = {d: colimit_set(family.diagram_at(d)) for d in sh.objects}
+    sets = {d: inner[d].apex for d in sh.objects}
+    functions = {}
+    for u, d, e in sh.morphisms:
+        tr, comp = family.morphisms[u]
+        pairs = [
+            (cls, inner[e].classify[(tr.ob(i), comp[i](el))])
+            for (i, el), cls in inner[d].classify.items()
+        ]
+        mapping = _well_defined_map(pairs, "inner_transition", u)
+        functions[u] = FinFunction(sets[d], sets[e], mapping)
+    rhs = colimit_set(SetDiagram(sh, sets, functions).check())
+    pairs = [
+        (rhs.classify[(d, cls)], leg(d, i, el))
+        for d in sh.objects
+        for (i, el), cls in inner[d].classify.items()
+    ]
+    mapping = _well_defined_map(pairs, check_name, "comparison")
+    h = FinFunction(rhs.apex, lhs.apex, mapping)
+    report = _certify_comparison(
+        check_name, h, seed=seed, lhs=len(lhs.apex), rhs=len(rhs.apex)
+    )
+    return report, inner, rhs
+
+
+def _by_family(families):
+    """Invert ``families`` (token -> family dict): tokens keyed by family."""
+    return {tuple(sorted(f.items())): tok for tok, f in families.items()}
+
+
+def _recomposition(check_name, family, lhs, value, seed=None):
+    """Compare the limit cone ``lhs`` with the D-limit of the member limits
+    of a BackwardFamily on D, whose transitions send a family ``fam`` of X_d
+    to j ↦ ψ^u_j(fam[Φu j]).  ``value(fam, d, i)`` is the X_d(i) entry of
+    the ``lhs`` family ``fam``; the induced map into the iterated limit is
+    certified bijective."""
+    sh = family.shape
+    inner = {d: limit_set(family.diagram_at(d)) for d in sh.objects}
+    token_of = {d: _by_family(inner[d].families) for d in sh.objects}
+    fibre = {d: family.diagram_at(d).shape.objects for d in sh.objects}
+    sets = {d: inner[d].apex for d in sh.objects}
+    functions = {}
+    for u, d, e in sh.morphisms:
+        tr, comp = family.morphisms[u]
+        mapping = {}
+        for tok, fam in inner[d].families.items():
+            image = {j: comp[j](fam[tr.ob(j)]) for j in fibre[e]}
+            mapping[tok] = token_of[e][tuple(sorted(image.items()))]
+        functions[u] = FinFunction(sets[d], sets[e], mapping)
+    rhs = limit_set(SetDiagram(sh, sets, functions).check())
+    rhs_token = _by_family(rhs.families)
+    mapping = {}
+    for tok, fam in lhs.families.items():
+        per_d = {}
+        for d in sh.objects:
+            entries = {i: value(fam, d, i) for i in fibre[d]}
+            per_d[d] = token_of[d][tuple(sorted(entries.items()))]
+        mapping[tok] = rhs_token[tuple(sorted(per_d.items()))]
+    h = FinFunction(lhs.apex, rhs.apex, mapping)
+    return _certify_comparison(
+        check_name, h, seed=seed, lhs=len(lhs.apex), rhs=len(rhs.apex)
+    )
+
+
+def _restrictions(phi, x, cocone):
+    """The members X∘K_d of X along the colimit legs K_d of Φ, and for
+    u: d -> e of D the pair (Φu, identities on X_d(i)): a DiagFamily on D,
+    and a BackwardFamily on D^op."""
+    objects = {d: restrict(x, cocone[d]) for d in phi.shape.objects}
+    morphisms = {
+        u: (
+            phi.transition(u),
+            {i: identity_function(objects[d].sets[i]) for i in phi.fibre(d).objects},
+        )
+        for u, d, _ in phi.shape.morphisms
+    }
+    return objects, morphisms
 
 
 # -- Colimit Decomposition Formula -------------------------------------------
@@ -77,32 +155,13 @@ def check_cdf(phi, x, bound=DEFAULT_BOUND, kres=None, seed=None):
         kres = colimit_cat(phi, bound)
     x.check()
     assert x.shape == kres.colimit, "X must live on the glued shape"
-    sh = phi.shape
     lhs = colimit_set(x)
-    inner = {
-        d: colimit_set(restrict(x, kres.cocone[d])) for d in sh.objects
-    }
+    family = DiagFamily(phi.shape, *_restrictions(phi, x, kres.cocone))
 
-    def push(u, member):
-        i, el = member
-        return inner[sh.cod(u)].classify[(phi.transition(u).ob(i), el)]
+    def leg(d, i, el):
+        return lhs.classify[(kres.cocone[d].ob(i), el)]
 
-    outer = _inner_colimit_transitions(sh, inner, push)
-    rhs = colimit_set(outer)
-    pairs = []
-    for d in sh.objects:
-        for (i, el), cls in inner[d].classify.items():
-            pairs.append(
-                (
-                    rhs.classify[(d, cls)],
-                    lhs.classify[(kres.cocone[d].ob(i), el)],
-                )
-            )
-    mapping = _well_defined_map(pairs, "check_cdf", "comparison")
-    h = FinFunction(rhs.apex, lhs.apex, mapping)
-    return _certify_comparison(
-        "check_cdf", h, seed=seed, lhs=len(lhs.apex), rhs=len(rhs.apex)
-    )
+    return _decomposition("check_cdf", family, lhs, leg, seed)[0]
 
 
 def check_limit_recomposition(phi, x, bound=DEFAULT_BOUND, kres=None, seed=None):
@@ -113,45 +172,15 @@ def check_limit_recomposition(phi, x, bound=DEFAULT_BOUND, kres=None, seed=None)
         kres = colimit_cat(phi, bound)
     x.check()
     assert x.shape == kres.colimit
-    sh = phi.shape
     lhs = limit_set(x)
-    inner = {d: limit_set(restrict(x, kres.cocone[d])) for d in sh.objects}
-    token_of = {
-        d: {tuple(sorted(fam.items())): tok for tok, fam in inner[d].families.items()}
-        for d in sh.objects
-    }
-    opp = opposite(sh)
-    sets = {d: inner[d].apex for d in sh.objects}
-    functions = {}
-    for u, d, e in sh.morphisms:  # in opp, u runs e -> d
-        tr = phi.transition(u)
-        mapping = {}
-        for tok, fam in inner[e].families.items():
-            restricted = {i: fam[tr.ob(i)] for i in phi.fibre(d).objects}
-            mapping[tok] = token_of[d][tuple(sorted(restricted.items()))]
-        functions[u] = FinFunction(sets[e], sets[d], mapping)
-    outer = SetDiagram(opp, sets, functions).check()
-    rhs = limit_set(outer)
-    rhs_token = {
-        tuple(sorted(fam.items())): tok for tok, fam in rhs.families.items()
-    }
-    mapping = {}
-    for tok, fam in lhs.families.items():
-        per_d = {}
-        for d in sh.objects:
-            fibre_fam = {
-                i: fam[kres.cocone[d].ob(i)] for i in phi.fibre(d).objects
-            }
-            per_d[d] = token_of[d][tuple(sorted(fibre_fam.items()))]
-        mapping[tok] = rhs_token[tuple(sorted(per_d.items()))]
-    h = FinFunction(lhs.apex, rhs.apex, mapping)
-    return _certify_comparison(
-        "check_limit_recomposition",
-        h,
-        seed=seed,
-        lhs=len(lhs.apex),
-        rhs=len(rhs.apex),
+    family = BackwardFamily(
+        opposite(phi.shape), *_restrictions(phi, x, kres.cocone)
     )
+
+    def value(fam, d, i):
+        return fam[kres.cocone[d].ob(i)]
+
+    return _recomposition("check_limit_recomposition", family, lhs, value, seed)
 
 
 def check_cdf_concordance(phi, x, bound=DEFAULT_BOUND, seed=None):
@@ -169,39 +198,25 @@ def check_cdf_concordance(phi, x, bound=DEFAULT_BOUND, seed=None):
         return failed("check_cdf_concordance", {"direct": direct.witness}, seed=seed)
     sh = phi.shape
     # (b) the family of restrictions, with identity components
-    objects = {d: restrict(x, kres.cocone[d]) for d in sh.objects}
-    morphisms = {}
-    for u, d, e in sh.morphisms:
-        comps = {
-            i: identity_function(objects[d].sets[i])
-            for i in phi.fibre(d).objects
-        }
-        morphisms[u] = (phi.transition(u), comps)
-    family = DiagFamily(sh, objects, morphisms).check()
+    family = DiagFamily(sh, *_restrictions(phi, x, kres.cocone)).check()
     general = check_general_cdf(family, bound, seed=seed)
     if not general:
         return failed(
             "check_cdf_concordance", {"general": general.witness}, seed=seed
         )
-    # joint-Kan property of the original X (the bridge between (a) and (b))
-    injections = {
-        d: {
-            i: identity_function(objects[d].sets[i])
-            for i in phi.fibre(d).objects
-        }
-        for d in sh.objects
-    }
-    mu = injections
+    # joint-Kan property of the original X (the bridge between (a) and (b)):
+    # the injections are the identity components at the identities of D
+    injections = {d: family.phi(sh.id_of(d)) for d in sh.objects}
     beta = joint_lan_factor(
         phi,
         kres.colimit,
         kres.cocone,
-        objects,
-        {u: morphisms[u][1] for u in sh.mor_tokens},
+        family.objects,
+        {u: family.phi(u) for u in sh.mor_tokens},
         x,
         injections,
         x,
-        mu,
+        injections,
     )
     for k in kres.colimit.objects:
         assert beta.at(k) == identity_function(x.sets[k]), (
@@ -245,40 +260,24 @@ def check_tfcf(phi, t, seed=None):
     gr = groth_co(phi)
     t.check()
     assert t.shape == gr.total, "T must live on the total category"
-    sh = phi.shape
     lhs = colimit_set(t)
-    hat = guitart_hat(phi, t)
-    inner = {d: colimit_set(hat.diagram_at(d)) for d in sh.objects}
 
-    def push(u, member):
-        i, el = member
-        return inner[sh.cod(u)].classify[
-            (phi.transition(u).ob(i), hat.phi(u)[i](el))
-        ]
+    def leg(d, i, el):
+        return lhs.classify[(gr.injections[d].ob(i), el)]
 
-    outer = _inner_colimit_transitions(sh, inner, push)
-    rhs = colimit_set(outer)
-    pairs = []
-    for d in sh.objects:
-        for (i, el), cls in inner[d].classify.items():
-            pairs.append(
-                (rhs.classify[(d, cls)], lhs.classify[("%s|%s" % (d, i), el)])
-            )
-    mapping = _well_defined_map(pairs, "check_tfcf", "comparison")
-    h = FinFunction(rhs.apex, lhs.apex, mapping)
-    report = _certify_comparison(
-        "check_tfcf", h, seed=seed, lhs=len(lhs.apex), rhs=len(rhs.apex)
+    report, inner, rhs = _decomposition(
+        "check_tfcf", guitart_hat(phi, t), lhs, leg, seed
     )
     if not report:
         return report
     # independent route: the composite legs form a cocone on T whose
     # mediator out of colim T must again be a bijection
-    legs = {}
-    for tok in gr.total.objects:
-        d, i = tok.split("|", 1)
-        legs[tok] = inner[d].legs[i].then(rhs.legs[d])
-    composite = SetCocone(t, rhs.apex, legs)
-    med = mediate(lhs, composite)
+    legs = {
+        j.ob(i): inner[d].legs[i].then(rhs.legs[d])
+        for d, j in gr.injections.items()
+        for i in phi.fibre(d).objects
+    }
+    med = mediate(lhs, SetCocone(t, rhs.apex, legs))
     cross = is_bijection(med)
     if not cross:
         return failed("check_tfcf", {"composite_cocone": cross.witness}, seed=seed)
@@ -291,125 +290,63 @@ def check_twisted_limit(phi, t, seed=None):
     gr = groth_contra(phi)
     t.check()
     assert t.shape == gr.total
-    sh = phi.shape
     lhs = limit_set(t)
-    inner = {d: limit_set(restrict(t, gr.injections[d])) for d in sh.objects}
-    token_of = {
-        d: {tuple(sorted(f.items())): tok for tok, f in inner[d].families.items()}
-        for d in sh.objects
-    }
-    sets = {d: inner[d].apex for d in sh.objects}
-    functions = {}
-    for u, d, e in sh.morphisms:
-        tr = phi.transition(u)  # fibre(e) -> fibre(d)
-        mapping = {}
-        for tok, fam in inner[d].families.items():
-            image = {
-                y: t.fn(gr.cleavage[(u, y)])(fam[tr.ob(y)])
-                for y in phi.fibre(e).objects
-            }
-            mapping[tok] = token_of[e][tuple(sorted(image.items()))]
-        functions[u] = FinFunction(sets[d], sets[e], mapping)
-    outer = SetDiagram(sh, sets, functions).check()
-    rhs = limit_set(outer)
-    rhs_token = {
-        tuple(sorted(f.items())): tok for tok, f in rhs.families.items()
-    }
-    mapping = {}
-    for tok, fam in lhs.families.items():
-        per_d = {}
-        for d in sh.objects:
-            fibre_fam = {
-                i: fam["%s|%s" % (d, i)] for i in phi.fibre(d).objects
-            }
-            per_d[d] = token_of[d][tuple(sorted(fibre_fam.items()))]
-        mapping[tok] = rhs_token[tuple(sorted(per_d.items()))]
-    h = FinFunction(lhs.apex, rhs.apex, mapping)
-    return _certify_comparison(
-        "check_twisted_limit",
-        h,
-        seed=seed,
-        lhs=len(lhs.apex),
-        rhs=len(rhs.apex),
+
+    def value(fam, d, i):
+        return fam[gr.injections[d].ob(i)]
+
+    return _recomposition(
+        "check_twisted_limit", _backward_hat(t, gr), lhs, value, seed
     )
 
 
 # -- plain Fubini ------------------------------------------------------------
 
-def _product_inclusion(d_cat, e_cat, prod, d):
-    on_objects = {e: "(%s,%s)" % (d, e) for e in e_cat.objects}
-    on_morphisms = {
-        g: "(%s,%s)" % (d_cat.id_of(d), g) for g in e_cat.mor_tokens
+def _slices(base, fibre, t, pair):
+    """The family on ``base`` of the slices b ↦ T(pair(b, -)) of a diagram T
+    on a product of ``base`` and ``fibre``, where ``pair(b, x)`` is the
+    product token of b and x: identity transitions, components T(pair(u, 1))
+    over u.  Returns the family and the slice inclusions, which are checked
+    functors into the shape of T, so a T on another shape is refused."""
+    incl = {
+        b: FinFunctor(
+            fibre,
+            t.shape,
+            {x: pair(b, x) for x in fibre.objects},
+            {g: pair(base.id_of(b), g) for g in fibre.mor_tokens},
+        ).check()
+        for b in base.objects
     }
-    return FinFunctor(e_cat, prod, on_objects, on_morphisms).check()
-
-
-def _fubini_one_order(d_cat, e_cat, t, check_name, seed):
-    """colim over D×E versus colim over D of the E-fibre colimits."""
-    prod = t.shape
-    lhs = colimit_set(t)
-    inner = {
-        d: colimit_set(restrict(t, _product_inclusion(d_cat, e_cat, prod, d)))
-        for d in d_cat.objects
+    ident = identity_functor(fibre)
+    morphisms = {
+        u: (ident, {x: t.fn(pair(u, fibre.id_of(x))) for x in fibre.objects})
+        for u in base.mor_tokens
     }
-
-    def push(f, member):
-        e, el = member
-        arrow = "(%s,%s)" % (f, e_cat.id_of(e))
-        return inner[d_cat.cod(f)].classify[(e, t.fn(arrow)(el))]
-
-    outer = _inner_colimit_transitions(d_cat, inner, push)
-    rhs = colimit_set(outer)
-    pairs = []
-    for d in d_cat.objects:
-        for (e, el), cls in inner[d].classify.items():
-            pairs.append(
-                (
-                    rhs.classify[(d, cls)],
-                    lhs.classify[("(%s,%s)" % (d, e), el)],
-                )
-            )
-    mapping = _well_defined_map(pairs, check_name, "comparison")
-    h = FinFunction(rhs.apex, lhs.apex, mapping)
-    return _certify_comparison(
-        check_name, h, seed=seed, lhs=len(lhs.apex), rhs=len(rhs.apex)
-    )
-
-
-def _swap_product_diagram(d_cat, e_cat, t):
-    from .fincat import product
-
-    swapped_shape = product(e_cat, d_cat)
-
-    def swap(tok):
-        inner = tok[1:-1]
-        # split at the comma that separates the two coordinates; tokens from
-        # product() never contain nested parentheses on the fixture corpus
-        a, b = inner.split(",", 1)
-        return "(%s,%s)" % (b, a)
-
-    sets = {o: t.sets[swap(o)] for o in swapped_shape.objects}
-    functions = {m: t.functions[swap(m)] for m in swapped_shape.mor_tokens}
-    return SetDiagram(swapped_shape, sets, functions).check()
+    objects = {b: restrict(t, incl[b]) for b in base.objects}
+    return DiagFamily(base, objects, morphisms), incl
 
 
 def check_fubini(d_cat, e_cat, t, seed=None):
-    """Fubini: the joint colimit over D×E agrees with both iterated orders."""
+    """Fubini: the joint colimit over D×E agrees with both iterated orders,
+    each compared with the one ``colim T`` along the slice inclusions."""
     t.check()
-    first = _fubini_one_order(d_cat, e_cat, t, "check_fubini", seed)
+    lhs = colimit_set(t)
+
+    def iterated(base, fibre, pair):
+        family, incl = _slices(base, fibre, t, pair)
+
+        def leg(b, x, el):
+            return lhs.classify[(incl[b].ob(x), el)]
+
+        return _decomposition("check_fubini", family, lhs, leg, seed)[0]
+
+    first = iterated(d_cat, e_cat, pair_token)
     if not first:
         return first
-    swapped = _swap_product_diagram(d_cat, e_cat, t)
-    second = _fubini_one_order(e_cat, d_cat, swapped, "check_fubini", seed)
+    second = iterated(e_cat, d_cat, lambda e, d: pair_token(d, e))
     if not second:
         return failed(
             "check_fubini", {"other_order": second.witness}, seed=seed
-        )
-    if first.stats["lhs"] != second.stats["lhs"]:
-        return failed(
-            "check_fubini",
-            {"orders_disagree": [first.stats["lhs"], second.stats["lhs"]]},
-            seed=seed,
         )
     return passed(
         "check_fubini",
@@ -433,46 +370,17 @@ def check_general_cdf(t, bound=DEFAULT_BOUND, seed=None):
     sh = phi.shape
     x = res.result.diagram
     lhs = colimit_set(x)
-    inner = {d: colimit_set(t.diagram_at(d)) for d in sh.objects}
+    injections = {d: dict(j.components) for d, j in res.injections.items()}
 
-    def push(u, member):
-        i, el = member
-        return inner[sh.cod(u)].classify[
-            (phi.transition(u).ob(i), t.phi(u)[i](el))
-        ]
+    def leg(d, i, el):
+        k = res.injections[d].functor_part.ob(i)
+        return lhs.classify[(k, injections[d][i](el))]
 
-    outer = _inner_colimit_transitions(sh, inner, push)
-    rhs = colimit_set(outer)
-    pairs = []
-    for d in sh.objects:
-        for (i, el), cls in inner[d].classify.items():
-            pairs.append(
-                (
-                    rhs.classify[(d, cls)],
-                    lhs.classify[
-                        (
-                            res.injections[d].functor_part.ob(i),
-                            res.injections[d].at(i)(el),
-                        )
-                    ],
-                )
-            )
-    mapping = _well_defined_map(pairs, "check_general_cdf", "comparison")
-    h = FinFunction(rhs.apex, lhs.apex, mapping)
-    report = _certify_comparison(
-        "check_general_cdf", h, seed=seed, lhs=len(lhs.apex), rhs=len(rhs.apex)
-    )
+    report = _decomposition("check_general_cdf", t, lhs, leg, seed)[0]
     if not report:
         return report
     # joint-Kan universal property: with target X and the injections as the
     # compatible family, the unique mediator must be the identity
-    injections = {
-        d: {
-            i: res.injections[d].at(i)
-            for i in phi.fibre(d).objects
-        }
-        for d in sh.objects
-    }
     beta = joint_lan_factor(
         phi,
         res.result.shape,
@@ -512,8 +420,6 @@ class BackwardFamily:
         return self.morphisms[u][1]
 
     def cat_diagram(self):
-        from .grothendieck import CatDiagram
-
         return CatDiagram(
             self.shape,
             {d: self.objects[d].shape for d in self.shape.objects},
@@ -565,16 +471,21 @@ def backward_hat(phi, t):
     member d ↦ T∘J_d with ψ^u_j = T(θ^u_j)."""
     gr = groth_contra(phi)
     assert t.shape == gr.total
-    objects = {
-        d: restrict(t, gr.injections[d]) for d in phi.shape.objects
+    return _backward_hat(t, gr).check()
+
+
+def _backward_hat(t, gr):
+    """backward_hat, unchecked, for T on the total of ``gr``."""
+    phi = gr.diagram
+    objects = {d: restrict(t, gr.injections[d]) for d in phi.shape.objects}
+    morphisms = {
+        u: (
+            phi.transition(u),
+            {j: t.fn(gr.cleavage[(u, j)]) for j in phi.fibre(e).objects},
+        )
+        for u, _, e in phi.shape.morphisms
     }
-    morphisms = {}
-    for u, d, e in phi.shape.morphisms:
-        comp = {
-            j: t.fn(gr.cleavage[(u, j)]) for j in phi.fibre(e).objects
-        }
-        morphisms[u] = (phi.transition(u), comp)
-    return BackwardFamily(phi.shape, objects, morphisms).check()
+    return BackwardFamily(phi.shape, objects, morphisms)
 
 
 def check_general_limit_recomposition(t, bound=DEFAULT_BOUND, seed=None):
@@ -585,11 +496,8 @@ def check_general_limit_recomposition(t, bound=DEFAULT_BOUND, seed=None):
     phi = t.cat_diagram()  # contravariant on D
     sh = phi.shape
     # the shapes glue covariantly over D^op
-    opp_phi_shape = opposite(sh)
-    from .grothendieck import CatDiagram
-
     covariant = CatDiagram(
-        opp_phi_shape,
+        opposite(sh),
         {d: phi.fibre(d) for d in sh.objects},
         {u: phi.transition(u) for u in sh.mor_tokens},
         "covariant",
@@ -601,10 +509,7 @@ def check_general_limit_recomposition(t, bound=DEFAULT_BOUND, seed=None):
     # R_d(k) -> R_e(k) applying ψ^u inside each comma family
     functions = {}
     ran_token = {
-        d: {
-            k: {tuple(sorted(f.items())): tok for tok, f in rans[d].classify[k].items()}
-            for k in k_cat.objects
-        }
+        d: {k: _by_family(rans[d].classify[k]) for k in k_cat.objects}
         for d in sh.objects
     }
 
@@ -641,43 +546,12 @@ def check_general_limit_recomposition(t, bound=DEFAULT_BOUND, seed=None):
         functions[m] = FinFunction(x_sets[k1], x_sets[k2], mapping)
     x = SetDiagram(k_cat, x_sets, functions).check()
     lhs = limit_set(x)
-    inner = {d: limit_set(t.diagram_at(d)) for d in sh.objects}
-    inner_token = {
-        d: {tuple(sorted(f.items())): tok for tok, f in inner[d].families.items()}
-        for d in sh.objects
-    }
-    outer_sets = {d: inner[d].apex for d in sh.objects}
-    outer_fns = {}
-    for u, d, e in sh.morphisms:
-        tr = phi.transition(u)
-        mapping = {}
-        for tok, fam in inner[d].families.items():
-            image = {j: t.psi(u)[j](fam[tr.ob(j)]) for j in phi.fibre(e).objects}
-            mapping[tok] = inner_token[e][tuple(sorted(image.items()))]
-        outer_fns[u] = FinFunction(outer_sets[d], outer_sets[e], mapping)
-    outer = SetDiagram(sh, outer_sets, outer_fns).check()
-    rhs = limit_set(outer)
-    rhs_token = {
-        tuple(sorted(f.items())): tok for tok, f in rhs.families.items()
-    }
-    # comparison: an X-limit family yields, per d, a Φd-family through the
-    # Ran counits
-    mapping = {}
-    for tok, fam in lhs.families.items():
-        per_d = {}
-        for d in sh.objects:
-            fibre_fam = {}
-            for i in phi.fibre(d).objects:
-                k = kres.cocone[d].ob(i)
-                ran_member = d_sets[k][fam[k]][d]
-                fibre_fam[i] = rans[d].unit_or_counit[i](ran_member)
-            per_d[d] = inner_token[d][tuple(sorted(fibre_fam.items()))]
-        mapping[tok] = rhs_token[tuple(sorted(per_d.items()))]
-    h = FinFunction(lhs.apex, rhs.apex, mapping)
-    return _certify_comparison(
-        "check_general_limit_recomposition",
-        h,
-        seed=seed,
-        lhs=len(lhs.apex),
-        rhs=len(rhs.apex),
+
+    def value(fam, d, i):
+        # an X-limit family yields, per d, a Φd-family through the Ran counits
+        k = kres.cocone[d].ob(i)
+        return rans[d].unit_or_counit[i](d_sets[k][fam[k]][d])
+
+    return _recomposition(
+        "check_general_limit_recomposition", t, lhs, value, seed
     )

@@ -167,6 +167,115 @@ def test_check_cdf_via_cli(tmp_path, capsys):
     assert rep["stats"]["lhs"] == rep["stats"]["rhs"]
 
 
+def write_set_diagram(tmp_path, name, x):
+    p = tmp_path / name
+    p.write_text(json.dumps(set_diagram_to_json(x)))
+    return str(p)
+
+
+def formula_inputs(tmp_path):
+    """Seeded inputs for the formula subcommands: a covariant and a
+    contravariant diagram over SPAN, set diagrams on their totals and on the
+    glued shape, and a set diagram on TWO × SPAN."""
+    import random
+
+    from fibrelab.catcolim import colimit_cat
+    from fibrelab.fincat import product
+    from fibrelab.grothendieck import CatDiagram, groth_co, groth_contra
+    from fibrelab.randgen import random_set_diagram
+
+    cats = fixtures.all_categories()
+    phi = fixtures.all_cat_diagrams()["span-push3"]
+    span = cats["SPAN"]
+    contra = CatDiagram(
+        span, {d: cats["TWO"] for d in span.objects}, {}, "contravariant"
+    ).check()
+    contra_path = tmp_path / "contra.json"
+    contra_path.write_text(json.dumps(cat_diagram_to_json(contra)))
+
+    def diagram_on(name, shape):
+        return write_set_diagram(
+            tmp_path, name, random_set_diagram(random.Random(20), shape, 3)
+        )
+
+    return {
+        "PHI": write_diagram(tmp_path, "span-push3"),
+        "CONTRA": str(contra_path),
+        "T": diagram_on("t.json", groth_co(phi).total),
+        "CT": diagram_on("ct.json", groth_contra(contra).total),
+        "X": diagram_on("x.json", colimit_cat(phi).colimit),
+        "D": write_category(tmp_path, "TWO"),
+        "E": write_category(tmp_path, "SPAN"),
+        "FT": diagram_on("ft.json", product(cats["TWO"], span)),
+    }
+
+
+def pass_report(name, **stats):
+    lines = ['{', '  "check_name": "%s",' % name, '  "format": "fibrelab/1",']
+    lines.append('  "stats": {')
+    lines.append(",\n".join('    "%s": %d' % kv for kv in stats.items()))
+    lines += ["  },", '  "status": "pass",', '  "witness": null', "}", ""]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        (
+            ["check-tfcf", "--phi", "PHI", "--t", "T"],
+            pass_report("check-tfcf", lhs=3, rhs=3),
+        ),
+        (
+            ["check-tfcf", "--dual", "--phi", "CONTRA", "--t", "CT"],
+            pass_report("check-tfcf", lhs=3, rhs=3),
+        ),
+        (
+            ["check-fubini", "--d", "D", "--e", "E", "--t", "FT"],
+            pass_report("check-fubini", lhs=3, rhs_de=3, rhs_ed=3),
+        ),
+        (
+            ["check-cdf", "--dual", "--phi", "PHI", "--x", "X"],
+            pass_report("check-cdf", lhs=3, rhs=3),
+        ),
+        (
+            ["check-general-cdf", "--dual", "--phi", "CONTRA", "--t", "CT"],
+            pass_report("check-general-cdf", lhs=3, rhs=3),
+        ),
+    ],
+)
+def test_formula_reports_are_pinned(tmp_path, capsys, argv, report):
+    paths = formula_inputs(tmp_path)
+    code, out = run(capsys, "--no-timing", *[paths.get(a, a) for a in argv])
+    assert code == 0
+    assert out == report
+
+
+def test_check_tfcf_with_a_bar_in_a_base_token(tmp_path, capsys):
+    import random
+
+    from fibrelab.fincat import category
+    from fibrelab.grothendieck import CatDiagram, groth_co
+    from fibrelab.randgen import chain, random_set_diagram
+
+    base = category(
+        ["a|b", "c"],
+        [("ia", "a|b", "a|b"), ("ic", "c", "c"), ("u", "a|b", "c")],
+        {"a|b": "ia", "c": "ic"},
+        {("ia", "ia"): "ia", ("ic", "ic"): "ic", ("u", "ia"): "u", ("ic", "u"): "u"},
+    )
+    phi = CatDiagram(base, {d: chain(2) for d in base.objects}, {}).check()
+    phi_path = tmp_path / "phi.json"
+    phi_path.write_text(json.dumps(cat_diagram_to_json(phi)))
+    t = random_set_diagram(random.Random(0), groth_co(phi).total)
+    t_path = write_set_diagram(tmp_path, "t.json", t)
+    for command in ("check-tfcf", "check-general-cdf"):
+        code, out = run(
+            capsys, "--no-timing", command, "--phi", str(phi_path), "--t", t_path
+        )
+        assert code == 0
+        assert json.loads(out)["status"] == "pass"
+
+
 def test_explain_renders_pass_and_resource(tmp_path, capsys):
     phi = write_diagram(tmp_path, "loop-coeq")
     out_path = tmp_path / "rep.json"

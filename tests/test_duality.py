@@ -5,10 +5,12 @@ The direct implementations they replaced live on here as oracles: the
 filler search for cartesian morphisms, the fibration branches of the
 cleavage search, of split verification (with its transport functor), of
 factorization and of reconstitution, and the contravariant Grothendieck
-construction with its own composition loop.  The tests compare the derived
-code with them, in order and field by field, on the fixture diagrams,
-random poset diagrams and chain bifibrations, and on corrupted cleavages
-that reach every failure kind of split verification.
+construction with its own composition loop, and the counit search of
+bifibration checking (now the unit search on P^op).  The tests compare the
+derived code with them, in order and field by field, on the fixture
+diagrams, random poset diagrams and chain bifibrations, and on corrupted
+cleavages that reach every failure kind of split verification and the
+unit and counit failures of bifibration checking.
 """
 import random
 
@@ -23,12 +25,14 @@ from fibrelab.errors import (
 )
 from fibrelab.fibrations import (
     CleavageData,
+    bifibration_check,
     cleavage_from_groth,
     factorize,
     fibre,
     is_cartesian,
     reconstitute,
     search_cleavage,
+    verify_split_cofibration,
     verify_split_fibration,
 )
 from fibrelab.fincat import FinCategory, FinFunctor, category, opposite
@@ -273,6 +277,86 @@ def oracle_reconstitute_fibration(p, lifting):
 
 
 # -- comparison helpers -------------------------------------------------------
+
+
+def oracle_bifibration_check(theta, delta):
+    """bifibration_check with the unit and the counit searched separately."""
+    assert theta.base_functor == delta.base_functor, "cleavages over different P"
+    p = theta.base_functor
+    e, b = p.source, p.target
+    rep_f, phi_f = fibrations.verify_split_fibration(theta)
+    if not rep_f:
+        raise fibrations.UnverifiedCleavage(("fibration", rep_f.witness))
+    rep_c, phi_c = fibrations.verify_split_cofibration(delta)
+    if not rep_c:
+        raise fibrations.UnverifiedCleavage(("cofibration", rep_c.witness))
+    fibres = phi_c.fibres
+    units, counits = {}, {}
+    for u in b.mor_tokens:
+        a_obj, b_obj = b.dom(u), b.cod(u)
+        push, pull = phi_c.transition(u), phi_f.transition(u)
+        id_a, id_b = b.id_of(a_obj), b.id_of(b_obj)
+        eta = {}
+        for x in fibres[a_obj].objects:
+            want = delta.lifting[(u, x)]
+            cands = [
+                t
+                for t in e.hom(x, pull.ob(push.ob(x)))
+                if p.mor(t) == id_a
+                and e.compose(theta.lifting[(u, push.ob(x))], t) == want
+            ]
+            if len(cands) != 1:
+                raise fibrations.TriangleViolation((u, "unit", x, cands))
+            eta[x] = cands[0]
+        eps = {}
+        for y in fibres[b_obj].objects:
+            want = theta.lifting[(u, y)]
+            cands = [
+                t
+                for t in e.hom(push.ob(pull.ob(y)), y)
+                if p.mor(t) == id_b
+                and e.compose(t, delta.lifting[(u, pull.ob(y))]) == want
+            ]
+            if len(cands) != 1:
+                raise fibrations.TriangleViolation((u, "counit", y, cands))
+            eps[y] = cands[0]
+        # triangle identities
+        for x in fibres[a_obj].objects:
+            if e.compose(eps[push.ob(x)], push.mor(eta[x])) != e.id_of(push.ob(x)):
+                raise fibrations.TriangleViolation((u, "push-triangle", x))
+        for y in fibres[b_obj].objects:
+            if e.compose(pull.mor(eps[y]), eta[pull.ob(y)]) != e.id_of(pull.ob(y)):
+                raise fibrations.TriangleViolation((u, "pull-triangle", y))
+        # hom bijections through the cleavages
+        for x in fibres[a_obj].objects:
+            for y in fibres[b_obj].objects:
+                over_u = [
+                    m for m in e.hom(x, y) if p.mor(m) == u
+                ]
+                via_pull = {
+                    e.compose(theta.lifting[(u, y)], t)
+                    for t in fibres[a_obj].hom(x, pull.ob(y))
+                }
+                via_push = {
+                    e.compose(s, delta.lifting[(u, x)])
+                    for s in fibres[b_obj].hom(push.ob(x), y)
+                }
+                if not (
+                    via_pull == set(over_u) == via_push
+                    and len(via_pull)
+                    == len(fibres[a_obj].hom(x, pull.ob(y)))
+                    and len(via_push)
+                    == len(fibres[b_obj].hom(push.ob(x), y))
+                ):
+                    raise fibrations.HomBijectionFailure((u, x, y))
+        units[u], counits[u] = eta, eps
+    return fibrations.BifibrationWitness(
+        units,
+        counits,
+        fibres,
+        {u: phi_c.transition(u) for u in b.mor_tokens},
+        {u: phi_f.transition(u) for u in b.mor_tokens},
+    )
 
 
 def report_fields(r):
@@ -630,3 +714,83 @@ def test_non_functorial_transition_lists_every_candidate(monkeypatch):
     rep, _ = same_verification(data.base_functor, data.lifting, _always_cartesian)
     witness = ("a", "id1|1|*", ["id0|idw|w", "id0|e|w"])
     assert rep.witness == {"non_functorial_transition": [witness]}
+
+
+def bifibration_outcome(check, theta, delta):
+    try:
+        return "witness", check(theta, delta)
+    except (FibrelabError, KeyError) as exc:
+        return type(exc).__name__, exc.args
+
+
+def test_bifibration_units_and_counits_match_the_oracle(monkeypatch):
+    cases = [random_bifibration(random.Random(s), 3)[:2] for s in range(8)]
+    for base_name in ("TWO", "SPAN", "PAIR"):
+        gr = groth_co(halving_bifibration(base_name, 4))
+        theta = search_cleavage(gr.projection, "fibration")
+        cases.append((theta, cleavage_from_groth(gr)))
+    rng = random.Random(3)
+    kinds = set()
+    for theta, delta in cases:
+        assert bifibration_check(theta, delta) == oracle_bifibration_check(
+            theta, delta
+        )
+        # with both verifications passing, corrupted liftings reach the
+        # unit and counit searches
+        honest = verify_split_fibration(theta), verify_split_cofibration(delta)
+        with monkeypatch.context() as patch:
+            patch.setattr(fibrations, "verify_split_fibration", lambda d: honest[0])
+            patch.setattr(fibrations, "verify_split_cofibration", lambda d: honest[1])
+            p = theta.base_functor
+            for _ in range(30):
+                bad_theta = CleavageData(
+                    p, "fibration", _corrupt(rng, p, theta.lifting)
+                )
+                bad_delta = CleavageData(
+                    p, "cofibration", _corrupt(rng, p, delta.lifting)
+                )
+                for pair in ((bad_theta, delta), (theta, bad_delta)):
+                    got = bifibration_outcome(bifibration_check, *pair)
+                    assert got == bifibration_outcome(oracle_bifibration_check, *pair)
+                    if got[0] == "TriangleViolation":
+                        kinds.add(got[1][0][1])
+    assert {"unit", "counit"} <= kinds
+
+
+def test_unit_violation_lists_every_candidate(monkeypatch):
+    # over TWO, fibre 0 has an idempotent e on w with e∘e = e, and u* picks
+    # w; the liftings θ^a_* = δ^a_w = (a, e) make both id_w and e solve
+    # θ∘t = δ, which the witness lists in hom-set order
+    c = category(
+        ["w", "z"],
+        [("idw", "w", "w"), ("e", "w", "w"), ("f", "w", "z"), ("idz", "z", "z")],
+        {"w": "idw", "z": "idz"},
+        {("e", "e"): "e", ("f", "e"): "f"},
+    )
+    one, two = fixtures.one(), fixtures.two()
+    pick_w = FinFunctor(one, c, {"*": "w"}, {"1": "idw"})
+    phi = CatDiagram(two, {"0": c, "1": one}, {"a": pick_w}, "contravariant")
+    theta = cleavage_from_groth(groth_contra(phi))
+    honest = verify_split_fibration(theta)
+    fibres = honest[1].fibres
+    push = FinFunctor(
+        fibres["0"],
+        fibres["1"],
+        {x: "1|*" for x in fibres["0"].objects},
+        {m: "id1|1|*" for m in fibres["0"].mor_tokens},
+    )
+    pushes = CatDiagram(two, fibres, {"a": push})
+    monkeypatch.setattr(fibrations, "verify_split_fibration", lambda d: honest)
+    monkeypatch.setattr(
+        fibrations,
+        "verify_split_cofibration",
+        lambda d: (passed("verify_split_cofibration"), pushes),
+    )
+    # the identity liftings serve both directions
+    lifting = {k: m for k, m in theta.lifting.items() if k[0] != "a"}
+    delta = CleavageData(theta.base_functor, "cofibration", lifting)
+    theta.lifting[("a", "1|*")] = delta.lifting[("a", "0|w")] = "a|e|*"
+    witness = ("a", "unit", "0|w", ["id0|idw|w", "id0|e|w"])
+    want = ("TriangleViolation", (witness,))
+    assert bifibration_outcome(bifibration_check, theta, delta) == want
+    assert bifibration_outcome(oracle_bifibration_check, theta, delta) == want
