@@ -425,14 +425,16 @@ class DiagColimit:
     lans: dict  # d -> KanResult for Lan along K_d
 
 
-def colimit_in_diag(t, bound=10000):
+def colimit_in_diag(t, bound=10000, kres=None):
     """The colimit of a family of set diagrams: glue the shapes in Cat, take
     left Kan extensions of each member along its colimit leg, and form their
-    pointwise colimit over the family's base."""
+    pointwise colimit over the family's base.  ``kres`` is the colimit of
+    the shapes when the caller already has it."""
     t.check()
     phi = t.cat_diagram()
     sh = phi.shape
-    kres = colimit_cat(phi, bound)
+    if kres is None:
+        kres = colimit_cat(phi, bound)
     k_cat = kres.colimit
     lans = {d: lan(kres.cocone[d], t.diagram_at(d)) for d in sh.objects}
     # pointwise colimit over D of the L_d, transitions pushing comma classes

@@ -646,10 +646,10 @@ def free_factor(p, s, t, qdata):
     f_cat = q.source
     push = {c: phi_q.transition(c) for c in s.target.mor_tokens}
     on_objects = {}
-    for tok in gr.total.objects:
-        a, fib_obj = tok.split("|", 1)
-        x, h = free.slice_obj[a][fib_obj]
-        on_objects[tok] = push[s.mor(h)].ob(t.ob(x))
+    for a, j in gr.injections.items():
+        for fib_obj, tok in j.on_objects.items():
+            x, h = free.slice_obj[a][fib_obj]
+            on_objects[tok] = push[s.mor(h)].ob(t.ob(x))
     on_morphisms = {}
     for m, (u, src_obj, fib_m, _) in gr.mor_data.items():
         a, bb = b.dom(u), b.cod(u)
@@ -704,7 +704,9 @@ def reconstitute(data):
         total, mor_data = gr.total, gr.mor_data
     p = data.base_functor
     e = p.source
-    on_objects = {tok: tok.split("|", 1)[1] for tok in total.objects}
+    on_objects = {
+        tok: x for j in gr.injections.values() for x, tok in j.on_objects.items()
+    }
     on_morphisms = {
         m: e.compose(fmor, data.lifting[(u, x)])
         for m, (u, x, fmor, _) in mor_data.items()

@@ -186,7 +186,7 @@ class FinCategory:
     def __eq__(self, other):
         if not isinstance(other, FinCategory):
             return NotImplemented
-        return (
+        return self is other or (
             self.objects == other.objects
             and self.morphisms == other.morphisms
             and self.identities == other.identities

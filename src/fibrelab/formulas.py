@@ -199,7 +199,7 @@ def check_cdf_concordance(phi, x, bound=DEFAULT_BOUND, seed=None):
     sh = phi.shape
     # (b) the family of restrictions, with identity components
     family = DiagFamily(sh, *_restrictions(phi, x, kres.cocone)).check()
-    general = check_general_cdf(family, bound, seed=seed)
+    general = check_general_cdf(family, bound, kres=kres, seed=seed)
     if not general:
         return failed(
             "check_cdf_concordance", {"general": general.witness}, seed=seed
@@ -359,13 +359,13 @@ def check_fubini(d_cat, e_cat, t, seed=None):
 
 # -- general decomposition / recomposition ------------------------------------
 
-def check_general_cdf(t, bound=DEFAULT_BOUND, seed=None):
+def check_general_cdf(t, bound=DEFAULT_BOUND, kres=None, seed=None):
     """The general decomposition formula for a family of set diagrams: build
     (K, X) as a colimit of left Kan extensions, then compare colim X with the
     D-colimit of the member colimits; the joint-Kan universal property of X is
     certified along the way."""
     t.check()
-    res = colimit_in_diag(t, bound)
+    res = colimit_in_diag(t, bound, kres=kres)
     phi = t.cat_diagram()
     sh = phi.shape
     x = res.result.diagram

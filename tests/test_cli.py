@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -101,6 +103,30 @@ def test_reports_are_deterministic(tmp_path, capsys):
     _, out1 = run(capsys, "--no-timing", "colimit-cat", "--phi", phi)
     _, out2 = run(capsys, "--no-timing", "colimit-cat", "--phi", phi)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["colimit-cat", "--phi", os.path.join(FIXDIR, "loop-coeq.json"), "--bound", "300"],
+        ["colimit-cat", "--phi", os.path.join(FIXDIR, "span-push3.json")],
+    ],
+)
+def test_reports_do_not_depend_on_the_hash_seed(argv):
+    src = os.path.join(os.path.dirname(FIXDIR), "src")
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fibrelab.cli", "--no-timing", *argv],
+            env=env,
+            capture_output=True,
+            check=False,
+        )
+        assert proc.returncode in (0, 3), proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
 
 
 def test_corpus_on_shipped_fixtures(capsys):
@@ -250,12 +276,11 @@ def test_formula_reports_are_pinned(tmp_path, capsys, argv, report):
     assert out == report
 
 
-def test_check_tfcf_with_a_bar_in_a_base_token(tmp_path, capsys):
-    import random
-
+def bar_token_diagram():
+    """chain(2) fibres over TWO whose first object is named "a|b"."""
     from fibrelab.fincat import category
-    from fibrelab.grothendieck import CatDiagram, groth_co
-    from fibrelab.randgen import chain, random_set_diagram
+    from fibrelab.grothendieck import CatDiagram
+    from fibrelab.randgen import chain
 
     base = category(
         ["a|b", "c"],
@@ -263,7 +288,16 @@ def test_check_tfcf_with_a_bar_in_a_base_token(tmp_path, capsys):
         {"a|b": "ia", "c": "ic"},
         {("ia", "ia"): "ia", ("ic", "ic"): "ic", ("u", "ia"): "u", ("ic", "u"): "u"},
     )
-    phi = CatDiagram(base, {d: chain(2) for d in base.objects}, {}).check()
+    return CatDiagram(base, {d: chain(2) for d in base.objects}, {}).check()
+
+
+def test_check_tfcf_with_a_bar_in_a_base_token(tmp_path, capsys):
+    import random
+
+    from fibrelab.grothendieck import groth_co
+    from fibrelab.randgen import random_set_diagram
+
+    phi = bar_token_diagram()
     phi_path = tmp_path / "phi.json"
     phi_path.write_text(json.dumps(cat_diagram_to_json(phi)))
     t = random_set_diagram(random.Random(0), groth_co(phi).total)
@@ -274,6 +308,22 @@ def test_check_tfcf_with_a_bar_in_a_base_token(tmp_path, capsys):
         )
         assert code == 0
         assert json.loads(out)["status"] == "pass"
+
+
+def test_comparison_q_with_a_bar_in_a_base_token(tmp_path, capsys):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    phi_path = d / "bar.json"
+    phi_path.write_text(json.dumps(cat_diagram_to_json(bar_token_diagram())))
+    code, out = run(capsys, "--no-timing", "comparison-q", "--phi", str(phi_path))
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+    code, out = run(capsys, "--no-timing", "corpus", str(d))
+    assert code == 0
+    summary = json.loads(out)
+    assert summary["status"] == "pass"
+    assert summary["matrix"]["comparison-q"] == {"bar": "pass"}
+    assert summary["matrix"]["grothendieck-round-trip"] == {"bar": "pass"}
 
 
 def test_explain_renders_pass_and_resource(tmp_path, capsys):

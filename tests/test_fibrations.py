@@ -149,6 +149,37 @@ def test_free_factor_universal_property():
     }
 
 
+def _bar_token_base():
+    """TWO with its first object named "a|b"."""
+    from fibrelab.fincat import category
+
+    return category(
+        ["a|b", "c"],
+        [("ia", "a|b", "a|b"), ("ic", "c", "c"), ("u", "a|b", "c")],
+        {"a|b": "ia", "c": "ic"},
+        {("ia", "ia"): "ia", ("ic", "ic"): "ic", ("u", "ia"): "u", ("ic", "u"): "u"},
+    )
+
+
+def test_reconstitute_with_a_bar_in_a_base_token():
+    from fibrelab.grothendieck import CatDiagram
+    from fibrelab.randgen import chain
+
+    base = _bar_token_base()
+    phi = CatDiagram(base, {d: chain(2) for d in base.objects}, {}).check()
+    rep = reconstitute(cleavage_from_groth(groth_co(phi)))
+    assert rep.ok, rep.witness
+
+
+def test_free_factor_with_a_bar_in_a_base_token():
+    base = _bar_token_base()
+    p = identity_functor(base)
+    free = free_cofibration(p)
+    qdata = cleavage_from_groth(free.result)
+    t_tilde = free_factor(p, identity_functor(base), free.embedding, qdata)
+    assert t_tilde.on_objects == {o: o for o in free.result.total.objects}
+
+
 def test_free_factor_rejects_non_commuting_square():
     span, two = CATS["SPAN"], CATS["TWO"]
     p = identity_functor(span)

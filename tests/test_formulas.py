@@ -118,6 +118,24 @@ def test_cdf_on_group_quotient_fixture():
     assert rep.ok, rep.witness
 
 
+def test_cdf_concordance_computes_one_colimit(monkeypatch):
+    import fibrelab.diagcat
+    import fibrelab.formulas
+
+    phi = DIAGS["span-push3"]
+    x = random_set_diagram(random.Random(1), colimit_cat(phi).colimit)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return colimit_cat(*args, **kwargs)
+
+    monkeypatch.setattr(fibrelab.formulas, "colimit_cat", counted)
+    monkeypatch.setattr(fibrelab.diagcat, "colimit_cat", counted)
+    assert check_cdf_concordance(phi, x).ok
+    assert len(calls) == 1
+
+
 def test_cdf_rejects_diagram_on_wrong_shape():
     phi = DIAGS["span-push3"]
     x = random_set_diagram(random.Random(0), CATS["PUSH3"])
