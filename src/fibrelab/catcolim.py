@@ -486,17 +486,18 @@ def colimit_cat(phi, bound=DEFAULT_BOUND):
     return result
 
 
-def verify_cat_cocone(phi, k, cocone, bound=DEFAULT_BOUND):
+def verify_cat_cocone(phi, k, cocone, bound=DEFAULT_BOUND, kres=None):
     """Certify a user-supplied cocone (K, K_d) as the colimit of Φ.
 
     Checks naturality of the legs, then builds the mediating functor from
     the saturated colimit and certifies it is functorial and bijective.
+    ``kres`` is ``colimit_cat(phi, bound)`` when the caller has it already.
     """
     sh = phi.shape
     for u, d, e in sh.morphisms:
         if compose_functor(cocone[e], phi.transition(u)) != cocone[d]:
             return failed("verify_cat_cocone", {"naturality": u})
-    own = colimit_cat(phi, bound)
+    own = colimit_cat(phi, bound) if kres is None else kres
     on_objects = {}
     for (d, x), cls in own.obj_class.items():
         val = cocone[d].ob(x)

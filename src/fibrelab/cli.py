@@ -616,6 +616,8 @@ def _cmd_explain(args):
         lines.append("  seed: %s" % raw["seed"])
     witness = raw.get("witness")
     if status == "resource_exceeded" and witness and "trace" in witness:
+        if "error" in witness:
+            lines.append("  refused: %s" % witness["error"])
         lines.append("  growth trace: %s" % witness["trace"])
     elif witness and status != "pass":
         lines.append("  witness:")

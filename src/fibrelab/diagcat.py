@@ -394,7 +394,8 @@ def strict_hom_bijection(x_dobj, y_dobj):
         back = strict_to_lax(x_dobj, y_dobj, h)
         if back != m:
             return failed(
-                "strict_hom_bijection", {"lax_round_trip": m.functor_part.on_objects}
+                "strict_hom_bijection",
+                {"lax_round_trip": dict(m.functor_part.on_objects)},
             )
         seen.add((tuple(sorted(h.on_objects.items())),
                   tuple(sorted(h.on_morphisms.items()))))
@@ -403,14 +404,14 @@ def strict_hom_bijection(x_dobj, y_dobj):
                tuple(sorted(h.on_morphisms.items())))
         if key not in seen:
             return failed(
-                "strict_hom_bijection", {"strict_not_hit": h.on_objects}
+                "strict_hom_bijection", {"strict_not_hit": dict(h.on_objects)}
             )
         back = strict_to_lax(x_dobj, y_dobj, h)
         again = lax_to_strict(x_dobj, y_dobj, back)
         if (tuple(sorted(again.on_objects.items())),
                 tuple(sorted(again.on_morphisms.items()))) != key:
             return failed(
-                "strict_hom_bijection", {"strict_round_trip": h.on_objects}
+                "strict_hom_bijection", {"strict_round_trip": dict(h.on_objects)}
             )
     return passed("strict_hom_bijection", count=len(lax))
 

@@ -843,7 +843,8 @@ class DiagOfFunctor:
                 if image != lax_set or len(image) != len(vert):
                     return failed(
                         "hom_bijection_check",
-                        {"u": u, "functor": f.on_objects, "lhs": len(vert), "rhs": len(lax)},
+                        {"u": u, "functor": dict(f.on_objects),
+                         "lhs": len(vert), "rhs": len(lax)},
                     )
                 checked += 1
         return passed("hom_bijection_check", pairs_checked=checked)

@@ -13,7 +13,9 @@ A :class:`FinCategory` is immutable once built.  Its constructor freezes the
 tables and indexes the morphisms by (dom, cod), by dom and by cod, so hom-sets
 and the composable pairs and triples that validation visits are read off the
 indexes instead of found by scanning every morphism.  Each instance is
-validated at most once.
+validated at most once.  A :class:`FinFunctor` keeps the same contract: its
+maps are read-only views, and its check walks the source's composable pairs
+by table lookups, once.
 
 Duality goes through the ``op`` properties.  ``c.op`` is built on first use
 and cached: the same tokens in the same order, dom and cod swapped, the
@@ -300,18 +302,27 @@ def validate_category(raw):
 
 
 class FinFunctor:
+    """A functor between finite categories, as object and morphism maps.
+
+    Like :class:`FinCategory` it is immutable once built: the maps are
+    read-only views, and :meth:`check` validates at most once.
+    """
+
     def __init__(self, source, target, on_objects, on_morphisms, name=""):
         self.source = source
         self.target = target
-        self.on_objects = dict(on_objects)
-        self.on_morphisms = dict(on_morphisms)
+        self._on_objects = dict(on_objects)
+        self._on_morphisms = dict(on_morphisms)
+        self.on_objects = MappingProxyType(self._on_objects)
+        self.on_morphisms = MappingProxyType(self._on_morphisms)
         self.name = name
+        self._checked = False
 
     def ob(self, a):
-        return self.on_objects[a]
+        return self._on_objects[a]
 
     def mor(self, f):
-        return self.on_morphisms[f]
+        return self._on_morphisms[f]
 
     @property
     def op(self):
@@ -321,30 +332,49 @@ class FinFunctor:
         )
 
     def check(self):
-        target_objects = set(self.target.objects)
-        for a in self.source.objects:
-            if a not in self.on_objects:
+        if self._checked:
+            return self
+        src, tgt = self.source, self.target
+        obs, mors = self._on_objects, self._on_morphisms
+        target_objects = set(tgt.objects)
+        for a in src.objects:
+            if a not in obs:
                 raise DanglingToken(("functor misses object", a))
-            if self.on_objects[a] not in target_objects:
+            if obs[a] not in target_objects:
                 raise DanglingToken(("functor image object undeclared", a))
-        for f, d, c in self.source.morphisms:
-            if f not in self.on_morphisms:
+        tdom, tcod = tgt._dom, tgt._cod
+        for f, d, c in src.morphisms:
+            if f not in mors:
                 raise DanglingToken(("functor misses morphism", f))
-            ff = self.on_morphisms[f]
-            if not self.target.has_mor(ff):
+            ff = mors[f]
+            if ff not in tdom:
                 raise DanglingToken(("functor image morphism undeclared", f))
-            if self.target.dom(ff) != self.on_objects[d]:
+            if tdom[ff] != obs[d]:
                 raise ShapeMismatch(("dom not preserved", f))
-            if self.target.cod(ff) != self.on_objects[c]:
+            if tcod[ff] != obs[c]:
                 raise ShapeMismatch(("cod not preserved", f))
-        for a in self.source.objects:
-            if self.mor(self.source.id_of(a)) != self.target.id_of(self.ob(a)):
+        for a in src.objects:
+            if mors[src.identities[a]] != tgt.identities[obs[a]]:
                 raise ShapeMismatch(("identity not preserved", a))
-        for g, f in self.source.composable_pairs():
-            if self.mor(self.source.compose(g, f)) != self.target.compose(
-                self.mor(g), self.mor(f)
-            ):
-                raise ShapeMismatch(("composition not preserved", g, f))
+        # the composable pairs (g, f) in the order of composable_pairs(); a
+        # missing composite goes through compose() for its MissingComposite
+        scomp, tcomp = src._composition, tgt._composition
+        sdom, into = src._dom, src._into
+        for g in src.mor_tokens:
+            mg = mors[g]
+            for f in into.get(sdom[g], ()):
+                try:
+                    gf = scomp[(g, f)]
+                except KeyError:
+                    gf = src.compose(g, f)
+                mgf, mf = mors[gf], mors[f]
+                try:
+                    image = tcomp[(mg, mf)]
+                except KeyError:
+                    image = tgt.compose(mg, mf)
+                if mgf != image:
+                    raise ShapeMismatch(("composition not preserved", g, f))
+        self._checked = True
         return self
 
     def __eq__(self, other):
@@ -353,8 +383,8 @@ class FinFunctor:
         return (
             self.source == other.source
             and self.target == other.target
-            and self.on_objects == other.on_objects
-            and self.on_morphisms == other.on_morphisms
+            and self._on_objects == other._on_objects
+            and self._on_morphisms == other._on_morphisms
         )
 
     def __repr__(self):

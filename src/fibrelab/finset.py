@@ -7,12 +7,18 @@ soon as its variables are assigned.  The same search enumerates every other
 kind of compatible family in the engine (Ran extensions, cones, functors,
 lax morphisms); it refuses a search that visits more than ``SEARCH_NODE_CAP``
 nodes.
+
+A :class:`SetDiagram` is immutable once built (its sets and functions are
+read-only views) and validated at most once; its check compares mappings
+element by element instead of building composite functions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import (
+    DanglingToken,
     NonUnique,
     NotACoconeError,
     ResourceExceeded,
@@ -51,8 +57,14 @@ class FinSet:
     elements: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        assert len(set(self.elements)) == len(self.elements), "duplicate tokens"
+        elements = tuple(self.elements)
+        object.__setattr__(self, "elements", elements)
+        if len(set(elements)) != len(elements):
+            seen = set()
+            for e in elements:
+                if e in seen:
+                    raise DanglingToken(("duplicate set element", e))
+                seen.add(e)
 
     def __len__(self):
         return len(self.elements)
@@ -105,36 +117,67 @@ def identity_function(s):
 
 
 class SetDiagram:
-    """A functor from a finite shape category into finite sets."""
+    """A functor from a finite shape category into finite sets.
+
+    Immutable once built: ``sets`` and ``functions`` are read-only views,
+    and :meth:`check` validates at most once.
+    """
 
     def __init__(self, shape, sets, functions):
         self.shape = shape
-        self.sets = dict(sets)
-        self.functions = dict(functions)
+        self._sets = dict(sets)
+        self._functions = dict(functions)
+        self.sets = MappingProxyType(self._sets)
+        self.functions = MappingProxyType(self._functions)
+        self._checked = False
 
     def fn(self, mor):
-        return self.functions[mor]
+        return self._functions[mor]
 
     def check(self):
-        for a in self.shape.objects:
-            if a not in self.sets:
+        if self._checked:
+            return self
+        sh, sets, fns = self.shape, self._sets, self._functions
+        for a in sh.objects:
+            if a not in sets:
                 raise ShapeMismatch(("missing set", a))
-        for f, d, c in self.shape.morphisms:
-            fn = self.functions.get(f)
+        for f, d, c in sh.morphisms:
+            fn = fns.get(f)
             if fn is None:
                 raise ShapeMismatch(("missing function", f))
-            if fn.source != self.sets[d] or fn.target != self.sets[c]:
+            if fn.source != sets[d] or fn.target != sets[c]:
                 raise ShapeMismatch(("function endpoints", f))
             fn.check()
-        for a in self.shape.objects:
-            if self.functions[self.shape.id_of(a)].mapping != {
-                x: x for x in self.sets[a]
-            }:
+        # every function is now total on its source, so two mappings on the
+        # same source are equal iff they are the same size and agree on it
+        for a in sh.objects:
+            mapping, elements = fns[sh.identities[a]].mapping, sets[a]
+            if len(mapping) != len(elements):
                 raise ShapeMismatch(("identity not preserved", a))
-        for g, f in self.shape.composable_pairs():
-            gf = self.shape.compose(g, f)
-            if self.functions[gf] != self.functions[f].then(self.functions[g]):
-                raise ShapeMismatch(("composition not preserved", g, f))
+            for x in elements:
+                if x not in mapping or mapping[x] != x:
+                    raise ShapeMismatch(("identity not preserved", a))
+        comp, dom, into = sh._composition, sh._dom, sh._into
+        for g in sh.mor_tokens:
+            gn = fns[g]
+            gm = gn.mapping
+            for f in into.get(dom[g], ()):
+                try:
+                    gf = comp[(g, f)]
+                except KeyError:
+                    gf = sh.compose(g, f)
+                h, fn = fns[gf], fns[f]
+                hm, fm, source, target = h.mapping, fn.mapping, fn.source, gn.target
+                if (
+                    (h.source is not source and h.source != source)
+                    or (h.target is not target and h.target != target)
+                    or len(hm) != len(source)
+                ):
+                    raise ShapeMismatch(("composition not preserved", g, f))
+                for x in source:
+                    if hm[x] != gm[fm[x]]:
+                        raise ShapeMismatch(("composition not preserved", g, f))
+        self._checked = True
         return self
 
     def __eq__(self, other):
@@ -142,8 +185,8 @@ class SetDiagram:
             return NotImplemented
         return (
             self.shape == other.shape
-            and self.sets == other.sets
-            and self.functions == other.functions
+            and self._sets == other._sets
+            and self._functions == other._functions
         )
 
 

@@ -12,10 +12,15 @@ Token conventions: a total object over base object ``a`` with fibre object
 object x is ``"u|x|f"`` (x is recorded because the transition functor need
 not be injective on objects, so (u, f) alone would be ambiguous); the
 contravariant dual records the target fibre object: ``"u|f|y"``.
+
+A :class:`CatDiagram` is immutable once built (its fibres and transitions are
+read-only views) and validated at most once, as its fibres and transition
+functors are.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import (
     NonFunctorialDiagram,
@@ -43,55 +48,64 @@ class CatDiagram:
     ``transitions`` maps each shape morphism u to a FinFunctor between the
     fibres — covariantly fibre(dom u) -> fibre(cod u), contravariantly the
     reverse.  The string ``"id"`` may be used for identity transitions.
+    Immutable once built: ``fibres`` and ``transitions`` are read-only
+    views, and :meth:`check` validates at most once.
     """
 
     def __init__(self, shape, fibres, transitions, variance="covariant"):
-        assert variance in ("covariant", "contravariant")
+        if variance not in ("covariant", "contravariant"):
+            raise NonFunctorialDiagram(("unknown variance", variance))
         self.shape = shape
-        self.fibres = dict(fibres)
+        self._fibres = dict(fibres)
         self.variance = variance
-        self.transitions = {}
+        self._transitions = {}
         for u in shape.mor_tokens:
             t = transitions.get(u, "id")
             if t == "id":
                 # end fibres are equal, so the one over dom u serves both
                 d, c = shape.dom(u), shape.cod(u)
-                if self.fibres[d] != self.fibres[c]:
+                if self._fibres[d] != self._fibres[c]:
                     raise NonFunctorialDiagram(("identity shorthand on", u))
-                t = identity_functor(self.fibres[d])
-            self.transitions[u] = t
+                t = identity_functor(self._fibres[d])
+            self._transitions[u] = t
+        self.fibres = MappingProxyType(self._fibres)
+        self.transitions = MappingProxyType(self._transitions)
+        self._checked = False
 
     def fibre(self, a):
-        return self.fibres[a]
+        return self._fibres[a]
 
     def transition(self, u):
-        return self.transitions[u]
+        return self._transitions[u]
 
     def check(self):
-        sh = self.shape
+        if self._checked:
+            return self
+        sh, fibres, transitions = self.shape, self._fibres, self._transitions
         for a in sh.objects:
-            if a not in self.fibres:
+            if a not in fibres:
                 raise NonFunctorialDiagram(("missing fibre", a))
-            self.fibres[a].check()
+            fibres[a].check()
         for u, d, c in sh.morphisms:
-            t = self.transitions.get(u)
+            t = transitions.get(u)
             if t is None:
                 raise NonFunctorialDiagram(("missing transition", u))
             src, tgt = (d, c) if self.variance == "covariant" else (c, d)
-            if t.source != self.fibres[src] or t.target != self.fibres[tgt]:
+            if t.source != fibres[src] or t.target != fibres[tgt]:
                 raise NonFunctorialDiagram(("transition endpoints", u))
             t.check()
         for a in sh.objects:
-            if self.transitions[sh.id_of(a)] != identity_functor(self.fibres[a]):
+            if transitions[sh.id_of(a)] != identity_functor(fibres[a]):
                 raise NonFunctorialDiagram(("identity transition", a))
         for g, f in sh.composable_pairs():
             gf = sh.compose(g, f)
             if self.variance == "covariant":
-                expect = compose_functor(self.transitions[g], self.transitions[f])
+                expect = compose_functor(transitions[g], transitions[f])
             else:
-                expect = compose_functor(self.transitions[f], self.transitions[g])
-            if self.transitions[gf] != expect:
+                expect = compose_functor(transitions[f], transitions[g])
+            if transitions[gf] != expect:
                 raise NonFunctorialDiagram(("strictness", g, f))
+        self._checked = True
         return self
 
     def __eq__(self, other):
@@ -99,8 +113,8 @@ class CatDiagram:
             return NotImplemented
         return (
             self.shape == other.shape
-            and self.fibres == other.fibres
-            and self.transitions == other.transitions
+            and self._fibres == other._fibres
+            and self._transitions == other._transitions
             and self.variance == other.variance
         )
 

@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibrelab import fixtures
+from fibrelab import catcolim, fixtures
 from fibrelab.catcolim import (
     certify_cofinal_quotient,
     colimit_cat,
@@ -97,8 +97,24 @@ def test_verify_cat_cocone_accepts_own_output():
     for name in ("span-push3", "semidirect"):
         phi = DIAGS[name]
         res = colimit_cat(phi)
-        rep = verify_cat_cocone(phi, res.colimit, res.cocone)
+        rep = verify_cat_cocone(phi, res.colimit, res.cocone, kres=res)
         assert rep.ok, (name, rep.witness)
+
+
+def test_verify_cat_cocone_reuses_the_callers_colimit(monkeypatch):
+    phi = DIAGS["span-push3"]
+    res = colimit_cat(phi)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return colimit_cat(*args, **kwargs)
+
+    monkeypatch.setattr(catcolim, "colimit_cat", counted)
+    assert verify_cat_cocone(phi, res.colimit, res.cocone, kres=res).ok
+    assert len(calls) == 0
+    assert verify_cat_cocone(phi, res.colimit, res.cocone).ok
+    assert len(calls) == 1
 
 
 def test_verify_cat_cocone_rejects_wrong_vertex():
@@ -177,7 +193,7 @@ def test_letter_equal_to_identity_collapses_composites():
         random.Random(11049), max_fibre_objects=3, bases=("TWO", "SPAN")
     )
     res = colimit_cat(phi, bound=400)
-    assert verify_cat_cocone(phi, res.colimit, res.cocone, bound=400).ok
+    assert verify_cat_cocone(phi, res.colimit, res.cocone, kres=res).ok
 
 
 @given(st.integers(0, 10**6))
@@ -189,6 +205,6 @@ def test_random_poset_diagram_colimits_verify(seed):
         res = colimit_cat(phi, bound=400)
     except BoundExceeded:
         return  # gluing posets can create free loops; divergence is legal
-    assert verify_cat_cocone(phi, res.colimit, res.cocone, bound=400).ok
+    assert verify_cat_cocone(phi, res.colimit, res.cocone, kres=res).ok
     q = comparison_q(phi, res)
     assert certify_cofinal_quotient(q).ok

@@ -429,7 +429,7 @@ def test_colimit_cat_agrees_with_the_saturation_oracle(phi):
         assert new is not None, str(refusal)
         _same_colimit(new, old)
     elif new is not None:
-        assert verify_cat_cocone(phi, new.colimit, new.cocone, bound=BOUND).ok
+        assert verify_cat_cocone(phi, new.colimit, new.cocone, kres=new).ok
     if refusal is not None and refusal.trace[-1][0] == "pump":
         _assert_pump_pumps(phi, refusal)
 
@@ -480,4 +480,4 @@ def test_long_zigzag_gluing_is_answered():
     assert len(res.colimit.morphisms) == 2211
     assert res.saturation_stats["iterations"] == 65
     assert elapsed < 4.0
-    assert verify_cat_cocone(phi, res.colimit, res.cocone).ok
+    assert verify_cat_cocone(phi, res.colimit, res.cocone, kres=res).ok

@@ -129,6 +129,46 @@ def test_reports_do_not_depend_on_the_hash_seed(argv):
     assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
 
 
+def _run_cli_process(argv, optimize):
+    """Run the CLI in a fresh interpreter, with ``python -O`` if asked."""
+    src = os.path.join(os.path.dirname(FIXDIR), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "fibrelab.cli", "--no-timing", *argv],
+        env=env,
+        capture_output=True,
+        check=False,
+    )
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_duplicate_set_element_is_refused_with_and_without_asserts(
+    tmp_path, optimize
+):
+    one = fixtures.all_categories()["ONE"].to_dict()
+    p = tmp_path / "dup.json"
+    p.write_text(json.dumps({"shape": one, "sets": {"*": ["1", "1"]}, "functions": {}}))
+    proc = _run_cli_process(["colimit-set", str(p)], optimize)
+    assert proc.returncode == 2, proc.stdout
+    rep = json.loads(proc.stdout)
+    assert rep["status"] == "invalid_input"
+    assert rep["witness"]["error"] == str(("duplicate set element", "1"))
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_unknown_variance_is_refused_with_and_without_asserts(tmp_path, optimize):
+    raw = json.loads(open(os.path.join(FIXDIR, "span-push3.json")).read())
+    raw["variance"] = "sideways"
+    p = tmp_path / "phi.json"
+    p.write_text(json.dumps(raw))
+    proc = _run_cli_process(["colimit-cat", "--phi", str(p)], optimize)
+    assert proc.returncode == 2, proc.stdout
+    rep = json.loads(proc.stdout)
+    assert rep["witness"]["error"] == str(("unknown variance", "sideways"))
+
+
 def test_corpus_on_shipped_fixtures(capsys):
     assert os.path.isdir(FIXDIR)
     code, out = run(capsys, "--no-timing", "corpus", FIXDIR, "--cases", "1")
@@ -344,6 +384,27 @@ def test_explain_renders_pass_and_resource(tmp_path, capsys):
     assert code == 0
     assert "RESOURCE_EXCEEDED" in out
     assert "growth trace" in out
+
+
+def test_explain_shows_why_a_run_was_refused(tmp_path, capsys):
+    out_path = tmp_path / "rep.json"
+    code, _ = run(
+        capsys,
+        "--output",
+        str(out_path),
+        "--no-timing",
+        "colimit-cat",
+        "--phi",
+        os.path.join(FIXDIR, "loop-coeq.json"),
+    )
+    assert code == 3
+    error = json.loads(out_path.read_text())["witness"]["error"]
+    code, out = run(capsys, "explain", str(out_path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "  refused: " + error
+    assert lines[2].startswith("  growth trace: ")
+    assert "u v^k w" in lines[1] and "v = [q:a]" in lines[1]
 
 
 def test_explain_rejects_garbage(tmp_path, capsys):
