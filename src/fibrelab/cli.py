@@ -106,6 +106,11 @@ def load_functor(raw):
 
 
 def load_set_diagram(raw):
+    keys = ("shape", "sets", "functions")
+    fields = raw if isinstance(raw, dict) else {}
+    bad = [k for k in keys if not isinstance(fields.get(k), dict)]
+    if bad:
+        raise DanglingToken(("not a set-diagram description", bad))
     shape = load_category(raw["shape"])
     objects = set(shape.objects)
     for a in raw["sets"]:
@@ -117,11 +122,19 @@ def load_set_diagram(raw):
     for m in raw["functions"]:
         if not shape.has_mor(m):
             raise DanglingToken(("function for undeclared morphism", m))
+    for a, v in raw["sets"].items():
+        if not isinstance(v, list):
+            raise DanglingToken(("set is not a list", a))
+        _require_hashable(v)
     sets = {a: FinSet(tuple(v)) for a, v in raw["sets"].items()}
-    functions = {
-        m: FinFunction(sets[shape.dom(m)], sets[shape.cod(m)], mapping)
-        for m, mapping in raw["functions"].items()
-    }
+    functions = {}
+    for m, mapping in raw["functions"].items():
+        try:
+            functions[m] = FinFunction(
+                sets[shape.dom(m)], sets[shape.cod(m)], mapping
+            )
+        except (TypeError, ValueError):
+            raise DanglingToken(("function is not a mapping", m)) from None
     for m in shape.mor_tokens:
         if shape.is_identity(m) and m not in functions:
             a = shape.dom(m)

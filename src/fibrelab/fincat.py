@@ -17,6 +17,24 @@ validated at most once.  A :class:`FinFunctor` keeps the same contract: its
 maps are read-only views, and its check walks the source's composable pairs
 by table lookups, once.
 
+Associativity is certified over a generating set (Light's associativity
+test).  ``check()`` chooses one set A from the validated table: the
+indecomposable non-identities first, then, in declaration order, each
+morphism that the closure of A under m -> a∘m (a in A) has not reached, until
+every morphism is an identity or a∘m with a in A and m generated.  It then
+checks (h∘a)∘f = h∘(a∘f) only for a in A.  That suffices, by induction on m:
+
+    (h∘(a∘m))∘f = ((h∘a)∘m)∘f = (h∘a)∘(m∘f)     (a in A, then m)
+                = h∘(a∘(m∘f)) = h∘((a∘m)∘f)     (a in A, then m)
+
+and identities associate by the identity laws.  Functors and set diagrams
+use the same set: once source and target have passed ``check()``,
+F(a∘f) = F(a)∘F(f) for a in A gives F((a∘m)∘f) = F(a)∘F(m∘f) =
+F(a)∘F(m)∘F(f) = F(a∘m)∘F(f).  The generator test only proves a pass early:
+when it fails, or a source is unchecked, the loop over every composable
+triple or pair runs and names the first witness in its order.  ``c.op``
+shares the set, since A generates C^op once C is associative.
+
 Duality goes through the ``op`` properties.  ``c.op`` is built on first use
 and cached: the same tokens in the same order, dom and cod swapped, the
 composition table transposed.  ``c.op.op is c``, and a passing ``check()``
@@ -71,6 +89,7 @@ class FinCategory:
         self._out_of = {k: tuple(v) for k, v in out_of.items()}
         self._into = {k: tuple(v) for k, v in into.items()}
         self._checked = False
+        self._generators = None
         self._op = None
 
     # -- accessors ----------------------------------------------------------
@@ -131,41 +150,114 @@ class FinCategory:
         for t, d, c in self.morphisms:
             if d not in objset or c not in objset:
                 raise DanglingToken(("morphism endpoints undeclared", t, d, c))
+        dom, cod, identity = self._dom, self._cod, self.identities
         for a in self.objects:
-            i = self.identities.get(a)
+            i = identity.get(a)
             if i is None or i not in morset:
                 raise DanglingToken(("missing identity", a))
-            if self._dom[i] != a or self._cod[i] != a:
+            if dom[i] != a or cod[i] != a:
                 raise IdentityViolation(("identity endpoints", a, i))
         comp = self._composition
         for (g, f), gf in comp.items():
             if g not in morset or f not in morset or gf not in morset:
                 raise DanglingToken(("composition entry", g, f, gf))
-            if self._cod[f] != self._dom[g]:
+            if cod[f] != dom[g]:
                 raise DanglingToken(("entry for non-composable pair", g, f))
-            if self._dom[gf] != self._dom[f] or self._cod[gf] != self._cod[g]:
+            if dom[gf] != dom[f] or cod[gf] != cod[g]:
                 raise IdentityViolation(("dom/cod of composite", g, f, gf))
-        for g, f in self.composable_pairs():
-            if (g, f) not in comp:
-                raise MissingComposite((g, f))
+        # every entry is a composable pair, so the table is total iff it has
+        # as many entries as there are composable pairs
+        into = self._into
+        if len(comp) != sum(len(into[dom[g]]) for g in self.mor_tokens):
+            for g, f in self.composable_pairs():
+                if (g, f) not in comp:
+                    raise MissingComposite((g, f))
         # from here on every composable pair has a composite with the right
         # endpoints, so plain table lookups cannot fail
         for f in self.mor_tokens:
-            if comp[(self.identities[self._cod[f]], f)] != f:
+            if comp[(identity[cod[f]], f)] != f:
                 raise IdentityViolation(("left identity", f))
-            if comp[(f, self.identities[self._dom[f]])] != f:
+            if comp[(f, identity[dom[f]])] != f:
                 raise IdentityViolation(("right identity", f))
-        into = self._into
+        gens = self._generating_set()
+        if not self._associative_at(gens):
+            self._check_every_triple()
+        self._generators = gens
+        self._checked = True
+        if self._op is not None:
+            self._op._checked = True
+            self._op._generators = gens
+        return self
+
+    def _generating_set(self):
+        """Generators A such that every morphism is an identity or a∘m with
+        a in A and m generated, for a table whose composable pairs all have
+        composites.  The indecomposable non-identities come first (every
+        generating set holds them); then each morphism, in declaration
+        order, that the closure has not reached yet (groups and idempotents
+        need these)."""
+        comp, dom, cod = self._composition, self._dom, self._cod
+        ids = {self.identities[a] for a in self.objects}
+        decomposable = {
+            gf for (g, f), gf in comp.items() if g not in ids and f not in ids
+        }
+        reached = set(ids)
+        reached_into = {a: [self.identities[a]] for a in self.objects}
+        gens, gens_out, work = [], {}, []
+
+        def reach(m):
+            if m not in reached:
+                reached.add(m)
+                reached_into[cod[m]].append(m)
+                work.append(m)
+
+        def add(new):
+            for a in new:
+                gens.append(a)
+                gens_out.setdefault(dom[a], []).append(a)
+                for m in tuple(reached_into[dom[a]]):
+                    reach(comp[(a, m)])
+            while work:
+                m = work.pop()
+                for a in gens_out.get(cod[m], ()):
+                    reach(comp[(a, m)])
+
+        add([m for m in self.mor_tokens if m not in ids and m not in decomposable])
+        for m in self.mor_tokens:
+            if m not in reached:
+                add([m])
+        return tuple(gens)
+
+    def _associative_at(self, middles):
+        """Whether (h∘g)∘f = h∘(g∘f) on every composable triple whose
+        middle g is in ``middles`` (Light's test when they generate)."""
+        comp, dom, cod = self._composition, self._dom, self._cod
+        into, out_of = self._into, self._out_of
+        for g in middles:
+            fs = into[dom[g]]
+            gfs = [comp[(g, f)] for f in fs]
+            for h in out_of[cod[g]]:
+                hg = comp[(h, g)]
+                if [comp[(h, gf)] for gf in gfs] != [comp[(hg, f)] for f in fs]:
+                    return False
+        return True
+
+    def _check_every_triple(self):
+        """Raise AssociativityViolation at the first composable triple, in
+        the order h, g, f, that does not associate."""
+        comp, into = self._composition, self._into
         for h in self.mor_tokens:
             for g in into[self._dom[h]]:
                 hg = comp[(h, g)]
                 for f in into[self._dom[g]]:
                     if comp[(h, comp[(g, f)])] != comp[(hg, f)]:
                         raise AssociativityViolation((h, g, f))
-        self._checked = True
-        if self._op is not None:
-            self._op._checked = True
-        return self
+
+    @property
+    def generators(self):
+        """The generating set that :meth:`check` certifies with (checking
+        first if need be), in the order it was chosen."""
+        return self.check()._generators
 
     @property
     def op(self):
@@ -179,6 +271,7 @@ class FinCategory:
                 name=(self.name + "^op") if self.name else "",
             )
             op._checked = self._checked
+            op._generators = self._generators
             op._op = self
             self._op = op
         return self._op
@@ -356,11 +449,24 @@ class FinFunctor:
         for a in src.objects:
             if mors[src.identities[a]] != tgt.identities[obs[a]]:
                 raise ShapeMismatch(("identity not preserved", a))
-        # the composable pairs (g, f) in the order of composable_pairs(); a
-        # missing composite goes through compose() for its MissingComposite
+        # with both categories checked, preserving a∘f for the generators a
+        # proves functoriality; otherwise, or if that fails, every pair
+        gens = src._generators if src._checked and tgt._checked else None
+        if gens is None or self._unpreserved(gens) is not None:
+            bad = self._unpreserved(src.mor_tokens)
+            if bad is not None:
+                raise ShapeMismatch(("composition not preserved",) + bad)
+        self._checked = True
+        return self
+
+    def _unpreserved(self, outer):
+        """The first composable pair (g, f), g from ``outer`` and f in the
+        source's order, whose composite the functor does not preserve; a
+        missing composite goes through compose() for its MissingComposite."""
+        src, tgt, mors = self.source, self.target, self._on_morphisms
         scomp, tcomp = src._composition, tgt._composition
         sdom, into = src._dom, src._into
-        for g in src.mor_tokens:
+        for g in outer:
             mg = mors[g]
             for f in into.get(sdom[g], ()):
                 try:
@@ -373,9 +479,8 @@ class FinFunctor:
                 except KeyError:
                     image = tgt.compose(mg, mf)
                 if mgf != image:
-                    raise ShapeMismatch(("composition not preserved", g, f))
-        self._checked = True
-        return self
+                    return g, f
+        return None
 
     def __eq__(self, other):
         if not isinstance(other, FinFunctor):

@@ -8,9 +8,12 @@ kind of compatible family in the engine (Ran extensions, cones, functors,
 lax morphisms); it refuses a search that visits more than ``SEARCH_NODE_CAP``
 nodes.
 
-A :class:`SetDiagram` is immutable once built (its sets and functions are
-read-only views) and validated at most once; its check compares mappings
-element by element instead of building composite functions.
+A :class:`FinSet` answers membership from a frozenset, and a
+:class:`FinFunction`'s ``mapping`` is a read-only view.  A :class:`SetDiagram`
+is immutable once built (its sets and functions are read-only views) and
+validated at most once; its check compares mappings element by element
+instead of building composite functions, and over a checked shape only for
+the shape's generators (see :mod:`fibrelab.fincat`).
 """
 from __future__ import annotations
 
@@ -54,12 +57,17 @@ class UnionFind:
 
 @dataclass(frozen=True)
 class FinSet:
+    """A finite set: its elements in order, with a frozenset for membership."""
+
     elements: tuple
+    _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elements = tuple(self.elements)
+        members = frozenset(elements)
         object.__setattr__(self, "elements", elements)
-        if len(set(elements)) != len(elements):
+        object.__setattr__(self, "_members", members)
+        if len(members) != len(elements):
             seen = set()
             for e in elements:
                 if e in seen:
@@ -70,27 +78,34 @@ class FinSet:
         return len(self.elements)
 
     def __contains__(self, x):
-        return x in self.elements
+        try:
+            return x in self._members
+        except TypeError:  # an unhashable value is no element
+            return False
 
     def __iter__(self):
         return iter(self.elements)
 
 
 class FinFunction:
+    """A function between finite sets; ``mapping`` is a read-only view."""
+
     def __init__(self, source, target, mapping):
         self.source = source
         self.target = target
-        self.mapping = dict(mapping)
+        self._mapping = dict(mapping)
+        self.mapping = MappingProxyType(self._mapping)
 
     def __call__(self, x):
-        return self.mapping[x]
+        return self._mapping[x]
 
     def check(self):
+        mapping, target = self._mapping, self.target
         for x in self.source:
-            if x not in self.mapping:
+            if x not in mapping:
                 raise ShapeMismatch(("partial function", x))
-            if self.mapping[x] not in self.target:
-                raise ShapeMismatch(("image outside target", x, self.mapping[x]))
+            if mapping[x] not in target:
+                raise ShapeMismatch(("image outside target", x, mapping[x]))
         return self
 
     def then(self, other):
@@ -105,11 +120,11 @@ class FinFunction:
         return (
             self.source == other.source
             and self.target == other.target
-            and self.mapping == other.mapping
+            and self._mapping == other._mapping
         )
 
     def __repr__(self):
-        return "FinFunction(%r)" % (self.mapping,)
+        return "FinFunction(%r)" % (self._mapping,)
 
 
 def identity_function(s):
@@ -151,34 +166,47 @@ class SetDiagram:
         # every function is now total on its source, so two mappings on the
         # same source are equal iff they are the same size and agree on it
         for a in sh.objects:
-            mapping, elements = fns[sh.identities[a]].mapping, sets[a]
+            mapping, elements = fns[sh.identities[a]]._mapping, sets[a]
             if len(mapping) != len(elements):
                 raise ShapeMismatch(("identity not preserved", a))
             for x in elements:
                 if x not in mapping or mapping[x] != x:
                     raise ShapeMismatch(("identity not preserved", a))
+        # over a checked shape, X(a∘f) = X(a)∘X(f) for its generators a
+        # proves functoriality; otherwise, or if that fails, every pair
+        gens = sh._generators if sh._checked else None
+        if gens is None or self._unpreserved(gens) is not None:
+            bad = self._unpreserved(sh.mor_tokens)
+            if bad is not None:
+                raise ShapeMismatch(("composition not preserved",) + bad)
+        self._checked = True
+        return self
+
+    def _unpreserved(self, outer):
+        """The first composable pair (g, f), g from ``outer`` and f in the
+        shape's order, whose composite the diagram does not preserve."""
+        sh, fns = self.shape, self._functions
         comp, dom, into = sh._composition, sh._dom, sh._into
-        for g in sh.mor_tokens:
+        for g in outer:
             gn = fns[g]
-            gm = gn.mapping
+            gm = gn._mapping
             for f in into.get(dom[g], ()):
                 try:
                     gf = comp[(g, f)]
                 except KeyError:
                     gf = sh.compose(g, f)
                 h, fn = fns[gf], fns[f]
-                hm, fm, source, target = h.mapping, fn.mapping, fn.source, gn.target
+                hm, fm, source, target = h._mapping, fn._mapping, fn.source, gn.target
                 if (
                     (h.source is not source and h.source != source)
                     or (h.target is not target and h.target != target)
                     or len(hm) != len(source)
                 ):
-                    raise ShapeMismatch(("composition not preserved", g, f))
+                    return g, f
                 for x in source:
                     if hm[x] != gm[fm[x]]:
-                        raise ShapeMismatch(("composition not preserved", g, f))
-        self._checked = True
-        return self
+                        return g, f
+        return None
 
     def __eq__(self, other):
         if not isinstance(other, SetDiagram):

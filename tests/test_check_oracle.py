@@ -468,3 +468,160 @@ def test_maps_are_frozen():
             view[key] = value
         with pytest.raises(TypeError):
             del view[key]
+
+
+# -- the generator certificate ------------------------------------------------
+#
+# Over checked categories the new checks compare a∘f only for the generators
+# a of the source (or shape).  Over an unchecked source they must run every
+# pair, since Light's induction needs associativity, and keep the old witness.
+
+def _non_associative_copy(rng, c):
+    """An unchecked copy of ``c`` with one composite of two non-identities
+    moved to a parallel morphism (so only associativity can fail)."""
+    pairs = [
+        (g, f)
+        for g, f in c.composition
+        if not c.is_identity(g)
+        and not c.is_identity(f)
+        and len(c.hom(c.dom(f), c.cod(g))) > 1
+    ]
+    table = dict(c.composition)
+    g, f = rng.choice(pairs)
+    table[(g, f)] = rng.choice(
+        [m for m in c.hom(c.dom(f), c.cod(g)) if m != table[(g, f)]]
+    )
+    return FinCategory(c.objects, c.morphisms, c.identities, table)
+
+
+def _with_parallel_composites(rng):
+    return rng.choice([
+        CATS["S3"],
+        CATS["Z3"],
+        product(CATS["Z2"], CATS["Z3"]),
+        product(CATS["S3"], CATS["TWO"]),
+        groth_co(DIAGS["semidirect"]).total,
+    ])
+
+
+def _functor_from_a_non_associative_source(rng):
+    c = _with_parallel_composites(rng)
+    broken = _non_associative_copy(rng, c)
+    fun = rng.choice([
+        identity_functor(c),
+        constant_functor(c, CATS["ONE"], "*"),
+        *([groth_co(DIAGS["semidirect"]).projection]
+          if c.objects == groth_co(DIAGS["semidirect"]).total.objects else []),
+    ])
+    return FinFunctor(broken, fun.target, fun.on_objects, fun.on_morphisms)
+
+
+def _set_diagram_on_a_non_associative_shape(rng):
+    c = _with_parallel_composites(rng)
+    x = random_set_diagram(rng, c)
+    return SetDiagram(_non_associative_copy(rng, c), x.sets, x.functions)
+
+
+def _outer_loops(monkeypatch, owner):
+    """The ``outer`` argument of every _unpreserved call, as a tuple."""
+    calls = _count_calls(monkeypatch, owner, "_unpreserved")
+    return lambda: [tuple(args[1]) for args in calls]
+
+
+@pytest.mark.parametrize(
+    "make, owner, oracle",
+    [
+        (_functor_from_a_non_associative_source, FinFunctor, oracle_functor_check),
+        (_set_diagram_on_a_non_associative_shape, SetDiagram,
+         oracle_set_diagram_check),
+    ],
+    ids=["functor", "set diagram"],
+)
+def test_a_non_associative_source_takes_the_full_loop(
+    monkeypatch, make, owner, oracle
+):
+    outers = _outer_loops(monkeypatch, owner)
+    failures = 0
+    for seed in range(40):
+        obj = make(random.Random(seed))
+        source = obj.source if owner is FinFunctor else obj.shape
+        fresh = (fresh_functor(obj) if owner is FinFunctor
+                 else SetDiagram(obj.shape, obj.sets, obj.functions))
+        before = len(outers())
+        new, old = outcome(lambda o: o.check(), obj), outcome(oracle, fresh)
+        assert new == old, seed
+        failures += new != ("pass",)
+        assert outers()[before:] == [source.mor_tokens], seed
+    assert failures >= 10
+
+
+def test_generators_alone_would_miss_a_non_associative_source():
+    """Why the certificate needs a checked source: on broken S3 tables the
+    pairs with a generator outside can all be preserved while another pair
+    is not, and only the full loop finds it."""
+    missed = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        s3 = CATS["S3"]
+        broken = _non_associative_copy(rng, s3)
+        fun = FinFunctor(broken, s3, {"*": "*"}, {m: m for m in s3.mor_tokens})
+        bad = fun._unpreserved(broken.mor_tokens)
+        assert bad is not None  # the moved composite is not preserved
+        missed += fun._unpreserved(broken._generating_set()) is None
+        assert outcome(lambda o: o.check(), fun) == (
+            ShapeMismatch, (("composition not preserved",) + bad,)
+        )
+    assert missed >= 5
+
+
+@pytest.mark.parametrize("kind", ["functor", "set diagram"])
+def test_checked_sources_take_the_generator_loop_only(monkeypatch, kind):
+    owner = FinFunctor if kind == "functor" else SetDiagram
+    outers = _outer_loops(monkeypatch, owner)
+    make = functor_input if kind == "functor" else set_diagram_input
+    for seed in range(30):
+        obj = make(random.Random(seed))
+        obj = (fresh_functor(obj) if kind == "functor"
+               else SetDiagram(obj.shape, obj.sets, obj.functions))
+        source = obj.source if kind == "functor" else obj.shape
+        before = len(outers())
+        assert obj.check() is obj
+        assert outers()[before:] == [source.generators], seed
+
+
+def _twisted_chain_functor():
+    """chain(4) -> chain(4) x Z2, ci<cj |-> (ci<cj, s) for c1<c3 and
+    (ci<cj, e) otherwise: the pair (c1<c3, c0<c1) comes first in the full
+    loop and breaks, but c1<c3 is no generator."""
+    c, z2 = chain(4), CATS["Z2"]
+    t = product(c, z2)
+    return FinFunctor(
+        c,
+        t,
+        {a: "(%s,*)" % a for a in c.objects},
+        {m: "(%s,%s)" % (m, "s" if m == "c1<c3" else "e") for m in c.mor_tokens},
+    )
+
+
+def _changed_mapping_diagram():
+    rng = random.Random(86)
+    return SET_DIAGRAM_CORRUPTIONS["changed mapping entry"](rng, set_diagram_input(rng))
+
+
+@pytest.mark.parametrize(
+    "make, oracle",
+    [
+        (_twisted_chain_functor, oracle_functor_check),
+        (_changed_mapping_diagram, oracle_set_diagram_check),
+    ],
+    ids=["functor", "set diagram"],
+)
+def test_a_failed_generator_test_reports_the_full_loops_first_pair(make, oracle):
+    obj = make()
+    source = obj.source if isinstance(obj, FinFunctor) else obj.shape
+    first = obj._unpreserved(source.mor_tokens)
+    # the generator loop breaks too, but at another pair
+    assert obj._unpreserved(source.generators) not in (None, first)
+    expected = (ShapeMismatch, (("composition not preserved",) + first,))
+    assert outcome(lambda o: o.check(), make()) == expected
+    assert outcome(oracle, make()) == expected

@@ -557,3 +557,31 @@ def test_grothendieck_dual_refuses_colliding_morphism_tokens(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["status"] == "invalid_input"
     assert "duplicate morphism token" in json.dumps(rep["witness"])
+
+
+@pytest.mark.parametrize(
+    "change, witness",
+    [
+        (lambda raw: raw["sets"].update({"0": [["x"]]}), "unhashable token"),
+        (lambda raw: raw.pop("sets"), "not a set-diagram description"),
+        (lambda raw: raw.pop("functions"), "not a set-diagram description"),
+        (lambda raw: raw["sets"].update({"0": 7}), "set is not a list"),
+        (lambda raw: raw["functions"].update({"a": 7}), "function is not a mapping"),
+    ],
+    ids=["list element", "no sets", "no functions", "number set", "number function"],
+)
+def test_colimit_set_rejects_malformed_set_diagrams(tmp_path, capsys, change, witness):
+    raw = {
+        "shape": fixtures.all_categories()["TWO"].to_dict(),
+        "sets": {"0": ["x"], "1": ["y"]},
+        "functions": {"a": {"x": "y"}},
+    }
+    change(raw)
+    p = tmp_path / "x.json"
+    p.write_text(json.dumps(raw))
+    for argv in (["colimit-set", str(p)], ["colimit-set", "--dual", str(p)]):
+        code, out = run(capsys, "--no-timing", *argv)
+        assert code == 2
+        rep = json.loads(out)
+        assert rep["status"] == "invalid_input"
+        assert witness in rep["witness"]["error"]

@@ -358,3 +358,185 @@ def test_check_memo_and_frozen_tables():
     for _ in range(2):
         with pytest.raises(MissingComposite):
             bad.check()
+
+
+# -- the generator certificate of associativity ---------------------------------
+#
+# check() proves associativity by Light's test over a generating set and runs
+# the full triple loop above only to name a witness.  The greedy choice of
+# that set is re-derived here by brute force, the closure is recomputed to a
+# fixpoint, and oracle_check stays the judge of every corrupted table.
+
+
+def oracle_closure(c, gens):
+    """The identities and ``gens``, closed under m -> a∘m for a in gens."""
+    reached = {c.id_of(a) for a in c.objects} | set(gens)
+    while True:
+        new = {
+            c.compose(a, m) for a in gens for m in reached if c.cod(m) == c.dom(a)
+        } - reached
+        if not new:
+            return reached
+        reached |= new
+
+
+def oracle_generating_set(c):
+    """Indecomposable non-identities in declaration order, then each
+    morphism, in declaration order, that the closure so far misses."""
+    ids = {c.id_of(a) for a in c.objects}
+    composites = {
+        c.compose(g, f)
+        for g, f in oracle_composable_pairs(c)
+        if g not in ids and f not in ids
+    }
+    gens = [m for m in c.mor_tokens if m not in ids and m not in composites]
+    reached = oracle_closure(c, gens)
+    for m in c.mor_tokens:
+        if m not in reached:
+            gens.append(m)
+            reached = oracle_closure(c, gens)
+    return tuple(gens)
+
+
+def _fresh(c):
+    return FinCategory(c.objects, c.morphisms, c.identities, c.composition)
+
+
+def _assert_generating_set(c):
+    fresh = _fresh(c)
+    gens = fresh.generators
+    assert gens == oracle_generating_set(c)
+    assert oracle_closure(c, gens) == set(c.mor_tokens)
+    # the opposite shares the set, and the set generates it too
+    assert fresh.op.generators is gens
+    assert oracle_closure(fresh.op, gens) == set(c.mor_tokens)
+    return gens
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_generating_set_matches_the_oracle_and_generates(seed):
+    _assert_generating_set(_random_category(random.Random(seed)))
+
+
+@pytest.mark.parametrize("name", sorted(CATS))
+def test_fixture_generating_sets(name):
+    _assert_generating_set(CATS[name])
+
+
+def test_generating_sets_beyond_indecomposables():
+    from fibrelab.randgen import chain
+
+    # a group has no indecomposables; S3 is not cyclic, so it needs two
+    s3 = CATS["S3"]
+    gens = _assert_generating_set(s3)
+    assert len(gens) == 2 and gens[0] == next(
+        m for m in s3.mor_tokens if not s3.is_identity(m)
+    )
+    # an idempotent is decomposable (e = e∘e) and generates only itself
+    idem = category(["*"], [("1", "*", "*"), ("e", "*", "*")], {"*": "1"},
+                    {("e", "e"): "e"})
+    assert _assert_generating_set(idem) == ("e",)
+    # a chain is generated by its successor arrows, a product of chains by
+    # the arrows that move one coordinate one step
+    c5 = chain(5)
+    assert _assert_generating_set(c5) == tuple(
+        t for t, d, e in c5.morphisms if int(e[1:]) == int(d[1:]) + 1
+    )
+    assert len(_assert_generating_set(product(chain(3), chain(4)))) == 2 * 4 + 3 * 3
+
+
+def test_op_built_before_check_receives_the_generating_set():
+    c = _fresh(CATS["S3"])
+    op = c.op
+    assert op._generators is None
+    c.check()
+    assert op.generators is c.generators
+    # and checking the opposite first hands the set back
+    d = _fresh(CATS["PUSH3"])
+    assert d.op.generators is d.generators
+
+
+def _parallel_composites(c):
+    """Composable pairs of non-identities whose composite has a parallel."""
+    return [
+        (g, f)
+        for g, f in c.composition
+        if not c.is_identity(g)
+        and not c.is_identity(f)
+        and len(c.hom(c.dom(f), c.cod(g))) > 1
+    ]
+
+
+def _break_associativity(rng, c):
+    """An unchecked copy of ``c`` with one composite of two non-identities
+    moved to a parallel morphism: endpoints and identity laws still hold, so
+    only associativity can fail."""
+    table = dict(c.composition)
+    g, f = rng.choice(_parallel_composites(c))
+    table[(g, f)] = rng.choice(
+        [m for m in c.hom(c.dom(f), c.cod(g)) if m != table[(g, f)]]
+    )
+    return FinCategory(c.objects, c.morphisms, c.identities, table)
+
+
+def _with_parallel_composites(rng):
+    from fibrelab.grothendieck import groth_co
+
+    cats = [
+        CATS["S3"],
+        CATS["Z3"],
+        product(CATS["Z2"], CATS["Z3"]),
+        product(CATS["S3"], CATS["TWO"]),
+        groth_co(fixtures.all_cat_diagrams()["semidirect"]).total,
+    ]
+    c = _random_category(rng)
+    return c if _parallel_composites(c) else rng.choice(cats)
+
+
+def _associativity_outcomes(seed):
+    rng = random.Random(seed)
+    c = _break_associativity(rng, _with_parallel_composites(rng))
+    new, old = _outcome(FinCategory.check, c), _outcome(oracle_check, _fresh(c))
+    assert new == old
+    # Light's test alone decides: it fails exactly when some triple does
+    light = _fresh(c)._associative_at(oracle_generating_set(c))
+    assert light == (old is None)
+    return new
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_associativity_corruptions_agree_with_brute_force(seed):
+    _associativity_outcomes(seed)
+
+
+def test_associativity_corruptions_are_caught():
+    outcomes = [_associativity_outcomes(seed) for seed in range(60)]
+    violations = [o for o in outcomes if o is not None]
+    assert len(violations) >= 30
+    assert all(cls is AssociativityViolation for cls, _ in violations)
+
+
+def test_check_work_grows_with_the_generators_not_the_triples(monkeypatch):
+    """On chain(n) the composable triples grow as n**4 / 24 and Light's
+    test over the n - 1 successor arrows as n**3 / 6: doubling n multiplies
+    the composition lookups of a check by about 8, not 16."""
+    from fibrelab.randgen import chain
+
+    class CountingTable(dict):
+        lookups = 0
+
+        def __getitem__(self, key):
+            self.lookups += 1
+            return dict.__getitem__(self, key)
+
+    def lookups(n):
+        c = _fresh(chain(n))
+        table = CountingTable(c._composition)
+        monkeypatch.setattr(c, "_composition", table)
+        c.check()
+        return table.lookups
+
+    small, large = lookups(12), lookups(24)
+    assert large / small < 11

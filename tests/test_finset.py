@@ -233,3 +233,58 @@ def test_huge_limit_is_refused():
     )
     with pytest.raises(ResourceExceeded):
         limit_set(x)
+
+
+class _CountedToken:
+    """A set element whose equality tests are counted."""
+
+    comparisons = 0
+
+    def __init__(self, n):
+        self.n = n
+
+    def __hash__(self):
+        return hash(self.n)
+
+    def __eq__(self, other):
+        _CountedToken.comparisons += 1
+        return isinstance(other, _CountedToken) and self.n == other.n
+
+
+def _comparisons_to_check(n):
+    """Equality tests made by checking a function on n elements whose images
+    are equal copies (not the same objects) of the target's last element."""
+    elements = FinSet(tuple(_CountedToken(i) for i in range(n)))
+    fn = FinFunction(elements, elements, {x: _CountedToken(n - 1) for x in elements})
+    _CountedToken.comparisons = 0
+    fn.check()
+    return _CountedToken.comparisons
+
+
+def test_function_check_is_linear_in_the_set_size():
+    # a membership scan of the elements would make this ratio 16
+    small, large = _comparisons_to_check(200), _comparisons_to_check(800)
+    assert small >= 200
+    assert large / small <= 5
+
+
+def test_function_mapping_is_frozen():
+    from fibrelab.randgen import random_set_diagram
+    import random
+
+    x = random_set_diagram(random.Random(1), CATS["TWO"]).check()
+    fn = x.fn("a")
+    k = next(iter(fn.source))
+    before = fn(k)
+    with pytest.raises(TypeError):
+        fn.mapping[k] = "ghost"
+    with pytest.raises(TypeError):
+        del fn.mapping[k]
+    assert x.check() is x and x.fn("a")(k) == before
+
+
+def test_membership_of_an_unhashable_value_is_false():
+    assert ["x"] not in FinSet(("x",))
+    with pytest.raises(Exception) as info:
+        FinFunction(FinSet(("x",)), FinSet(("y",)), {"x": ["y"]}).check()
+    assert info.value.args == (("image outside target", "x", ["y"]),)
