@@ -24,6 +24,7 @@ from .errors import (
     BoundExceeded,
     DanglingToken,
     FibrelabError,
+    NonFunctorialDiagram,
     ResourceExceeded,
     ShapeMismatch,
 )
@@ -90,12 +91,17 @@ def load_category(raw):
     return validate_category(raw)
 
 
-def load_functor(raw):
-    keys = ("source", "target", "on_objects", "on_morphisms")
+def _require_mappings(raw, keys, *what):
+    """Refuse ``raw`` unless it maps each of ``keys`` to a mapping."""
     fields = raw if isinstance(raw, dict) else {}
     bad = [k for k in keys if not isinstance(fields.get(k), dict)]
     if bad:
-        raise DanglingToken(("not a functor description", bad))
+        raise DanglingToken(what + (bad,))
+
+
+def load_functor(raw):
+    keys = ("source", "target", "on_objects", "on_morphisms")
+    _require_mappings(raw, keys, "not a functor description")
     src = load_category(raw["source"])
     tgt = load_category(raw["target"])
     _require_hashable(raw["on_objects"].values())
@@ -107,10 +113,7 @@ def load_functor(raw):
 
 def load_set_diagram(raw):
     keys = ("shape", "sets", "functions")
-    fields = raw if isinstance(raw, dict) else {}
-    bad = [k for k in keys if not isinstance(fields.get(k), dict)]
-    if bad:
-        raise DanglingToken(("not a set-diagram description", bad))
+    _require_mappings(raw, keys, "not a set-diagram description")
     shape = load_category(raw["shape"])
     objects = set(shape.objects)
     for a in raw["sets"]:
@@ -158,14 +161,27 @@ def set_diagram_to_json(x):
 
 
 def load_cat_diagram(raw):
+    _require_mappings(raw, ("base", "fibres"), "not a cat-diagram description")
+    specs = raw.get("transitions", {})
+    if not isinstance(specs, dict):
+        raise DanglingToken(("not a cat-diagram description", ["transitions"]))
     base = load_category(raw["base"])
     fibres = {a: load_category(v) for a, v in raw["fibres"].items()}
+    for a in base.objects:
+        if a not in fibres:
+            raise NonFunctorialDiagram(("missing fibre", a))
     variance = raw.get("variance", "covariant")
     transitions = {}
-    for u, spec in raw.get("transitions", {}).items():
+    for u, spec in specs.items():
+        if not base.has_mor(u):
+            raise DanglingToken(("transition for undeclared morphism", u))
         if spec == "id":
             transitions[u] = "id"
             continue
+        keys = ("on_objects", "on_morphisms")
+        _require_mappings(spec, keys, "not a transition description", u)
+        _require_hashable(spec["on_objects"].values())
+        _require_hashable(spec["on_morphisms"].values())
         src, tgt = (
             (base.dom(u), base.cod(u))
             if variance == "covariant"
@@ -460,13 +476,7 @@ def _formula_command(args, run):
     started = time.time()
     try:
         report = run()
-    except BoundExceeded as exc:
-        return _finish(
-            args,
-            resource_exceeded(args.command, {"error": str(exc)}),
-            started,
-        )
-    except ResourceExceeded as exc:
+    except (BoundExceeded, ResourceExceeded) as exc:
         return _finish(
             args,
             resource_exceeded(args.command, {"error": str(exc)}),
@@ -753,6 +763,23 @@ def build_parser():
     return parser
 
 
+def _refuse(args, status, witness):
+    sys.stdout.write(
+        json.dumps(
+            {
+                "format": "fibrelab/1",
+                "check_name": args.command,
+                "status": status,
+                "witness": witness,
+            },
+            indent=2,
+            sort_keys=True,
+        )
+        + "\n"
+    )
+    return EXIT_CODES[status]
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -760,21 +787,14 @@ def main(argv=None):
         if getattr(args, "bound", 0) < 0:
             raise FibrelabError(("negative --bound", args.bound))
         return args.fn(args)
-    except (FibrelabError, AssertionError) as exc:
-        sys.stdout.write(
-            json.dumps(
-                {
-                    "format": "fibrelab/1",
-                    "check_name": args.command,
-                    "status": "invalid_input",
-                    "witness": {"error": str(exc)},
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
+    except BoundExceeded as exc:
+        return _refuse(
+            args, "resource_exceeded", {"error": str(exc), "trace": exc.trace}
         )
-        return 2
+    except ResourceExceeded as exc:
+        return _refuse(args, "resource_exceeded", {"error": str(exc)})
+    except (FibrelabError, AssertionError) as exc:
+        return _refuse(args, "invalid_input", {"error": str(exc)})
     except FileNotFoundError as exc:
         sys.stdout.write("missing input file: %s\n" % exc.filename)
         return 2

@@ -23,13 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import (
-    DanglingToken,
     HomBijectionFailure,
     NoBaseLimit,
     NoFibreLimit,
     NonFunctorialTransition,
     NotAMorphism,
-    ShapeMismatch,
     SplitLawViolation,
     SquareNotCommuting,
     TerminalityFailure,
@@ -851,39 +849,64 @@ class DiagOfFunctor:
 
 
 def enumerate_functors(i_cat, j_cat):
-    """All functors I -> J, by exhaustive search: object maps that give
-    every non-identity morphism a nonempty hom-set, then morphism maps
-    that preserve composition."""
-    objs = list(i_cat.objects)
-    mors = [m for m in i_cat.mor_tokens if not i_cat.is_identity(m)]
-    variables = mors + [i_cat.id_of(a) for a in objs]
-    hom_exists = [
-        ((i_cat.dom(m), i_cat.cod(m)), lambda a, b: bool(j_cat.hom(a, b)))
-        for m in mors
-    ]
-    preserves = [
-        ((g, h, i_cat.compose(g, h)), lambda g2, h2, gh2: j_cat.compose(g2, h2) == gh2)
-        for g, h in i_cat.composable_pairs()
-    ]
-    out = []
-    object_pools = {a: j_cat.objects for a in objs}
-    for ob_combo in search(objs, forward_check(object_pools, hom_exists)):
-        on_objects = dict(zip(objs, ob_combo))
-        pools = {
-            m: j_cat.hom(on_objects[i_cat.dom(m)], on_objects[i_cat.cod(m)])
-            for m in mors
-        }
-        for a in objs:
-            pools[i_cat.id_of(a)] = [j_cat.id_of(on_objects[a])]
-        for mor_combo in search(variables, forward_check(pools, preserves)):
-            on_morphisms = dict(zip(variables, mor_combo))
-            try:
-                out.append(
-                    FinFunctor(i_cat, j_cat, on_objects, on_morphisms).check()
-                )
-            except (DanglingToken, ShapeMismatch):
-                continue
-    return out
+    """All functors I -> J, each checked, ordered by the indices of the
+    object images in J's objects, then by those of the images of I's
+    non-identities in their hom-sets (the order of I's tokens).
+
+    A functor is fixed by its images of the generators of I
+    (:attr:`FinCategory.generators`).  One search assigns the objects of I,
+    each generator right after both of its endpoints, with the hom-set
+    between its endpoints' images as its candidates, so an empty hom-set
+    prunes.  An assignment extends along :attr:`FinCategory.factorization`,
+    F(a∘r) := F(a)∘F(r), to the only candidate functor it admits, and the
+    candidate is kept iff the generator test of :meth:`FinFunctor.check`
+    (:meth:`FinFunctor.certified`) passes: that certifies functoriality, and
+    a rejected candidate costs one generator test."""
+    i_cat.check()
+    j_cat.check()
+    objs = i_cat.objects
+    position = {a: n for n, a in enumerate(objs)}
+    after = {a: [] for a in objs}
+    for g in i_cat.generators:
+        last = max(i_cat.dom(g), i_cat.cod(g), key=position.__getitem__)
+        after[last].append((1, g))
+    variables = []
+    for a in objs:
+        variables.append((0, a))
+        variables.extend(after[a])
+
+    def candidates(var, partial):
+        kind, x = var
+        if kind == 0:
+            return j_cat.objects
+        return j_cat.hom(partial[(0, i_cat.dom(x))], partial[(0, i_cat.cod(x))])
+
+    non_ids = [m for m in i_cat.mor_tokens if not i_cat.is_identity(m)]
+    ids = [i_cat.id_of(a) for a in objs]
+    order = non_ids + ids
+    factors = i_cat.factorization
+    j_ids, j_comp = j_cat.identities, j_cat.composition
+    ob_pos = {b: n for n, b in enumerate(j_cat.objects)}
+    hom_pos = {}
+    for t, d, c in j_cat.morphisms:
+        if t not in hom_pos:
+            hom_pos.update((m, n) for n, m in enumerate(j_cat.hom(d, c)))
+    keyed = []
+    for combo in search(variables, candidates):
+        on_objects, images = {}, {}
+        for (kind, x), v in zip(variables, combo):
+            (images if kind else on_objects)[x] = v
+        for a, i in zip(objs, ids):
+            images[i] = j_ids[on_objects[a]]
+        for m, a, r in factors:
+            images[m] = j_comp[(images[a], images[r])]
+        fun = FinFunctor(i_cat, j_cat, on_objects, {m: images[m] for m in order})
+        if fun.certified():
+            key = [ob_pos[on_objects[a]] for a in objs]
+            key.extend(hom_pos[images[m]] for m in non_ids)
+            keyed.append((key, fun))
+    keyed.sort(key=lambda kf: kf[0])
+    return [fun for _, fun in keyed]
 
 
 def natural_families(e, shape, pools, top, bottom):

@@ -34,6 +34,10 @@ F(a)∘F(m)∘F(f) = F(a∘m)∘F(f).  The generator test only proves a pass ear
 when it fails, or a source is unchecked, the loop over every composable
 triple or pair runs and names the first witness in its order.  ``c.op``
 shares the set, since A generates C^op once C is associative.
+:attr:`FinCategory.factorization` writes every other non-identity as a∘r
+with a in A, so a functor is fixed by its images of A, and
+:meth:`FinFunctor.certified` is the check without that fall-back: an
+enumerator of functors rejects a candidate with one generator test.
 
 Duality goes through the ``op`` properties.  ``c.op`` is built on first use
 and cached: the same tokens in the same order, dom and cod swapped, the
@@ -90,6 +94,7 @@ class FinCategory:
         self._into = {k: tuple(v) for k, v in into.items()}
         self._checked = False
         self._generators = None
+        self._factorization = None
         self._op = None
 
     # -- accessors ----------------------------------------------------------
@@ -260,6 +265,30 @@ class FinCategory:
         return self.check()._generators
 
     @property
+    def factorization(self):
+        """Triples (m, a, r) with m = a∘r and a a generator, one for each
+        non-identity m that is no generator, in an order where r is a
+        generator or comes earlier: the generator closure replayed.  Built
+        on first use (checking first if need be) and cached."""
+        if self._factorization is None:
+            comp, dom, cod = self._composition, self._dom, self._cod
+            gens = self.generators
+            gens_out = {}
+            for a in gens:
+                gens_out.setdefault(dom[a], []).append(a)
+            known = {*self._identity_tokens, *gens}
+            work, factors = list(gens), []
+            for r in work:
+                for a in gens_out.get(cod[r], ()):
+                    m = comp[(a, r)]
+                    if m not in known:
+                        known.add(m)
+                        factors.append((m, a, r))
+                        work.append(m)
+            self._factorization = tuple(factors)
+        return self._factorization
+
+    @property
     def op(self):
         """The opposite category, built on first use and cached."""
         if self._op is None:
@@ -425,8 +454,22 @@ class FinFunctor:
         )
 
     def check(self):
+        if not self.certified():
+            bad = self._unpreserved(self.source.mor_tokens)
+            if bad is not None:
+                raise ShapeMismatch(("composition not preserved",) + bad)
+            self._checked = True
+        return self
+
+    def certified(self):
+        """Whether the generator test alone proves the functor: the maps
+        are validated first (a broken one raises as in :meth:`check`), then,
+        with source and target checked, a∘f preserved for the source's
+        generators a.  A pass is recorded.  False means :meth:`check` would
+        run its loop over every pair; between checked categories it means
+        that the maps are no functor."""
         if self._checked:
-            return self
+            return True
         src, tgt = self.source, self.target
         obs, mors = self._on_objects, self._on_morphisms
         target_objects = set(tgt.objects)
@@ -450,14 +493,13 @@ class FinFunctor:
             if mors[src.identities[a]] != tgt.identities[obs[a]]:
                 raise ShapeMismatch(("identity not preserved", a))
         # with both categories checked, preserving a∘f for the generators a
-        # proves functoriality; otherwise, or if that fails, every pair
-        gens = src._generators if src._checked and tgt._checked else None
-        if gens is None or self._unpreserved(gens) is not None:
-            bad = self._unpreserved(src.mor_tokens)
-            if bad is not None:
-                raise ShapeMismatch(("composition not preserved",) + bad)
+        # proves functoriality
+        if not (src._checked and tgt._checked):
+            return False
+        if self._unpreserved(src._generators) is not None:
+            return False
         self._checked = True
-        return self
+        return True
 
     def _unpreserved(self, outer):
         """The first composable pair (g, f), g from ``outer`` and f in the

@@ -14,7 +14,7 @@ from .catcolim import (
     comparison_q,
 )
 from .diagcat import colimit_in_diag
-from .errors import IllFormedComparison, NonFunctorialFamily
+from .errors import IllFormedComparison, NonFunctorialFamily, ShapeMismatch
 from .fincat import FinFunctor, identity_functor, opposite, pair_token
 from .finset import (
     FinFunction,
@@ -147,6 +147,12 @@ def _restrictions(phi, x, cocone):
 
 # -- Colimit Decomposition Formula -------------------------------------------
 
+def _require_shape(x, shape, message):
+    """Refuse a set diagram that does not live on ``shape``."""
+    if x.shape != shape:
+        raise ShapeMismatch((message,))
+
+
 def check_cdf(phi, x, bound=DEFAULT_BOUND, kres=None, seed=None):
     """colim over K of X versus the D-colimit of the fibre-wise colimits of
     the restrictions X∘K_d, compared by the canonical class map."""
@@ -154,7 +160,7 @@ def check_cdf(phi, x, bound=DEFAULT_BOUND, kres=None, seed=None):
     if kres is None:
         kres = colimit_cat(phi, bound)
     x.check()
-    assert x.shape == kres.colimit, "X must live on the glued shape"
+    _require_shape(x, kres.colimit, "X must live on the glued shape")
     lhs = colimit_set(x)
     family = DiagFamily(phi.shape, *_restrictions(phi, x, kres.cocone))
 
@@ -171,7 +177,7 @@ def check_limit_recomposition(phi, x, bound=DEFAULT_BOUND, kres=None, seed=None)
     if kres is None:
         kres = colimit_cat(phi, bound)
     x.check()
-    assert x.shape == kres.colimit
+    _require_shape(x, kres.colimit, "X must live on the glued shape")
     lhs = limit_set(x)
     family = BackwardFamily(
         opposite(phi.shape), *_restrictions(phi, x, kres.cocone)
@@ -259,7 +265,7 @@ def check_tfcf(phi, t, seed=None):
     phi.check()
     gr = groth_co(phi)
     t.check()
-    assert t.shape == gr.total, "T must live on the total category"
+    _require_shape(t, gr.total, "T must live on the total category")
     lhs = colimit_set(t)
 
     def leg(d, i, el):
@@ -289,7 +295,7 @@ def check_twisted_limit(phi, t, seed=None):
     phi.check()
     gr = groth_contra(phi)
     t.check()
-    assert t.shape == gr.total
+    _require_shape(t, gr.total, "T must live on the total category")
     lhs = limit_set(t)
 
     def value(fam, d, i):
@@ -470,7 +476,7 @@ def backward_hat(phi, t):
     """The backward family of a diagram on a contravariant total category:
     member d ↦ T∘J_d with ψ^u_j = T(θ^u_j)."""
     gr = groth_contra(phi)
-    assert t.shape == gr.total
+    _require_shape(t, gr.total, "T must live on the total category")
     return _backward_hat(t, gr).check()
 
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from fibrelab import fixtures, grothendieck
 from fibrelab.errors import DanglingToken, NonFunctorialDiagram, ShapeMismatch
+from fibrelab.fibrations import enumerate_functors
 from fibrelab.fincat import (
     FinCategory,
     FinFunctor,
@@ -421,6 +422,16 @@ def test_second_functor_check_does_no_composition_work(monkeypatch):
     assert fun.check() is fun
     assert _work(tables, composes) == first
     assert composes == []
+
+
+def test_second_check_of_an_enumerated_functor_does_no_work(monkeypatch):
+    src, tgt = groth_co(DIAGS["semidirect"]).total, CATS["S3"]
+    found = enumerate_functors(src, tgt)
+    assert found
+    tables = _count_lookups(monkeypatch, [src, tgt])
+    composes = _count_calls(monkeypatch, FinCategory, "compose")
+    assert all(f.check() is f for f in found)
+    assert _work(tables, composes) == 0
 
 
 def test_second_set_diagram_check_does_no_composition_work(monkeypatch):

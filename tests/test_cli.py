@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from fibrelab import fixtures
+from fibrelab import cli, finset, fixtures
 from fibrelab.cli import cat_diagram_to_json, main, set_diagram_to_json
+from fibrelab.errors import BoundExceeded
 
 FIXDIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "fixtures")
 
@@ -581,6 +582,99 @@ def test_colimit_set_rejects_malformed_set_diagrams(tmp_path, capsys, change, wi
     p.write_text(json.dumps(raw))
     for argv in (["colimit-set", str(p)], ["colimit-set", "--dual", str(p)]):
         code, out = run(capsys, "--no-timing", *argv)
+        assert code == 2
+        rep = json.loads(out)
+        assert rep["status"] == "invalid_input"
+        assert witness in rep["witness"]["error"]
+
+
+# -- refusals and malformed cat-diagram files ----------------------------------
+
+def _discrete(names):
+    return {
+        "objects": list(names),
+        "morphisms": [{"id": "1" + a, "dom": a, "cod": a} for a in names],
+        "identities": {a: "1" + a for a in names},
+        "composition": [],
+    }
+
+
+def test_search_refusal_reaching_main_exits_3(tmp_path, capsys, monkeypatch):
+    # Ran along abc -> ONE is the product of the three sets: 11**3 nodes
+    monkeypatch.setattr(finset, "SEARCH_NODE_CAP", 1000)
+    functor = {
+        "source": _discrete("abc"),
+        "target": _discrete("*"),
+        "on_objects": {a: "*" for a in "abc"},
+        "on_morphisms": {"1" + a: "1*" for a in "abc"},
+    }
+    diagram = {
+        "shape": _discrete("abc"),
+        "sets": {a: [str(i) for i in range(11)] for a in "abc"},
+        "functions": {},
+    }
+    f, x = tmp_path / "f.json", tmp_path / "x.json"
+    f.write_text(json.dumps(functor))
+    x.write_text(json.dumps(diagram))
+    code, out = run(
+        capsys, "--no-timing", "kan", "--dual", "--functor", str(f), "--diagram", str(x)
+    )
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["status"] == "resource_exceeded"
+    assert rep["witness"] == {"error": str(("search nodes", 1001, 1000))}
+
+
+def test_bound_refusal_reaching_main_exits_3_with_its_trace(
+    tmp_path, capsys, monkeypatch
+):
+    def refuse(phi):
+        raise BoundExceeded(("words", 11, 10), trace=[[1, 2], [2, 11]])
+
+    monkeypatch.setattr(cli, "groth_co", refuse)
+    phi = write_diagram(tmp_path, "span-push3")
+    code, out = run(capsys, "--no-timing", "grothendieck", "--phi", phi)
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["status"] == "resource_exceeded"
+    assert rep["witness"] == {
+        "error": str(("words", 11, 10)), "trace": [[1, 2], [2, 11]]
+    }
+
+
+@pytest.mark.parametrize("command", ["colimit-cat", "grothendieck"])
+def test_a_category_file_is_no_cat_diagram(command):
+    proc = _run_cli_process([command, "--phi", os.path.join(FIXDIR, "s3.json")], False)
+    assert proc.returncode == 2, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["status"] == "invalid_input"
+    assert rep["witness"]["error"] == str(
+        ("not a cat-diagram description", ["base", "fibres"])
+    )
+
+
+@pytest.mark.parametrize(
+    "change, witness",
+    [
+        (lambda raw: raw.update(fibres=["l"]), "not a cat-diagram description"),
+        (lambda raw: raw.update(transitions=["le"]), "not a cat-diagram description"),
+        (lambda raw: raw["fibres"].pop("l"), "missing fibre"),
+        (lambda raw: raw["transitions"].update(ghost="id"), "undeclared morphism"),
+        (lambda raw: raw["transitions"].update(le="F"), "not a transition description"),
+        (lambda raw: raw["transitions"]["le"].pop("on_objects"),
+         "not a transition description"),
+    ],
+    ids=["list fibres", "list transitions", "no fibre", "ghost transition",
+         "string transition", "no object map"],
+)
+def test_malformed_cat_diagrams_are_invalid_input(tmp_path, capsys, change, witness):
+    raw = json.loads(open(os.path.join(FIXDIR, "span-push3.json")).read())
+    change(raw)
+    p = tmp_path / "phi.json"
+    p.write_text(json.dumps(raw))
+    for command in ("colimit-cat", "grothendieck"):
+        code, out = run(capsys, "--no-timing", command, "--phi", str(p))
         assert code == 2
         rep = json.loads(out)
         assert rep["status"] == "invalid_input"

@@ -25,6 +25,7 @@ from fibrelab.errors import (
     DanglingToken,
     IllFormedComparison,
     ResourceExceeded,
+    ShapeMismatch,
 )
 from fibrelab.fincat import FinFunctor, opposite, product
 from fibrelab.finset import (
@@ -139,8 +140,23 @@ def test_cdf_concordance_computes_one_colimit(monkeypatch):
 def test_cdf_rejects_diagram_on_wrong_shape():
     phi = DIAGS["span-push3"]
     x = random_set_diagram(random.Random(0), CATS["PUSH3"])
-    with pytest.raises(AssertionError):
+    with pytest.raises(ShapeMismatch):
         check_cdf(phi, x)
+
+
+@pytest.mark.parametrize(
+    "check, phi",
+    [
+        (check_limit_recomposition, DIAGS["span-push3"]),
+        (check_tfcf, DIAGS["span-push3"]),
+        (check_twisted_limit, contra_two_fibres()),
+    ],
+    ids=["limit recomposition", "tfcf", "twisted limit"],
+)
+def test_formulas_reject_a_diagram_on_the_wrong_shape(check, phi):
+    x = random_set_diagram(random.Random(0), CATS["PUSH3"])
+    with pytest.raises(ShapeMismatch):
+        check(phi, x)
 
 
 def test_cdf_concordance_three_routes_agree():
