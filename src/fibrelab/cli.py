@@ -764,18 +764,14 @@ def build_parser():
 
 
 def _refuse(args, status, witness):
-    sys.stdout.write(
-        json.dumps(
-            {
-                "format": "fibrelab/1",
-                "check_name": args.command,
-                "status": status,
-                "witness": witness,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    _emit(
+        args,
+        {
+            "format": "fibrelab/1",
+            "check_name": args.command,
+            "status": status,
+            "witness": witness,
+        },
     )
     return EXIT_CODES[status]
 

@@ -849,19 +849,15 @@ class DiagOfFunctor:
 
 
 def enumerate_functors(i_cat, j_cat):
-    """All functors I -> J, each checked, ordered by the indices of the
-    object images in J's objects, then by those of the images of I's
-    non-identities in their hom-sets (the order of I's tokens).
+    """All functors I -> J, each checked, sorted by the indices of the
+    object images in J, then of the non-identity images in their hom-sets.
 
-    A functor is fixed by its images of the generators of I
-    (:attr:`FinCategory.generators`).  One search assigns the objects of I,
-    each generator right after both of its endpoints, with the hom-set
-    between its endpoints' images as its candidates, so an empty hom-set
-    prunes.  An assignment extends along :attr:`FinCategory.factorization`,
-    F(a∘r) := F(a)∘F(r), to the only candidate functor it admits, and the
-    candidate is kept iff the generator test of :meth:`FinFunctor.check`
-    (:meth:`FinFunctor.certified`) passes: that certifies functoriality, and
-    a rejected candidate costs one generator test."""
+    One search assigns the objects of I and, right after both endpoints of
+    each generator of I, its image from the hom-set between theirs.  The
+    assignment extends along :attr:`FinCategory.factorization`,
+    F(a∘r) := F(a)∘F(r), to the only candidate functor it admits, kept iff
+    :meth:`FinFunctor.certified` passes: one generator test certifies or
+    rejects it."""
     i_cat.check()
     j_cat.check()
     objs = i_cat.objects

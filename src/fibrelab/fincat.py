@@ -391,28 +391,25 @@ def validate_category(raw):
         return raw.check()
     try:
         objects = list(raw["objects"])
-        mor_raw = raw["morphisms"]
         identities = dict(raw["identities"])
         comp_raw = raw.get("composition", [])
-    except (KeyError, TypeError) as exc:
-        raise DanglingToken(("malformed description", str(exc))) from None
-    morphisms = []
-    for m in mor_raw:
-        if isinstance(m, dict):
-            morphisms.append((m["id"], m["dom"], m["cod"]))
-        else:
-            t, d, c = m
-            morphisms.append((t, d, c))
-    for tokens in (objects, identities.values(), *morphisms):
-        _require_hashable(tokens)
-    composition = {}
-    if isinstance(comp_raw, dict):
-        composition = {tuple(k.split()): v for k, v in comp_raw.items()}
-        _require_hashable(composition.values())
-    else:
+        morphisms = []
+        for m in raw["morphisms"]:
+            if isinstance(m, dict):
+                morphisms.append((m["id"], m["dom"], m["cod"]))
+            else:
+                t, d, c = m
+                morphisms.append((t, d, c))
+        if isinstance(comp_raw, dict):
+            comp_raw = [(*k.split(), gf) for k, gf in comp_raw.items()]
+        composition = {}
         for g, f, gf in comp_raw:
             _require_hashable((g, f, gf))
             composition[(g, f)] = gf
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DanglingToken(("malformed description", str(exc))) from None
+    for tokens in (objects, identities.values(), *morphisms):
+        _require_hashable(tokens)
     return category(
         objects, morphisms, identities, composition, name=raw.get("name", "")
     )

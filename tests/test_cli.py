@@ -415,6 +415,27 @@ def test_explain_rejects_garbage(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda raw: raw.update(composition=[["s"]]),
+        lambda raw: raw.update(composition={"s s s": "e"}),
+        lambda raw: raw["morphisms"].append({"id": "t"}),
+        lambda raw: raw["morphisms"].append(["t", "*"]),
+    ],
+    ids=["short entry", "long key", "record without ends", "short record"],
+)
+def test_malformed_category_records_are_invalid_input(tmp_path, capsys, change):
+    raw = fixtures.all_categories()["Z2"].to_dict()
+    change(raw)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(raw))
+    for command in ("validate", "opposite"):
+        code, out = run(capsys, "--no-timing", command, str(p))
+        assert code == 2
+        assert "malformed description" in json.loads(out)["witness"]["error"]
+
+
 def test_validate_rejects_unhashable_token(tmp_path, capsys):
     p = tmp_path / "unhashable.json"
     p.write_text(json.dumps({"objects": [["x"]], "morphisms": [], "identities": {}}))
@@ -652,6 +673,15 @@ def test_a_category_file_is_no_cat_diagram(command):
     assert rep["witness"]["error"] == str(
         ("not a cat-diagram description", ["base", "fibres"])
     )
+
+
+def test_a_refusal_made_in_main_honours_output(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    s3 = os.path.join(FIXDIR, "s3.json")
+    code, out = run(capsys, "--output", str(out_path), "colimit-cat", "--phi", s3)
+    assert code == 2
+    assert out == ""
+    assert json.loads(out_path.read_text())["status"] == "invalid_input"
 
 
 @pytest.mark.parametrize(
