@@ -24,9 +24,15 @@ from .errors import (
     BoundExceeded,
     DanglingToken,
     FibrelabError,
+    HomBijectionFailure,
+    NoBaseLimit,
+    NoFibreLimit,
     NonFunctorialDiagram,
     ResourceExceeded,
     ShapeMismatch,
+    TerminalityFailure,
+    TriangleViolation,
+    UnverifiedCleavage,
 )
 from .fincat import (
     FinFunctor,
@@ -386,6 +392,18 @@ def _cmd_check_fibration(args, direction):
     return _finish(args, report, started)
 
 
+# the errors of bifibration_check and lift_limit that report a property
+# that fails (exit 1); input errors and refusals go to main's mapping
+BIFIBRATION_FAILURES = (
+    HomBijectionFailure,
+    NoBaseLimit,
+    NoFibreLimit,
+    TerminalityFailure,
+    TriangleViolation,
+    UnverifiedCleavage,
+)
+
+
 def _cmd_bifibration(args):
     started = time.time()
     phi = load_cat_diagram(_load(args.phi))
@@ -400,7 +418,7 @@ def _cmd_bifibration(args):
         )
     try:
         witness = bifibration_check(theta, delta)
-    except FibrelabError as exc:
+    except BIFIBRATION_FAILURES as exc:
         return _finish(args, failed("bifibration", {"error": str(exc)}), started)
     return _finish(
         args,
@@ -426,7 +444,7 @@ def _cmd_lift_limit(args):
         )
     try:
         cone, report = lift_limit(theta, delta, f)
-    except FibrelabError as exc:
+    except BIFIBRATION_FAILURES as exc:
         return _finish(args, failed("lift-limit", {"error": str(exc)}), started)
     report.check_name = "lift-limit"
     report.witness = report.witness or {"apex": cone.apex}

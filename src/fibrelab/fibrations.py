@@ -2,9 +2,16 @@
 limit lifting, the free split cofibration, and the diagram category of a
 functor.
 
-Everything here is oracle-grade: cartesianness is checked by exhaustive
-filler enumeration, limits by exhaustive terminal-cone search, adjunctions
-by exhaustive hom counting.
+Everything here is certified exactly on finite data.  Cocartesianness of
+m: x -> y for a checked functor P is decided by a bijection count: m is
+cocartesian iff t ↦ (t∘m, Pt) maps the morphisms out of y one to one onto
+the pairs (h: x -> z, w: Py -> Pz) with w∘Pm = Ph, so an injectivity pass
+and a count prove a pass (:func:`is_cocartesian`); any other outcome runs
+the loop over every such pair and its fillers, which names the first pair
+without exactly one filler.  Limits are found by exhaustive terminal-cone
+search, adjunctions by exhaustive hom counting.  The fibres of P are
+extracted once, in one pass over E, and memoised on P (:func:`fibres`); a
+fibration is verified on P^op with the opposites of the same fibres.
 
 Only the cofibration side is written out.  A morphism is P-cartesian iff
 it is cocartesian for P^op (``p.op``, same tokens), and a cleavage of P is
@@ -21,6 +28,7 @@ B's own order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 from .errors import (
     HomBijectionFailure,
@@ -28,13 +36,14 @@ from .errors import (
     NoFibreLimit,
     NonFunctorialTransition,
     NotAMorphism,
+    ShapeMismatch,
     SplitLawViolation,
     SquareNotCommuting,
     TerminalityFailure,
     TriangleViolation,
     UnverifiedCleavage,
 )
-from .fincat import FinCategory, FinFunctor, compose_functor
+from .fincat import FinCategory, FinFunctor, compose_functor, group_by_cod
 from .finset import forward_check, search
 from .grothendieck import (
     CatDiagram,
@@ -47,33 +56,64 @@ from .grothendieck import (
 from .report import failed, passed
 
 
-def fibre(p, b):
-    """The fibre of P: E -> B over b: objects over b, morphisms over 1_b.
+def fibres(p):
+    """Every fibre of P: E -> B, by base object in B's order: the objects
+    over b, the morphisms over 1_b and their composites, each in E's
+    declaration order.  Tokens are reused from E, so fibre categories embed
+    literally.  One pass over E groups them; each fibre is checked, and the
+    result is memoised on P (a functor is immutable)."""
+    if p._fibres is None:
+        e, b = p.source, p.target
+        parts = {a: ([], [], {}) for a in b.objects}
+        for x in e.objects:
+            part = parts.get(p.ob(x))
+            if part is not None:
+                part[0].append(x)
+        over_id = {b.id_of(a): a for a in b.objects}
+        over = {}  # vertical morphism -> its base object
+        for t, d, c in e.morphisms:
+            a = over_id.get(p.mor(t))
+            if a is not None:
+                over[t] = a
+                parts[a][1].append((t, d, c))
+        for (g, f), gf in e.composition.items():
+            a = over.get(g)
+            if a is not None and over.get(f) == a:
+                parts[a][2][(g, f)] = gf
+        p._fibres = MappingProxyType(
+            {
+                a: FinCategory(
+                    objects, morphisms, {x: e.id_of(x) for x in objects}, composition
+                ).check()
+                for a, (objects, morphisms, composition) in parts.items()
+            }
+        )
+    return p._fibres
 
-    Tokens are reused from E, so fibre categories embed literally.
-    """
-    e = p.source
-    objects = [x for x in e.objects if p.ob(x) == b]
-    id_b = p.target.id_of(b)
-    morphisms = [(t, d, c) for t, d, c in e.morphisms if p.mor(t) == id_b]
-    mor_set = {t for t, _, _ in morphisms}
-    identities = {x: e.id_of(x) for x in objects}
-    composition = {
-        (g, f): gf
-        for (g, f), gf in e.composition.items()
-        if g in mor_set and f in mor_set
-    }
-    return FinCategory(objects, morphisms, identities, composition).check()
+
+def fibre(p, b):
+    """The fibre of P: E -> B over b: objects over b, morphisms over 1_b."""
+    return fibres(p)[b]
 
 
 def is_cartesian(p, m):
-    """Exhaustive unique-filler check for P-cartesianness of m: m is
-    cocartesian for P^op."""
+    """P-cartesianness of m: m is cocartesian for P^op."""
     return replace(is_cocartesian(p.op, m), check_name="is_cartesian")
 
 
 def is_cocartesian(p, m):
-    """Exhaustive unique-filler check for P-cocartesianness of m."""
+    """P-cocartesianness of m: x -> y, with the first witness of a failure.
+
+    m is cocartesian iff every pair (h, w) with h: x -> z and
+    w: Py -> Pz in B, w∘Pm = Ph, has exactly one filler t: y -> z with
+    t∘m = h and Pt = w.  For a checked functor between checked categories
+    the map t ↦ (t∘m, Pt) sends each t to the one pair it fills, so m is
+    cocartesian iff that map is a bijection from the morphisms out of y
+    onto the pairs: a count and an injectivity pass decide a pass
+    (:func:`_counted_cocartesian`).  Otherwise the loop over z, h and w
+    runs and reports the first pair without exactly one filler."""
+    if _counted_cocartesian(p, m):
+        return passed("is_cocartesian", morphism=m)
     e, b = p.source, p.target
     x, y = e.dom(m), e.cod(m)
     u = p.mor(m)
@@ -99,6 +139,37 @@ def is_cocartesian(p, m):
     return passed("is_cocartesian", morphism=m)
 
 
+def _counted_cocartesian(p, m):
+    """Whether t ↦ (t∘m, Pt) maps the morphisms out of y = cod m one to one
+    onto the pairs (h, w) of :func:`is_cocartesian`, which are counted as
+    Σ_h #{w out of Py : w∘Pm = Ph}; None when P is not a checked functor
+    between checked categories, or a table read misses, where the count
+    proves nothing."""
+    e, b = p.source, p.target
+    if not (p._checked and e._checked and b._checked):
+        return None
+    pmor, ecomp, bcomp = p.on_morphisms, e.composition, b.composition
+    try:
+        u = pmor[m]
+        hits = {}  # w∘u for w out of Py -> how many such w
+        for w in b.out_of(p.ob(e.cod(m))):
+            wu = bcomp[(w, u)]
+            hits[wu] = hits.get(wu, 0) + 1
+        pairs = sum(hits.get(pmor[h], 0) for h in e.out_of(e.dom(m)))
+        out = e.out_of(e.cod(m))
+        if len(out) != pairs:
+            return False
+        return len({(ecomp[(t, m)], pmor[t]) for t in out}) == pairs
+    except KeyError:
+        return None
+
+
+def _cocartesian(p, m):
+    """is_cocartesian as a bool, by the count where it decides."""
+    verdict = _counted_cocartesian(p, m)
+    return bool(is_cocartesian(p, m)) if verdict is None else verdict
+
+
 @dataclass
 class CleavageData:
     base_functor: FinFunctor  # P: E -> B
@@ -110,7 +181,8 @@ class CleavageData:
     verified: bool = False
 
     def __post_init__(self):
-        assert self.direction in ("fibration", "cofibration")
+        if self.direction not in ("fibration", "cofibration"):
+            raise ShapeMismatch(("unknown cleavage direction", self.direction))
 
     def dual(self):
         """The same liftings as a cleavage of the other direction for P^op."""
@@ -142,18 +214,22 @@ def search_cleavage(p, direction):
     """
     q = p.op if direction == "fibration" else p
     e, b = q.source, q.target
+    over, lifts = {}, {}  # base object -> objects; x -> (u -> morphisms)
+    for x in e.objects:
+        over.setdefault(q.ob(x), []).append(x)
+        by_base = lifts[x] = {}
+        for m in e.out_of(x):
+            by_base.setdefault(q.mor(m), []).append(m)
     lifting = {}
     for u in b.mor_tokens:
-        side = b.dom(u)
-        for x in e.objects:
-            if q.ob(x) != side:
-                continue
-            found = sorted(
-                m for m in e.out_of(x) if q.mor(m) == u and is_cocartesian(q, m)
+        for x in over.get(b.dom(u), ()):
+            found = next(
+                (m for m in sorted(lifts[x].get(u, ())) if _cocartesian(q, m)),
+                None,
             )
-            if not found:
+            if found is None:
                 return None
-            lifting[(u, x)] = found[0]
+            lifting[(u, x)] = found
     return CleavageData(p, direction, lifting)
 
 
@@ -191,11 +267,14 @@ def _verify_split(data, direction):
     check_name = "verify_split_" + direction
     if data.direction != direction:
         return failed(check_name, {"direction": data.direction}), None
-    data.base_functor.check()
+    p = data.base_functor.check()
     if direction == "cofibration":
-        return _verify_cocleavage(data, check_name)
+        return _verify_cocleavage(data, check_name, fibres(p))
+    # the fibres of P^op are the opposites of P's
     dual = data.dual()
-    report, phi = _verify_cocleavage(dual, check_name)
+    report, phi = _verify_cocleavage(
+        dual, check_name, {a: f.op for a, f in fibres(p).items()}
+    )
     data.verified = dual.verified
     if phi is not None:
         return report, opposed_fibres(phi)
@@ -205,11 +284,11 @@ def _verify_split(data, direction):
     return report, None
 
 
-def _verify_cocleavage(data, check_name):
-    """_verify_split for a cocleavage of a functor that is checked."""
+def _verify_cocleavage(data, check_name, fibres):
+    """_verify_split for a cocleavage of a functor that is checked, with
+    its fibres by base object."""
     p = data.base_functor
     e, b = p.source, p.target
-    fibres = {a: fibre(p, a) for a in b.objects}
     # each lifting present, well-typed, and cocartesian
     for u in b.mor_tokens:
         for z in fibres[b.dom(u)].objects:
@@ -315,7 +394,8 @@ def factorize(data, f):
         for t in e.hom(e.cod(delta), e.cod(f))
         if p.mor(t) == id_b and e.compose(t, delta) == f
     ]
-    assert len(cands) == 1, ("cocartesian filler not unique", f, cands)
+    if len(cands) != 1:
+        raise UnverifiedCleavage(("cocartesian filler not unique", f, cands))
     return FactorizationResult(delta, cands[0], "(cocartesian,vertical)")
 
 
@@ -337,7 +417,8 @@ def bifibration_check(theta, delta):
     """Certify that a split fibration and cofibration over the same P form a
     bifibration u_! ⊣ u*: unit/counit construction, triangle identities, and
     the hom bijections E_u(x,y) ≅ E_a(x, u*y) ≅ E_b(u_!x, y)."""
-    assert theta.base_functor == delta.base_functor, "cleavages over different P"
+    if theta.base_functor != delta.base_functor:
+        raise ShapeMismatch(("cleavages over different P",))
     p = theta.base_functor
     e, b = p.source, p.target
     rep_f, phi_f = verify_split_fibration(theta)
@@ -499,7 +580,8 @@ def lift_limit(theta, delta, f):
             for t in fib.hom(on_objects[d1], on_objects[d2])
             if e.compose(alphas[d2], t) == want and p.mor(t) == id_b
         ]
-        assert len(cands) == 1, ("cartesian filler for fibre diagram", m, cands)
+        if len(cands) != 1:
+            raise UnverifiedCleavage(("cartesian filler for fibre diagram", m, cands))
         on_morphisms[m] = cands[0]
     l_fun = FinFunctor(d_cat, fib, on_objects, on_morphisms).check()
     fib_lim = terminal_cone(l_fun)
@@ -554,33 +636,42 @@ class FreeCofibration:
 
 def _slice_fibre(p, a):
     """The slice fibre P/a: objects (x, h: Px -> a), morphisms f with
-    k∘Pf = h."""
+    k∘Pf = h.  Morphisms are listed by source object, then target object
+    (both in object order), then f in its hom-set; each composite is read
+    from the morphisms into the outer one's domain."""
     e, b = p.source, p.target
-    objects, obj_data = [], {}
+    objects, obj_data, over_x = [], {}, {}
     for x in e.objects:
+        over_x[x] = []
         for h in b.hom(p.ob(x), a):
             t = "%s@%s" % (x, h)
             objects.append(t)
             obj_data[t] = (x, h)
+            over_x[x].append((t, h))
+    position = {x: n for n, x in enumerate(e.objects)}
     morphisms, mor_data = [], {}
     token_of = {}
     for t1, (x, h) in obj_data.items():
-        for t2, (y, k) in obj_data.items():
-            for f in e.hom(x, y):
-                if b.compose(k, p.mor(f)) != h:
-                    continue
-                m = "%s@%s>%s" % (f, h, k)
-                morphisms.append((m, t1, t2))
-                mor_data[m] = (f, h, k)
-                token_of[(f, h, k)] = m
+        ys = sorted({e.cod(f) for f in e.out_of(x)}, key=position.__getitem__)
+        for y in ys:
+            fs = [(f, p.mor(f)) for f in e.hom(x, y)]
+            for t2, k in over_x[y]:
+                for f, pf in fs:
+                    if b.compose(k, pf) != h:
+                        continue
+                    m = "%s@%s>%s" % (f, h, k)
+                    morphisms.append((m, t1, t2))
+                    mor_data[m] = (f, h, k)
+                    token_of[(f, h, k)] = m
     identities = {
         t: token_of[(e.id_of(x), h, h)] for t, (x, h) in obj_data.items()
     }
     composition = {}
-    for m2, (g, h2, k2) in mor_data.items():
-        for m1, (f, h1, k1) in mor_data.items():
-            if k1 != h2 or e.cod(f) != e.dom(g):
-                continue
+    into = group_by_cod(morphisms)
+    for m2, d2, _ in morphisms:
+        g, _, k2 = mor_data[m2]
+        for m1, _, _ in into.get(d2, ()):
+            f, h1, _ = mor_data[m1]
             composition[(m2, m1)] = token_of[(e.compose(g, f), h1, k2)]
     cat = FinCategory(objects, morphisms, identities, composition).check()
     return cat, obj_data, mor_data

@@ -44,7 +44,8 @@ and cached: the same tokens in the same order, dom and cod swapped, the
 composition table transposed.  ``c.op.op is c``, and a passing ``check()``
 of either one holds for both, so ``opposite(c)`` neither copies nor re-checks
 a category that was checked already.  ``F.op`` is the same object and
-morphism maps between the opposite categories.
+morphism maps between the opposite categories, also cached, and a passing
+check of either functor holds for both.
 """
 from __future__ import annotations
 
@@ -436,6 +437,8 @@ class FinFunctor:
         self.on_morphisms = MappingProxyType(self._on_morphisms)
         self.name = name
         self._checked = False
+        self._op = None
+        self._fibres = None  # every fibre, built by fibrations.fibres
 
     def ob(self, a):
         return self._on_objects[a]
@@ -445,18 +448,30 @@ class FinFunctor:
 
     @property
     def op(self):
-        """The same maps, between the opposite categories."""
-        return FinFunctor(
-            self.source.op, self.target.op, self.on_objects, self.on_morphisms
-        )
+        """The same maps, between the opposite categories, built on first
+        use and cached; it is a functor iff this one is, so a passing check
+        holds for both."""
+        if self._op is None:
+            op = FinFunctor(
+                self.source.op, self.target.op, self._on_objects, self._on_morphisms
+            )
+            op._checked = self._checked
+            op._op = self
+            self._op = op
+        return self._op
 
     def check(self):
         if not self.certified():
             bad = self._unpreserved(self.source.mor_tokens)
             if bad is not None:
                 raise ShapeMismatch(("composition not preserved",) + bad)
-            self._checked = True
+            self._record_pass()
         return self
+
+    def _record_pass(self):
+        self._checked = True
+        if self._op is not None:
+            self._op._checked = True
 
     def certified(self):
         """Whether the generator test alone proves the functor: the maps
@@ -495,7 +510,7 @@ class FinFunctor:
             return False
         if self._unpreserved(src._generators) is not None:
             return False
-        self._checked = True
+        self._record_pass()
         return True
 
     def _unpreserved(self, outer):
@@ -647,12 +662,13 @@ def product(c, d):
     identities = {
         p(a, b): p(c.id_of(a), d.id_of(b)) for a in c.objects for b in d.objects
     }
+    # each factor composite once per composable pair of its factor
+    right = [(g1, f1, d.compose(g1, f1)) for g1, f1 in d.composable_pairs()]
     composition = {}
     for g2, f2 in c.composable_pairs():
-        for g1, f1 in d.composable_pairs():
-            composition[(p(g2, g1), p(f2, f1))] = p(
-                c.compose(g2, f2), d.compose(g1, f1)
-            )
+        gf2 = c.compose(g2, f2)
+        for g1, f1, gf1 in right:
+            composition[(p(g2, g1), p(f2, f1))] = p(gf2, gf1)
     return FinCategory(objects, morphisms, identities, composition).check()
 
 

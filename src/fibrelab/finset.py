@@ -358,6 +358,19 @@ def search(variables, candidates):
     return found
 
 
+def _refuse_free_product(pools):
+    """Refuse at once a search without constraints that :func:`search`
+    would refuse: it visits every prefix of the product of the pools, so
+    Σ_k Π_{i≤k} |pool_i| nodes, and raises as search would at the node
+    past ``SEARCH_NODE_CAP``."""
+    nodes, prefix = 0, 1
+    for pool in pools:
+        prefix *= len(pool)
+        nodes += prefix
+        if nodes > SEARCH_NODE_CAP:
+            raise ResourceExceeded(("search nodes", SEARCH_NODE_CAP + 1, SEARCH_NODE_CAP))
+
+
 def forward_check(pools, constraints):
     """The ``candidates`` of :func:`search` over the variables ``list(pools)``
     with values ``pools[var]`` and ``constraints`` ``(scope, test)``, where
@@ -396,6 +409,8 @@ def limit_set(x):
         if not x.shape.is_identity(f)
     ]
     pools = {a: x.sets[a] for a in objs}
+    if not constraints:
+        _refuse_free_product(pools.values())
     members = []
     families = {}
     for combo in search(objs, forward_check(pools, constraints)):

@@ -272,7 +272,7 @@ def check_tfcf(phi, t, seed=None):
         return lhs.classify[(gr.injections[d].ob(i), el)]
 
     report, inner, rhs = _decomposition(
-        "check_tfcf", guitart_hat(phi, t), lhs, leg, seed
+        "check_tfcf", guitart_hat(phi, t, gr), lhs, leg, seed
     )
     if not report:
         return report

@@ -32,7 +32,6 @@ from .fincat import (
     FinCategory,
     FinFunctor,
     compose_functor,
-    group_by_cod,
     identity_functor,
 )
 from .finset import SetDiagram, identity_function
@@ -161,6 +160,7 @@ def _groth_co(phi, token=_co_token):
     morphisms = []
     mor_data = {}
     token_of = {}
+    into = {}  # total object -> (m, u, x, f) for each morphism m = (u, f) into it
     for u, a, b in sh.morphisms:
         t = phi.transition(u)
         fb = phi.fibre(b)
@@ -168,9 +168,12 @@ def _groth_co(phi, token=_co_token):
             ux = t.ob(x)
             for f in fb.out_of(ux):
                 m = token(u, x, f)
-                morphisms.append((m, obj_token(a, x), obj_token(b, fb.cod(f))))
-                mor_data[m] = (u, x, f, fb.cod(f))
+                y = fb.cod(f)
+                cod = obj_token(b, y)
+                morphisms.append((m, obj_token(a, x), cod))
+                mor_data[m] = (u, x, f, y)
                 token_of[(u, x, f)] = m
+                into.setdefault(cod, []).append((m, u, x, f))
     identities = {}
     for a in sh.objects:
         for x in phi.fibre(a).objects:
@@ -178,14 +181,14 @@ def _groth_co(phi, token=_co_token):
                 (sh.id_of(a), x, phi.fibre(a).id_of(x))
             ]
     composition = {}
-    into = group_by_cod(morphisms)
+    sh_comp = sh.composition
     for m2, d2, _ in morphisms:
         v, _, g, _ = mor_data[m2]
-        fc = phi.fibre(sh.cod(v))
-        for m1, _, _ in into.get(d2, ()):
-            u, x, f, _ = mor_data[m1]
-            comp_f = fc.compose(g, phi.transition(v).mor(f))
-            composition[(m2, m1)] = token_of[(sh.compose(v, u), x, comp_f)]
+        # bound once per (v, g): the composition of Φ(cod v), Φv on morphisms
+        fc_comp = phi.fibre(sh.cod(v)).composition
+        tv = phi.transition(v).on_morphisms
+        for m1, u, x, f in into.get(d2, ()):
+            composition[(m2, m1)] = token_of[(sh_comp[(v, u)], x, fc_comp[(g, tv[f])])]
     total = FinCategory(over, morphisms, identities, composition).check()
     projection = FinFunctor(
         total, sh, over, {m: mor_data[m][0] for m in mor_data}
@@ -331,10 +334,11 @@ class DiagFamily:
         )
 
 
-def guitart_hat(phi, t):
+def guitart_hat(phi, t, gr=None):
     """Turn a diagram T on the total category ∫Φ into the family
-    d ↦ T∘J_d with transition components φ^u_x = T(δ^u_x)."""
-    g = groth_co(phi)
+    d ↦ T∘J_d with transition components φ^u_x = T(δ^u_x).  ``gr`` is
+    ``groth_co(phi)`` when the caller has built it already."""
+    g = groth_co(phi) if gr is None else gr
     if t.shape != g.total:
         raise ShapeMismatch(("guitart_hat", "T not on the total category"))
     objects = {}

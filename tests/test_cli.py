@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fibrelab import cli, finset, fixtures
+from fibrelab import cli, errors, finset, fixtures
 from fibrelab.cli import cat_diagram_to_json, main, set_diagram_to_json
 from fibrelab.errors import BoundExceeded
 
@@ -709,3 +709,113 @@ def test_malformed_cat_diagrams_are_invalid_input(tmp_path, capsys, change, witn
         rep = json.loads(out)
         assert rep["status"] == "invalid_input"
         assert witness in rep["witness"]["error"]
+
+
+# -- bifibration and lift-limit: failures, input errors and refusals ----------
+
+
+def _halving_two(tmp_path):
+    """A TWO-based halving bifibration with chain(3) fibres, and its total."""
+    from fibrelab.grothendieck import groth_co
+    from test_golden_reports import halving_bifibration
+
+    phi = halving_bifibration("TWO", 3)
+    p = tmp_path / "phi.json"
+    p.write_text(json.dumps(cat_diagram_to_json(phi)))
+    return str(p), groth_co(phi).total
+
+
+def _write_functor(tmp_path, name, f):
+    from test_golden_reports import functor_to_json
+
+    p = tmp_path / name
+    p.write_text(json.dumps(functor_to_json(f)))
+    return str(p)
+
+
+def test_lift_limit_of_a_functor_into_another_category_is_invalid_input(
+    tmp_path, capsys
+):
+    from fibrelab.fincat import constant_functor
+
+    phi, _ = _halving_two(tmp_path)
+    cats = fixtures.all_categories()
+    f = _write_functor(tmp_path, "f.json", constant_functor(cats["ONE"], cats["S3"], "*"))
+    code, out = run(capsys, "--no-timing", "lift-limit", "--phi", phi, "--f", f)
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["status"] == "invalid_input"
+    assert rep["witness"] == {
+        "error": str(("functor composition", "middle category differs"))
+    }
+
+
+def test_lift_limit_search_refusal_exits_3(tmp_path, capsys, monkeypatch):
+    from fibrelab.fincat import constant_functor
+
+    phi, total = _halving_two(tmp_path)
+    one = fixtures.all_categories()["ONE"]
+    f = _write_functor(tmp_path, "f.json", constant_functor(one, total, "0|c1"))
+    # the first search is the one for the cones over P∘F
+    monkeypatch.setattr(finset, "SEARCH_NODE_CAP", 0)
+    code, out = run(capsys, "--no-timing", "lift-limit", "--phi", phi, "--f", f)
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["status"] == "resource_exceeded"
+    assert rep["witness"] == {"error": str(("search nodes", 1, 0))}
+
+
+@pytest.mark.parametrize(
+    "error, code, status",
+    [
+        (errors.TriangleViolation(("a", "unit", "0|c0", [])), 1, "fail"),
+        (errors.HomBijectionFailure(("a", "0|c0", "1|c0")), 1, "fail"),
+        (errors.UnverifiedCleavage(("fibration", {})), 1, "fail"),
+        (errors.ShapeMismatch(("cleavages over different P",)), 2, "invalid_input"),
+        (errors.DanglingToken(("ghost",)), 2, "invalid_input"),
+        (errors.ResourceExceeded(("search nodes", 2, 1)), 3, "resource_exceeded"),
+        (errors.BoundExceeded(("words", 11, 10)), 3, "resource_exceeded"),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_bifibration_exit_code_follows_the_error_kind(
+    tmp_path, capsys, monkeypatch, error, code, status
+):
+    def raise_it(theta, delta):
+        raise error
+
+    monkeypatch.setattr(cli, "bifibration_check", raise_it)
+    phi, _ = _halving_two(tmp_path)
+    got, out = run(capsys, "--no-timing", "bifibration", "--phi", phi)
+    assert got == code
+    rep = json.loads(out)
+    assert rep["status"] == status
+    assert rep["witness"]["error"] == str(error)
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.NoBaseLimit(("no terminal cone over P∘F", 0)), 1),
+        (errors.NoFibreLimit(("1",)), 1),
+        (errors.TerminalityFailure(("projection mismatch",)), 1),
+        (errors.ShapeMismatch(("functor composition", "middle category differs")), 2),
+        (errors.ResourceExceeded(("search nodes", 2, 1)), 3),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_lift_limit_exit_code_follows_the_error_kind(
+    tmp_path, capsys, monkeypatch, error, code
+):
+    from fibrelab.fincat import constant_functor
+
+    def raise_it(theta, delta, f):
+        raise error
+
+    monkeypatch.setattr(cli, "lift_limit", raise_it)
+    phi, total = _halving_two(tmp_path)
+    one = fixtures.all_categories()["ONE"]
+    f = _write_functor(tmp_path, "f.json", constant_functor(one, total, "0|c1"))
+    got, out = run(capsys, "--no-timing", "lift-limit", "--phi", phi, "--f", f)
+    assert got == code
+    assert json.loads(out)["witness"]["error"] == str(error)

@@ -358,3 +358,88 @@ def test_enumerate_cones_matches_brute_force(pair, pick):
     f = functors[pick % len(functors)]
     cones = [(c.apex, list(c.legs.items())) for c in enumerate_cones(f)]
     assert cones == brute_force_cones(f)
+
+
+# -- typed errors, with and without assertions ---------------------------------
+
+_TYPED_ERRORS = r'''
+import sys
+from fibrelab import fibrations, fixtures
+from fibrelab.fibrations import (
+    CleavageData, bifibration_check, cleavage_from_groth, factorize, lift_limit,
+    search_cleavage, verify_split_cofibration,
+)
+from fibrelab.fincat import FinFunctor
+from fibrelab.grothendieck import CatDiagram, groth_co
+from fibrelab.randgen import chain, monotone_functor
+
+def outcome(run):
+    try:
+        run()
+    except Exception as exc:
+        return "%s %r" % (type(exc).__name__, exc.args[0])
+    return "no error"
+
+case = sys.argv[1]
+two = fixtures.two()
+phi = CatDiagram(two, {"0": chain(3), "1": chain(3)}, {
+    "a": monotone_functor(chain(3), chain(3), {"c0": "c0", "c1": "c0", "c2": "c1"})})
+gr = groth_co(phi)
+p = gr.projection
+delta = cleavage_from_groth(gr)
+theta = search_cleavage(p, "fibration")
+if case == "direction":
+    print(outcome(lambda: CleavageData(p, "sideways", {})))
+elif case == "different P":
+    other = cleavage_from_groth(groth_co(fixtures.span_push3_diagram()))
+    print(outcome(lambda: bifibration_check(theta, other)))
+elif case == "factorize":
+    if not verify_split_cofibration(delta)[0]:
+        sys.exit("cocleavage not verified")
+    delta.lifting[("a", "0|c1")] = "id0|c1|idc1"
+    print(outcome(lambda: factorize(delta, "a|c1|idc0")))
+elif case == "lift_limit":
+    witness = bifibration_check(theta, delta)
+    fibrations.bifibration_check = lambda t, d: witness
+    # θ^a at 1|c0 replaced by a lifting whose domain is another object
+    theta.lifting[("a", "1|c0")] = "a|c0|idc0"
+    f = FinFunctor(two, gr.total, {"0": "0|c1", "1": "1|c0"},
+                   {"id0": "id0|c1|idc1", "id1": "id1|c0|idc0", "a": "a|c1|idc0"})
+    print(outcome(lambda: lift_limit(theta, delta, f.check())))
+'''
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["asserts", "-O"])
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("direction", "ShapeMismatch ('unknown cleavage direction', 'sideways')"),
+        ("different P", "ShapeMismatch ('cleavages over different P',)"),
+        (
+            "factorize",
+            "UnverifiedCleavage ('cocartesian filler not unique', 'a|c1|idc0', [])",
+        ),
+        (
+            "lift_limit",
+            "UnverifiedCleavage ('cartesian filler for fibre diagram', 'a', [])",
+        ),
+    ],
+)
+def test_typed_errors_hold_with_and_without_asserts(case, expected, optimize):
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _TYPED_ERRORS, case],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(expected), proc.stdout

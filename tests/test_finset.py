@@ -235,6 +235,57 @@ def test_huge_limit_is_refused():
         limit_set(x)
 
 
+def _discrete_diagram(sizes):
+    names = ["d%d" % i for i in range(len(sizes))]
+    shape = category(
+        names, [("1" + a, a, a) for a in names], {a: "1" + a for a in names}, {}
+    )
+    sets = {
+        a: FinSet(tuple("%s.%d" % (a, n) for n in range(k)))
+        for a, k in zip(names, sizes)
+    }
+    return SetDiagram(
+        shape, sets, {"1" + a: identity_function(sets[a]) for a in names}
+    )
+
+
+def test_constraint_free_limit_is_refused_before_any_search(monkeypatch):
+    from fibrelab import finset
+
+    def no_search(*args):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(finset, "search", no_search)
+    with pytest.raises(ResourceExceeded) as exc:
+        limit_set(_discrete_diagram([1001, 1000]))
+    assert exc.value.args[0] == ("search nodes", 10**6 + 1, 10**6)
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=4), st.integers(0, 60))
+@settings(max_examples=150, deadline=None)
+def test_constraint_free_refusal_matches_the_search(sizes, cap):
+    # the early refusal raises exactly when, and as, the search would
+    from fibrelab import finset
+
+    x = _discrete_diagram(sizes)
+    pools = [x.sets[a] for a in x.shape.objects]
+    saved = finset.SEARCH_NODE_CAP
+    finset.SEARCH_NODE_CAP = cap
+    try:
+        try:
+            found = finset.search(list(range(len(pools))), lambda v, _: pools[v])
+            want = ("found", len(found))
+        except ResourceExceeded as exc:
+            want = ("refused", exc.args)
+        try:
+            got = ("found", len(limit_set(x).apex))
+        except ResourceExceeded as exc:
+            got = ("refused", exc.args)
+    finally:
+        finset.SEARCH_NODE_CAP = saved
+    assert got == want
+
+
 class _CountedToken:
     """A set element whose equality tests are counted."""
 
