@@ -368,7 +368,9 @@ def _refuse_free_product(pools):
         prefix *= len(pool)
         nodes += prefix
         if nodes > SEARCH_NODE_CAP:
-            raise ResourceExceeded(("search nodes", SEARCH_NODE_CAP + 1, SEARCH_NODE_CAP))
+            raise ResourceExceeded(
+                ("search nodes", SEARCH_NODE_CAP + 1, SEARCH_NODE_CAP)
+            )
 
 
 def forward_check(pools, constraints):
@@ -400,7 +402,9 @@ def limit_set(x):
 
     The families are found by :func:`search` over the objects in shape
     order, one constraint per non-identity morphism, so the cost follows
-    the families and their partial prefixes rather than Π|sets|.
+    the families and their partial prefixes rather than Π|sets|.  On a
+    discrete shape the search would visit every prefix of the product, so
+    one it would refuse is refused before it starts.
     """
     objs = list(x.shape.objects)
     constraints = [
