@@ -1,25 +1,38 @@
-"""Golden ``--no-timing`` reports of the fibration subcommands.
+"""Golden ``--no-timing`` reports of the fibration, limit and construction
+subcommands.
 
 ``check-fibration``, ``check-cofibration``, ``bifibration``, ``lift-limit``
-and ``free-cofibration`` run on the fixtures and on small generated inputs;
-each report must equal, byte for byte, the one stored under
-``tests/golden/``, and exit with the stored code.  The inputs are built
-here from the fixtures and ``randgen`` and written to a temporary directory.
+and ``free-cofibration``; the limit side (``limit-set``, ``kan --dual``,
+``check-cdf --dual``, ``check-general-cdf --dual``, ``check-tfcf --dual``);
+``strictify``, ``product``, ``comma`` and ``guitart`` run on the fixtures
+and on small generated inputs.  Each report must equal, byte for byte, the
+one stored under ``tests/golden/``, and exit with the stored code.  The
+inputs are built here from the fixtures and ``randgen`` (seeded) and written
+to a temporary directory.
 
 ``python tests/test_golden_reports.py DIR`` writes the generated inputs to
 DIR, so that the same reports can be produced from the command line.
 """
 import json
 import os
+import random
 import sys
 
 import pytest
 
 from fibrelab import fixtures
-from fibrelab.cli import cat_diagram_to_json, main
+from fibrelab.catcolim import colimit_cat
+from fibrelab.cli import cat_diagram_to_json, main, set_diagram_to_json
 from fibrelab.fincat import FinFunctor, constant_functor, identity_functor, product
-from fibrelab.grothendieck import CatDiagram, groth_co
-from fibrelab.randgen import chain, monotone_functor
+from fibrelab.finset import FinSet, constant_diagram
+from fibrelab.grothendieck import CatDiagram, groth_co, groth_contra
+from fibrelab.randgen import (
+    chain,
+    coproduct_diagrams,
+    monotone_functor,
+    random_set_diagram,
+    representable_diagram,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 FIXDIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "fixtures")
@@ -142,6 +155,102 @@ def golden_inputs():
             },
         )
     )
+    inputs.update(limit_inputs())
+    return inputs
+
+
+def seeded_diagram(seed, shape, max_parts=3):
+    return set_diagram_to_json(random_set_diagram(random.Random(seed), shape, max_parts))
+
+
+def limit_inputs():
+    """Inputs of the limit-side and construction subcommands: set diagrams
+    whose limits have arrows from earlier and from later objects, parallel
+    arrows, composites and group actions (self-loops); functors for ``kan``,
+    ``comma`` and ``strictify``; contravariant cat-diagrams for the limit
+    formulas; set diagrams on Grothendieck totals and Cat-colimits."""
+    cats = fixtures.all_categories()
+    two, span, push3 = cats["TWO"], cats["SPAN"], cats["PUSH3"]
+    inputs = {}
+    for seed, name in ((5, "PUSH3"), (5, "SPAN"), (5, "PAIR"), (5, "S3")):
+        inputs["x-%s.json" % name.lower()] = seeded_diagram(seed, cats[name])
+    z3 = cats["Z3"]
+    inputs["x-z3-action.json"] = set_diagram_to_json(
+        coproduct_diagrams(
+            z3, [representable_diagram(z3, "*"), constant_diagram(z3, FinSet(("*",)))]
+        )
+    )
+    c4 = chain(4)
+    inputs["x-chain4x3.json"] = set_diagram_to_json(
+        coproduct_diagrams(c4, [representable_diagram(c4, "c0")] * 3)
+    )
+    functors = {
+        "f-two-push3": FinFunctor(
+            two, push3, {"0": "0", "1": "2"}, {"id0": "id0", "id1": "id2", "a": "ba"}
+        ),
+        "f-z2-one": constant_functor(cats["Z2"], cats["ONE"], "*"),
+        "f-span-two": FinFunctor(
+            span,
+            two,
+            {"s": "0", "l": "1", "r": "1"},
+            {"ids": "id0", "idl": "id1", "idr": "id1", "le": "a", "ri": "a"},
+        ),
+        "f-chain2-chain4": monotone_functor(chain(2), chain(4), {"c0": "c1", "c1": "c3"}),
+        "f-push3-id": identity_functor(push3),
+        "f-one-push3": constant_functor(cats["ONE"], push3, "1"),
+        "f-one-span": constant_functor(cats["ONE"], span, "l"),
+        "f-span-id": identity_functor(span),
+        "f-two-push3-id": FinFunctor(
+            two, push3, {"0": "0", "1": "1"}, {"id0": "id0", "id1": "id1", "a": "a"}
+        ),
+    }
+    for name, f in functors.items():
+        inputs[name + ".json"] = functor_to_json(f)
+    # set diagrams for ``kan --dual``, seeded to give nonempty extensions
+    for name, seed in (
+        ("f-two-push3", 11),
+        ("f-span-two", 10),
+        ("f-chain2-chain4", 10),
+        ("f-push3-id", 17),
+    ):
+        inputs[name + "-x.json"] = seeded_diagram(seed, functors[name].source)
+    inputs["f-z2-one-x.json"] = set_diagram_to_json(
+        coproduct_diagrams(
+            cats["Z2"],
+            [
+                representable_diagram(cats["Z2"], "*"),
+                constant_diagram(cats["Z2"], FinSet(("*",))),
+            ],
+        )
+    )
+    # (name, diagram, seed of its set diagram); the seeds give nonempty limits
+    contra = (
+        (
+            "contra-span",
+            CatDiagram(span, {d: two for d in span.objects}, {}, "contravariant"),
+            30,
+        ),
+        (
+            "contra-two",
+            CatDiagram(
+                two,
+                {"0": chain(3), "1": chain(2)},
+                {"a": monotone_functor(chain(2), chain(3), {"c0": "c0", "c1": "c2"})},
+                "contravariant",
+            ),
+            30,
+        ),
+    )
+    for name, phi, seed in contra:
+        inputs[name + ".json"] = cat_diagram_to_json(phi)
+        inputs[name + "-t.json"] = seeded_diagram(seed, groth_contra(phi).total)
+    covariant = (
+        ("span-push3", fixtures.span_push3_diagram(), 41),
+        ("halving-two", halving_bifibration("TWO", 3), 42),
+    )
+    for name, phi, seed in covariant:
+        inputs[name + "-t.json"] = seeded_diagram(seed, groth_co(phi).total)
+        inputs[name + "-x.json"] = seeded_diagram(seed, colimit_cat(phi).colimit)
     return inputs
 
 
@@ -183,12 +292,44 @@ CASES = [
     ("lift-limit", ("--phi", "halving-two", "--f", "point-1-c0"), 0),
     ("lift-limit", ("--phi", "halving-two", "--f", "arrow-0c1-1c0"), 0),
     ("lift-limit", ("--phi", "halving-pair", "--f", "pair-c0"), 1),
+] + [
+    ("limit-set", (x,), 0)
+    for x in ("x-push3", "x-span", "x-pair", "x-s3", "x-z3-action", "x-chain4x3")
+] + [
+    ("kan", ("--dual", "--functor", f, "--diagram", f + "-x"), 0)
+    for f in ("f-two-push3", "f-z2-one", "f-span-two", "f-chain2-chain4", "f-push3-id")
+] + [
+    (command, ("--dual", "--phi", phi, "--t", phi + "-t"), 0)
+    for command in ("check-tfcf", "check-general-cdf")
+    for phi in ("contra-span", "contra-two")
+] + [
+    ("check-cdf", ("--dual", "--phi", phi, "--x", phi.lstrip(":") + "-x"), 0)
+    for phi in (":span-push3", "halving-two")
+] + [
+    ("guitart", ("--phi", phi, "--t", phi.lstrip(":") + "-t"), 0)
+    for phi in (":span-push3", "halving-two")
+] + [
+    ("strictify", ("--x", x, "--y", y), 0)
+    for x, y in (
+        ("f-one-push3", "f-two-push3-id"),
+        ("f-two-push3", "f-push3-id"),
+        ("f-one-span", "f-span-id"),
+    )
+] + [
+    ("product", (":two", ":span"), 0),
+    ("product", (":pair", ":z2"), 0),
+    ("comma", ("f-span-id", "f-one-span"), 0),
+    ("comma", ("f-two-push3", "f-push3-id"), 0),
 ]
 
 
 def case_id(case):
     command, args, _ = case
-    names = [a.lstrip(":") for a in args if not a.startswith("--")]
+    names = [
+        "dual" if a == "--dual" else a.lstrip(":")
+        for a in args
+        if a == "--dual" or not a.startswith("--")
+    ]
     return "%s__%s" % (command, "__".join(names))
 
 
