@@ -139,7 +139,11 @@ class BoundExceeded(FibrelabError):
         self.trace = trace or []
 
 
-class NaturalityFailure(FibrelabError):
+class CertificateFailure(FibrelabError):
+    """A certificate that the engine checks on its own result failed."""
+
+
+class NaturalityFailure(CertificateFailure):
     pass
 
 

@@ -943,30 +943,59 @@ def enumerate_functors(i_cat, j_cat):
     """All functors I -> J, each checked, sorted by the indices of the
     object images in J, then of the non-identity images in their hom-sets.
 
-    One search assigns the objects of I and, right after both endpoints of
-    each generator of I, its image from the hom-set between theirs.  The
-    assignment extends along :attr:`FinCategory.factorization`,
-    F(a∘r) := F(a)∘F(r), to the only candidate functor it admits, kept iff
-    :meth:`FinFunctor.certified` passes: one generator test certifies or
-    rejects it."""
+    One search assigns the objects of I in order, and the images of I's
+    generators.  An object a that a generator g joins to an earlier object
+    b is led by g: one variable takes F(g) from the morphisms out of F(b)
+    (g: b -> a) or into F(b) (g: a -> b), and F(a) is read off its other
+    end, so a costs no node of its own and no object of J is tried that no
+    image of g reaches.  Any other object takes its image from J's objects.
+    Every other generator comes right after both of its endpoints, with its
+    hom-set as candidates.  The assignment extends along
+    :attr:`FinCategory.factorization`, F(a∘r) := F(a)∘F(r), to the only
+    candidate functor it admits, kept iff :meth:`FinFunctor.certified`
+    passes: one generator test certifies or rejects it."""
     i_cat.check()
     j_cat.check()
     objs = i_cat.objects
     position = {a: n for n, a in enumerate(objs)}
+    i_dom, i_cod = i_cat.dom, i_cat.cod
+    j_dom, j_cod = j_cat.dom, j_cat.cod
+    # the variable an object's image is read from, and how
+    image_var, lead = {}, {}
     after = {a: [] for a in objs}
     for g in i_cat.generators:
-        last = max(i_cat.dom(g), i_cat.cod(g), key=position.__getitem__)
-        after[last].append((1, g))
+        d, c = i_dom(g), i_cod(g)
+        later, earlier = (c, d) if position[d] < position[c] else (d, c)
+        if later != earlier and later not in lead:
+            # F(later) is the other end of F(g)
+            lead[later] = (2, g) if later == c else (3, g)
+        else:
+            after[later].append((1, g))
     variables = []
     for a in objs:
-        variables.append((0, a))
+        var = lead.get(a, (0, a))
+        image_var[a] = var
+        variables.append(var)
         variables.extend(after[a])
+
+    def image(var, value):
+        """F(a) from the value of the variable ``image_var[a]``."""
+        kind = var[0]
+        return value if kind == 0 else j_cod(value) if kind == 2 else j_dom(value)
+
+    def ob(a, partial):
+        var = image_var[a]
+        return image(var, partial[var])
 
     def candidates(var, partial):
         kind, x = var
         if kind == 0:
             return j_cat.objects
-        return j_cat.hom(partial[(0, i_cat.dom(x))], partial[(0, i_cat.cod(x))])
+        if kind == 2:
+            return j_cat.out_of(ob(i_dom(x), partial))
+        if kind == 3:
+            return j_cat.into(ob(i_cod(x), partial))
+        return j_cat.hom(ob(i_dom(x), partial), ob(i_cod(x), partial))
 
     non_ids = [m for m in i_cat.mor_tokens if not i_cat.is_identity(m)]
     ids = [i_cat.id_of(a) for a in objs]
@@ -979,10 +1008,11 @@ def enumerate_functors(i_cat, j_cat):
         if t not in hom_pos:
             hom_pos.update((m, n) for n, m in enumerate(j_cat.hom(d, c)))
     keyed = []
+    # each object with its variable and that variable's place in a combo
+    readers = [(a, image_var[a], variables.index(image_var[a])) for a in objs]
     for combo in search(variables, candidates):
-        on_objects, images = {}, {}
-        for (kind, x), v in zip(variables, combo):
-            (images if kind else on_objects)[x] = v
+        on_objects = {a: image(var, combo[n]) for a, var, n in readers}
+        images = {x: v for (kind, x), v in zip(variables, combo) if kind}
         for a, i in zip(objs, ids):
             images[i] = j_ids[on_objects[a]]
         for m, a, r in factors:
@@ -990,7 +1020,7 @@ def enumerate_functors(i_cat, j_cat):
         fun = FinFunctor(i_cat, j_cat, on_objects, {m: images[m] for m in order})
         if fun.certified():
             key = [ob_pos[on_objects[a]] for a in objs]
-            key.extend(hom_pos[images[m]] for m in non_ids)
+            key += [hom_pos[images[m]] for m in non_ids]
             keyed.append((key, fun))
     keyed.sort(key=lambda kf: kf[0])
     return [fun for _, fun in keyed]

@@ -3,17 +3,24 @@
 Colimits are computed by union-find over the tagged disjoint union with the
 smallest token as canonical representative.  Limits are compatible families,
 found by :func:`search`: a backtracking search that checks each constraint as
-soon as its variables are assigned.  The same search enumerates every other
-kind of compatible family in the engine (Ran extensions, cones, functors,
-lax morphisms); it refuses a search that visits more than ``SEARCH_NODE_CAP``
-nodes.
+soon as its variables are assigned.  A constraint that is a function between
+two variables (an arrow, such as X(f) between the values at d and c) forces
+the later value from the earlier one instead of filtering its pool, as a
+join derives a column from a bound relation rather than scanning its domain
+(Ngo, Porat, Ré & Rudra, "Worst-case optimal join algorithms", PODS 2012).
+The same search enumerates every other kind of compatible family in the
+engine (Ran extensions, cones, functors, lax morphisms); a node is one value
+assigned to one variable, and it refuses a search that visits more than
+``SEARCH_NODE_CAP`` nodes.  Forcing lists the same candidates a filter
+would, so node counts and refusals do not depend on it.
 
 A :class:`FinSet` answers membership from a frozenset, and a
 :class:`FinFunction`'s ``mapping`` is a read-only view.  A :class:`SetDiagram`
 is immutable once built (its sets and functions are read-only views) and
 validated at most once; its check compares mappings element by element
 instead of building composite functions, and over a checked shape only for
-the shape's generators (see :mod:`fibrelab.fincat`).
+the shape's generators (see :mod:`fibrelab.fincat`).  Cones, cocones and
+transformations check the same way, by lookups in the mappings.
 """
 from __future__ import annotations
 
@@ -30,6 +37,7 @@ from .errors import (
 from .report import failed, passed
 
 SEARCH_NODE_CAP = 10**6
+_EXHAUSTED = object()  # no value: an exhausted iterator or a missing key
 
 
 class UnionFind:
@@ -131,6 +139,25 @@ def identity_function(s):
     return FinFunction(s, s, {x: x for x in s})
 
 
+def _composite(f, g):
+    """The values of ``f.then(g)`` in the order of f's source: the lookups
+    that ``then`` makes, raising as it does, without building a function."""
+    fm, gm = f._mapping, g._mapping
+    return [gm[fm[x]] for x in f.source]
+
+
+def _is_composite(f, g, h):
+    """Whether ``f.then(g) == h``, by lookups in the mappings."""
+    values = _composite(f, g)
+    hm = h._mapping
+    return (
+        f.source == h.source
+        and g.target == h.target
+        and len(hm) == len(values)
+        and values == [hm.get(x, _EXHAUSTED) for x in f.source]
+    )
+
+
 class SetDiagram:
     """A functor from a finite shape category into finite sets.
 
@@ -228,7 +255,7 @@ class SetCocone:
 
     def check(self):
         for f, d, c in self.diagram.shape.morphisms:
-            if self.diagram.fn(f).then(self.legs[c]) != self.legs[d]:
+            if not _is_composite(self.diagram.fn(f), self.legs[c], self.legs[d]):
                 raise NotACoconeError((f,))
         return self
 
@@ -243,7 +270,7 @@ class SetCone:
 
     def check(self):
         for f, d, c in self.diagram.shape.morphisms:
-            if self.legs[d].then(self.diagram.fn(f)) != self.legs[c]:
+            if not _is_composite(self.legs[d], self.diagram.fn(f), self.legs[c]):
                 raise NotACoconeError((f,))
         return self
 
@@ -267,9 +294,15 @@ class SetNat:
             if c.source != self.source.sets[a] or c.target != self.target.sets[a]:
                 raise ShapeMismatch(("component endpoints", a))
         for f, d, c in self.source.shape.morphisms:
-            left = self.source.fn(f).then(self.components[c])
-            right = self.components[d].then(self.target.fn(f))
-            if left != right:
+            # top.then(right) == left.then(bottom), read off the mappings
+            top, right = self.source.fn(f), self.components[c]
+            upper = _composite(top, right)
+            left, bottom = self.components[d], self.target.fn(f)
+            if not (
+                upper == _composite(left, bottom)
+                and top.source == left.source
+                and right.target == bottom.target
+            ):
                 raise ShapeMismatch(("naturality", f))
         return self
 
@@ -322,18 +355,17 @@ def colimit_set(x):
     return SetCocone(x, apex, legs, classify).check()
 
 
-_EXHAUSTED = object()
-
-
 def search(variables, candidates):
     """All assignments of ``variables`` that every constraint admits, as
     value tuples in exactly the order of the Cartesian product of the pools.
 
     ``candidates(var, partial)`` lists, in pool order, the values of ``var``
     that satisfy every constraint whose variables are all in ``partial`` (the
-    values of the variables before ``var``) or ``var``.  The search is
-    iterative; more than ``SEARCH_NODE_CAP`` assigned values (nodes) raise
-    ResourceExceeded.
+    values of the variables before ``var``) or ``var``.  A node is one value
+    assigned to one variable; a value that ``candidates`` rules out, or never
+    lists because an arrow forces another (:func:`forward_check`), is no
+    node.  The search is iterative; more than ``SEARCH_NODE_CAP`` nodes
+    raise ResourceExceeded.
     """
     if not variables:
         return [()]
@@ -373,26 +405,64 @@ def _refuse_free_product(pools):
             )
 
 
-def forward_check(pools, constraints):
+def forward_check(pools, constraints=(), arrows=()):
     """The ``candidates`` of :func:`search` over the variables ``list(pools)``
-    with values ``pools[var]`` and ``constraints`` ``(scope, test)``, where
-    ``test`` takes the scope's values; each is checked at its last variable.
+    with values ``pools[var]``, under ``constraints`` and ``arrows``.
+
+    A constraint ``(scope, test)`` holds when ``test`` takes the scope's
+    values to a true value; it is checked at its last variable.  An arrow
+    ``(d, c, mapping)`` holds when value[c] == mapping[value[d]].  The first
+    arrow into c from an earlier variable forces c: its only candidate is
+    the pool's value equal to mapping[value[d]], if there is one and it
+    passes c's other constraints, so the pool is never scanned.  Every
+    other arrow (from a later variable, a self-loop, a second arrow into c)
+    is a test at its last variable.  Either way the candidates are the pool
+    values that pass every test, in pool order, as a filter of the pool
+    would list them.
     """
     position = {v: n for n, v in enumerate(pools)}
     due = {v: [] for v in pools}
+    follows = {v: [] for v in pools}
+    forced = {}
     for scope, test in constraints:
         due[max(scope, key=position.__getitem__)].append((scope, test))
+    for d, c, mapping in arrows:
+        if position[d] < position[c] and c not in forced:
+            # the pool's own value for each value it holds, so a forced
+            # value is listed as the pool lists it
+            forced[c] = (d, mapping, {v: v for v in pools[c]})
+        else:
+            follows[max(d, c, key=position.__getitem__)].append((d, c, mapping))
 
     def candidates(var, partial):
+        if var in forced:
+            d, mapping, own = forced[var]
+            image = mapping[partial[d]]
+            value = own.get(image, _EXHAUSTED)
+            if value is _EXHAUSTED or not image == value:
+                return ()
+            values = (value,)
+        else:
+            values = pools[var]
         checks = due[var]
-        return [
-            value
-            for value in pools[var]
-            if all(
-                test(*[value if s == var else partial[s] for s in scope])
-                for scope, test in checks
-            )
-        ]
+        if checks:
+            values = [
+                value
+                for value in values
+                if all(
+                    test(*[value if s == var else partial[s] for s in scope])
+                    for scope, test in checks
+                )
+            ]
+        for d, c, mapping in follows[var]:
+            if d == c:
+                values = [value for value in values if mapping[value] == value]
+            elif d == var:
+                values = [value for value in values if mapping[value] == partial[c]]
+            else:
+                image = mapping[partial[d]]
+                values = [value for value in values if image == value]
+        return values
 
     return candidates
 
@@ -401,23 +471,26 @@ def limit_set(x):
     """Limit of a FinSet-valued diagram: compatible families as tuples.
 
     The families are found by :func:`search` over the objects in shape
-    order, one constraint per non-identity morphism, so the cost follows
-    the families and their partial prefixes rather than Π|sets|.  On a
-    discrete shape the search would visit every prefix of the product, so
-    one it would refuse is refused before it starts.
+    order, with one arrow ``(d, c, X(f))`` per non-identity morphism
+    f: d -> c.  An arrow from an earlier object forces the value at c from
+    the value at d, so the search visits the families and their partial
+    prefixes rather than Π|sets|; arrows from later objects and
+    endomorphisms are tests.  On a shape without such morphisms the search
+    would visit every prefix of the product, so one it would refuse is
+    refused before it starts.
     """
     objs = list(x.shape.objects)
-    constraints = [
-        ((d, c), lambda vd, vc, fn=x.fn(f): fn(vd) == vc)
+    arrows = [
+        (d, c, x.fn(f)._mapping)
         for f, d, c in x.shape.morphisms
         if not x.shape.is_identity(f)
     ]
     pools = {a: x.sets[a] for a in objs}
-    if not constraints:
+    if not arrows:
         _refuse_free_product(pools.values())
     members = []
     families = {}
-    for combo in search(objs, forward_check(pools, constraints)):
+    for combo in search(objs, forward_check(pools, arrows=arrows)):
         fam = dict(zip(objs, combo))
         tok = "(%s)" % ",".join(element_token(a, fam[a]) for a in objs)
         members.append(tok)

@@ -14,7 +14,12 @@ from .catcolim import (
     comparison_q,
 )
 from .diagcat import colimit_in_diag
-from .errors import IllFormedComparison, NonFunctorialFamily, ShapeMismatch
+from .errors import (
+    CertificateFailure,
+    IllFormedComparison,
+    NonFunctorialFamily,
+    ShapeMismatch,
+)
 from .fincat import FinFunctor, identity_functor, opposite, pair_token
 from .finset import (
     FinFunction,
@@ -225,10 +230,8 @@ def check_cdf_concordance(phi, x, bound=DEFAULT_BOUND, seed=None):
         injections,
     )
     for k in kres.colimit.objects:
-        assert beta.at(k) == identity_function(x.sets[k]), (
-            "joint-Kan mediator must be the identity",
-            k,
-        )
+        if beta.at(k) != identity_function(x.sets[k]):
+            raise CertificateFailure(("joint-Kan mediator must be the identity", k))
     # (c) via the cofinal quotient
     q = comparison_q(phi, kres)
     cq = certify_cofinal_quotient(q)
@@ -399,10 +402,8 @@ def check_general_cdf(t, bound=DEFAULT_BOUND, kres=None, seed=None):
         injections,
     )
     for k in res.result.shape.objects:
-        assert beta.at(k) == identity_function(x.sets[k]), (
-            "joint-Kan mediator must be the identity",
-            k,
-        )
+        if beta.at(k) != identity_function(x.sets[k]):
+            raise CertificateFailure(("joint-Kan mediator must be the identity", k))
     return report
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import (
+    CertificateFailure,
     NonFunctorialDiagram,
     NonFunctorialFamily,
     NotALaxCocone,
@@ -421,5 +422,6 @@ def lax_cocone_extend(phi, sigma, phis):
     # agreeing on injections and cocleavage agrees with t.
     for m, (u, x, f, _) in g.mor_data.items():
         b = sh.cod(u)
-        assert m == g.total.compose(g.injections[b].mor(f), g.cleavage[(u, x)])
+        if m != g.total.compose(g.injections[b].mor(f), g.cleavage[(u, x)]):
+            raise CertificateFailure(("lax cocone extension not unique", m))
     return t

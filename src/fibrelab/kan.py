@@ -5,13 +5,19 @@ Left Kan extensions are computed pointwise: (Lan_F X)(j) is the colimit of X
 over the comma category F↓j, realised directly by union-find over triples
 (i, u: F i -> j, element of X(i)).  Right Kan extensions dually are the
 compatible families over j↓F, found by the backtracking search of
-:func:`fibrelab.finset.search`.
+:func:`fibrelab.finset.search`, where each arrow of j↓F forces the value at
+its codomain from the value at its domain.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import IncompatibleFamily, NoSolution, ShapeMismatch
+from .errors import (
+    IncompatibleFamily,
+    NaturalityFailure,
+    NoSolution,
+    ShapeMismatch,
+)
 from .finset import (
     FinFunction,
     FinSet,
@@ -87,12 +93,21 @@ def lan(f, x):
         i1, i2 = i_cat.dom(m), i_cat.cod(m)
         left = x.fn(m).then(unit[i2])
         right = unit[i1].then(ext.fn(f.mor(m)))
-        assert left == right, ("lan unit naturality", m)
+        if left != right:
+            raise NaturalityFailure(("lan unit naturality", m))
     return KanResult(ext, unit, classify)
 
 
 def ran(f, x):
-    """Pointwise right Kan extension: compatible families over j↓F."""
+    """Pointwise right Kan extension: compatible families over j↓F.
+
+    (Ran_F X)(j) is the limit of X∘π over j↓F, found by :func:`search`
+    over the comma objects (i, u: j -> F i) in the order of I's objects.
+    Every morphism m: i1 -> i2 of I, identities included, gives the arrow
+    (i1, u) -> (i2, Fm∘u) along X(m).  An arrow from an earlier comma
+    object forces the value at the later one; arrows from later objects and
+    self-loops (identities, and endomorphisms with Fm∘u = u) are tests.
+    """
     if x.shape != f.source:
         raise ShapeMismatch(("ran", "diagram not on the source of F"))
     x.check()
@@ -101,21 +116,18 @@ def ran(f, x):
     sets, families, nodes, index = {}, {}, {}, {}
     for j in j_cat.objects:
         # comma objects (i, u: j -> F i); m: i1 -> i2 sends (i1, u) to
-        # (i2, Fm∘u), and a family must follow X(m) along it
+        # (i2, Fm∘u), and a family must follow X(m) along it: an arrow
         nodes[j] = [
             (i, u) for i in i_cat.objects for u in j_cat.hom(j, f.ob(i))
         ]
-        constraints = []
-        for m in i_cat.mor_tokens:
-            i1, i2 = i_cat.dom(m), i_cat.cod(m)
-            for u in j_cat.hom(j, f.ob(i1)):
-                scope = ((i1, u), (i2, j_cat.compose(f.mor(m), u)))
-                constraints.append(
-                    (scope, lambda v1, v2, fn=x.fn(m): fn(v1) == v2)
-                )
+        arrows = [
+            ((i1, u), (i2, j_cat.compose(f.mor(m), u)), x.fn(m).mapping)
+            for m, i1, i2 in i_cat.morphisms
+            for u in j_cat.hom(j, f.ob(i1))
+        ]
         pools = {(i, u): x.sets[i] for i, u in nodes[j]}
         toks, index[j] = {}, {}
-        for combo in search(nodes[j], forward_check(pools, constraints)):
+        for combo in search(nodes[j], forward_check(pools, arrows=arrows)):
             tok = "(%s)" % ",".join(
                 "%s|%s.%s" % (i, u, e) for (i, u), e in zip(nodes[j], combo)
             )
@@ -127,12 +139,10 @@ def ran(f, x):
     for v in j_cat.mor_tokens:
         j1, j2 = j_cat.dom(v), j_cat.cod(v)
         # restrict a family over j1 along u ↦ u∘v
+        along = [(i, j_cat.compose(u, v)) for i, u in nodes[j2]]
         mapping = {}
         for tok, fam in families[j1].items():
-            restricted = tuple(
-                fam[(i, j_cat.compose(u, v))] for i, u in nodes[j2]
-            )
-            mapping[tok] = index[j2][restricted]
+            mapping[tok] = index[j2][tuple([fam[node] for node in along])]
         functions[v] = FinFunction(sets[j1], sets[j2], mapping)
     ext = SetDiagram(j_cat, sets, functions).check()
     counit = {}
