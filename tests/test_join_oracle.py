@@ -21,8 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibrelab import fibrations, finset, fixtures
-from fibrelab.catcolim import colimit_cat
-from fibrelab.errors import NotACoconeError, ResourceExceeded, ShapeMismatch
+from fibrelab.errors import NotACoconeError, ShapeMismatch
 from fibrelab.fibrations import enumerate_functors
 from fibrelab.fincat import FinFunctor, identity_functor, product
 from fibrelab.finset import (
@@ -512,13 +511,3 @@ def test_corrupted_transformations_give_the_same_witness(seed):
         bad = SetNat(x, target, corrupt_map(rng, unit.components, apexes))
         assert outcome(bad.check) == outcome(lambda: oracle_nat_check(bad))
 
-
-def test_cocones_of_the_cat_colimit_formulas_check_as_before():
-    phi = fixtures.span_push3_diagram()
-    k = colimit_cat(phi).colimit
-    for seed in range(5):
-        x = random_set_diagram(random.Random(seed), k, 3)
-        cocone = colimit_set(x)
-        assert outcome(cocone.check) == outcome(
-            lambda: oracle_cocone_check(cocone)
-        ) == ("ok",)
