@@ -4,8 +4,9 @@ subcommands.
 ``check-fibration``, ``check-cofibration``, ``bifibration``, ``lift-limit``
 and ``free-cofibration``; the limit side (``limit-set``, ``kan --dual``,
 ``check-cdf --dual``, ``check-general-cdf --dual``, ``check-tfcf --dual``);
-``strictify``, ``product``, ``comma`` and ``guitart`` run on the fixtures
-and on small generated inputs.  Each report must equal, byte for byte, the
+``strictify``, ``product``, ``comma`` and ``guitart``; ``validate``,
+``opposite``, ``grothendieck`` (covariant and ``--dual``) and
+``colimit-cat`` run on the fixtures and on small generated inputs.  Each report must equal, byte for byte, the
 one stored under ``tests/golden/``, and exit with the stored code.  The
 inputs are built here from the fixtures and ``randgen`` (seeded) and written
 to a temporary directory.
@@ -102,8 +103,49 @@ def z2_with_identity_last():
     )
 
 
+def glued_chains(n, m):
+    """chain(n) glued end to start onto chain(m) along SPAN."""
+    cats = fixtures.all_categories()
+    pt, left, right = cats["ONE"], chain(n), chain(m)
+    return CatDiagram(
+        cats["SPAN"],
+        {"l": left, "s": pt, "r": right},
+        {
+            "le": FinFunctor(pt, left, {"*": "c%d" % (n - 1)}, {"1": "idc%d" % (n - 1)}),
+            "ri": FinFunctor(pt, right, {"*": "c0"}, {"1": "idc0"}),
+        },
+        "covariant",
+    )
+
+
+def category_inputs():
+    """Category descriptions for ``validate`` and ``opposite``: a thin
+    category with a 2-cycle (not a poset), a Grothendieck total that is a
+    poset, and a chain whose one composite of non-identities is mistyped."""
+    codiscrete = {
+        "format": "fibrelab/1",
+        "objects": ["x", "y"],
+        "morphisms": [
+            {"id": "idx", "dom": "x", "cod": "x"},
+            {"id": "idy", "dom": "y", "cod": "y"},
+            {"id": "u", "dom": "x", "cod": "y"},
+            {"id": "v", "dom": "y", "cod": "x"},
+        ],
+        "identities": {"x": "idx", "y": "idy"},
+        "composition": [["u", "v", "idy"], ["v", "u", "idx"]],
+    }
+    broken = chain(3).to_dict()
+    broken["composition"] = [["c1<c2", "c0<c1", "c0<c1"]]
+    return {
+        "codiscrete.json": codiscrete,
+        "halving-two-total.json": groth_co(halving_bifibration("TWO", 3)).total.to_dict(),
+        "mistyped-chain.json": broken,
+    }
+
+
 def golden_inputs():
-    """Input files by name: cat-diagrams and functor descriptions."""
+    """Input files by name: cat-diagrams, functor and category
+    descriptions."""
     cats = fixtures.all_categories()
     halving = {
         name: halving_bifibration(base, 3) for name, base in
@@ -155,7 +197,9 @@ def golden_inputs():
             },
         )
     )
+    inputs["glued-chain.json"] = cat_diagram_to_json(glued_chains(3, 4))
     inputs.update(limit_inputs())
+    inputs.update(category_inputs())
     return inputs
 
 
@@ -320,6 +364,24 @@ CASES = [
     ("product", (":pair", ":z2"), 0),
     ("comma", ("f-span-id", "f-one-span"), 0),
     ("comma", ("f-two-push3", "f-push3-id"), 0),
+] + [
+    ("validate", (c,), 0)
+    for c in (":push3", ":s3", "codiscrete", "halving-two-total")
+] + [
+    ("validate", ("mistyped-chain",), 2),
+] + [
+    ("opposite", (c,), 0)
+    for c in (":push3", ":s3", "codiscrete", "halving-two-total")
+] + [
+    ("grothendieck", ("--phi", phi), 0)
+    for phi in ("halving-two", ":span-push3", ":semidirect")
+] + [
+    ("grothendieck", ("--dual", "--phi", phi), 0)
+    for phi in ("contra-span", "contra-two")
+] + [
+    ("colimit-cat", ("--phi", "glued-chain"), 0),
+    ("colimit-cat", ("--phi", ":span-push3"), 0),
+    ("colimit-cat", ("--phi", ":loop-coeq", "--bound=40"), 3),
 ]
 
 
