@@ -39,6 +39,21 @@ with a in A, so a functor is fixed by its images of A, and
 :meth:`FinFunctor.certified` is the check without that fall-back: an
 enumerator of functors rejects a candidate with one generator test.
 
+Thin categories, where every hom-set has at most one morphism, are
+certified by typing.  Once every composite has the right endpoints,
+(h∘g)∘f and h∘(g∘f) both lie in hom(dom f, cod h), which holds one
+morphism, so they are equal and Light's test is not run.  If the category
+is moreover a poset (no two distinct objects with arrows both ways), its
+indecomposable non-identities A generate it, and the closure is not run
+either: by induction on the length L(x, y) of the longest chain of
+non-identities from x to y, a decomposable m = g∘f: x -> y has f: x -> z
+and g: z -> y with L(x, z), L(z, y) < L(x, y), so both are composites of
+generators, and so is m.  That A is the set the closure would choose, since
+it starts from A and then adds only what A leaves unreached.  Likewise a
+map into a thin target that preserves endpoints preserves composites, since
+F(g∘f) and F(g)∘F(f) lie in one hom-set: between checked categories
+:meth:`FinFunctor.certified` then runs no generator test.
+
 Duality goes through the ``op`` properties.  ``c.op`` is built on first use
 and cached: the same tokens in the same order, dom and cod swapped, the
 composition table transposed.  ``c.op.op is c``, and a passing ``check()``
@@ -82,6 +97,7 @@ class FinCategory:
         self.composition = MappingProxyType(self._composition)
         self.name = name
         self.mor_tokens = tuple(t for t, _, _ in self.morphisms)
+        self._object_set = frozenset(self.objects)
         self._dom = {t: d for t, d, _ in self.morphisms}
         self._cod = {t: c for t, _, c in self.morphisms}
         self._identity_tokens = frozenset(self.identities.values())
@@ -94,6 +110,7 @@ class FinCategory:
         self._out_of = {k: tuple(v) for k, v in out_of.items()}
         self._into = {k: tuple(v) for k, v in into.items()}
         self._checked = False
+        self._thin = False  # every hom-set has at most one morphism; set by check
         self._generators = None
         self._factorization = None
         self._op = None
@@ -145,9 +162,19 @@ class FinCategory:
     # -- validation ---------------------------------------------------------
 
     def check(self):
+        """Validate the tables once; a pass is remembered (by ``op`` too).
+
+        Tokens, endpoints, identities, the composition entries, the
+        table's totality and the identity laws are checked in that order,
+        each naming its first witness.  Associativity is then a
+        theorem of typing when the category is thin, and Light's test over
+        the generating set otherwise (the loop over every triple runs only
+        to name a witness).  The generating set is read off the
+        indecomposables when the category is a poset, and closed greedily
+        otherwise."""
         if self._checked:
             return self
-        objset = set(self.objects)
+        objset = self._object_set
         if len(objset) != len(self.objects):
             raise DanglingToken(("duplicate object token", self.objects))
         morset = set(self.mor_tokens)
@@ -157,13 +184,16 @@ class FinCategory:
             if d not in objset or c not in objset:
                 raise DanglingToken(("morphism endpoints undeclared", t, d, c))
         dom, cod, identity = self._dom, self._cod, self.identities
+        ids = set()
         for a in self.objects:
             i = identity.get(a)
             if i is None or i not in morset:
                 raise DanglingToken(("missing identity", a))
             if dom[i] != a or cod[i] != a:
                 raise IdentityViolation(("identity endpoints", a, i))
+            ids.add(i)
         comp = self._composition
+        decomposable = set()
         for (g, f), gf in comp.items():
             if g not in morset or f not in morset or gf not in morset:
                 raise DanglingToken(("composition entry", g, f, gf))
@@ -171,6 +201,8 @@ class FinCategory:
                 raise DanglingToken(("entry for non-composable pair", g, f))
             if dom[gf] != dom[f] or cod[gf] != cod[g]:
                 raise IdentityViolation(("dom/cod of composite", g, f, gf))
+            if g not in ids and f not in ids:
+                decomposable.add(gf)
         # every entry is a composable pair, so the table is total iff it has
         # as many entries as there are composable pairs
         into = self._into
@@ -185,28 +217,34 @@ class FinCategory:
                 raise IdentityViolation(("left identity", f))
             if comp[(f, identity[dom[f]])] != f:
                 raise IdentityViolation(("right identity", f))
-        gens = self._generating_set()
-        if not self._associative_at(gens):
-            self._check_every_triple()
+        hom = self._hom
+        thin = len(hom) == len(self.morphisms)
+        if thin and not any(d != c and (c, d) in hom for d, c in hom):
+            gens = tuple(
+                m for m in self.mor_tokens if m not in ids and m not in decomposable
+            )
+        else:
+            gens = self._generating_set(ids, decomposable)
+            if not thin and not self._associative_at(gens):
+                self._check_every_triple()
         self._generators = gens
+        self._thin = thin
         self._checked = True
         if self._op is not None:
             self._op._checked = True
             self._op._generators = gens
+            self._op._thin = thin
         return self
 
-    def _generating_set(self):
+    def _generating_set(self, ids, decomposable):
         """Generators A such that every morphism is an identity or a∘m with
         a in A and m generated, for a table whose composable pairs all have
-        composites.  The indecomposable non-identities come first (every
-        generating set holds them); then each morphism, in declaration
-        order, that the closure has not reached yet (groups and idempotents
-        need these)."""
+        composites; ``ids`` are the identities and ``decomposable`` the
+        composites of two non-identities.  The indecomposable non-identities
+        come first (every generating set holds them); then each morphism, in
+        declaration order, that the closure has not reached yet (groups and
+        idempotents need these)."""
         comp, dom, cod = self._composition, self._dom, self._cod
-        ids = {self.identities[a] for a in self.objects}
-        decomposable = {
-            gf for (g, f), gf in comp.items() if g not in ids and f not in ids
-        }
         reached = set(ids)
         reached_into = {a: [self.identities[a]] for a in self.objects}
         gens, gens_out, work = [], {}, []
@@ -302,6 +340,7 @@ class FinCategory:
             )
             op._checked = self._checked
             op._generators = self._generators
+            op._thin = self._thin
             op._op = self
             self._op = op
         return self._op
@@ -477,14 +516,15 @@ class FinFunctor:
         """Whether the generator test alone proves the functor: the maps
         are validated first (a broken one raises as in :meth:`check`), then,
         with source and target checked, a∘f preserved for the source's
-        generators a.  A pass is recorded.  False means :meth:`check` would
-        run its loop over every pair; between checked categories it means
-        that the maps are no functor."""
+        generators a, or nothing more if the target is thin.  A pass is
+        recorded.  False means :meth:`check` would run its loop over every
+        pair; between checked categories it means that the maps are no
+        functor."""
         if self._checked:
             return True
         src, tgt = self.source, self.target
         obs, mors = self._on_objects, self._on_morphisms
-        target_objects = set(tgt.objects)
+        target_objects = tgt._object_set
         for a in src.objects:
             if a not in obs:
                 raise DanglingToken(("functor misses object", a))
@@ -505,10 +545,11 @@ class FinFunctor:
             if mors[src.identities[a]] != tgt.identities[obs[a]]:
                 raise ShapeMismatch(("identity not preserved", a))
         # with both categories checked, preserving a∘f for the generators a
-        # proves functoriality
+        # proves functoriality, and preserving endpoints does if the target
+        # is thin
         if not (src._checked and tgt._checked):
             return False
-        if self._unpreserved(src._generators) is not None:
+        if not tgt._thin and self._unpreserved(src._generators) is not None:
             return False
         self._record_pass()
         return True

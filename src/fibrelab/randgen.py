@@ -69,16 +69,6 @@ def random_poset(rng, max_objects=4, prefix="p"):
     return poset_category(elems, lambda x, y: x in below[y])
 
 
-def _is_poset(c):
-    for x in c.objects:
-        for y in c.objects:
-            if len(c.hom(x, y)) > 1:
-                return False
-            if x != y and c.hom(x, y) and c.hom(y, x):
-                return False
-    return True
-
-
 def monotone_functor(src, tgt, on_objects):
     """Extend a monotone object map between poset categories to a functor."""
     on_morphisms = {}
