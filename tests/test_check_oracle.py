@@ -34,6 +34,7 @@ from fibrelab.randgen import (
     random_set_diagram,
 )
 from test_fincat import oracle_generating_set
+from test_thin_oracle import oracle_is_thin
 
 CATS = fixtures.all_categories()
 DIAGS = fixtures.all_cat_diagrams()
@@ -586,10 +587,6 @@ def test_generators_alone_would_miss_a_non_associative_source():
     assert missed >= 5
 
 
-def _is_thin(c):
-    return all(len(c.hom(a, b)) <= 1 for a in c.objects for b in c.objects)
-
-
 @pytest.mark.parametrize("kind", ["functor", "set diagram"])
 def test_checked_sources_take_the_generator_loop_only(monkeypatch, kind):
     """Between checked categories a functor into a non-thin target runs the
@@ -605,7 +602,7 @@ def test_checked_sources_take_the_generator_loop_only(monkeypatch, kind):
         obj = (fresh_functor(obj) if kind == "functor"
                else SetDiagram(obj.shape, obj.sets, obj.functions))
         source = obj.source if kind == "functor" else obj.shape
-        thin = kind == "functor" and _is_thin(obj.target)
+        thin = kind == "functor" and oracle_is_thin(obj.target)
         thin_targets += thin
         before = len(outers())
         assert obj.check() is obj
