@@ -1,7 +1,12 @@
-"""The category of diagrams in a fixed target: lax-triangle morphisms in both
-variances, the one-object embedding with its colimit reflection,
-strictification through comma categories, duality, and colimits of diagram
-families.
+"""The category of diagrams in a fixed target, its one-object embedding with
+the colimit reflection, strictification through comma categories, duality,
+and colimits of diagram families.
+
+Diag(C) is the diagram category Diag(P) of a functor P taken at P = C -> 1.
+A morphism (F, φ): (I, X) -> (J, Y) is a natural transformation after
+restricting one side along its functor part: forward, F: I -> J and
+φ: X ⇒ Y∘F on I; backward, F: J -> I and φ: X∘F ⇒ Y on J.  A family of
+diagrams over D is a functor D -> Diag (:class:`~fibrelab.grothendieck.DiagFamily`).
 
 Diagram categories over a large target are never materialized; objects and
 morphisms are validated and composed on demand.
@@ -13,13 +18,17 @@ from dataclasses import dataclass
 from .catcolim import colimit_cat
 from .errors import (
     AmbientNotFinite,
+    CertificateFailure,
+    DanglingToken,
     EndpointMismatch,
     NotAMorphism,
+    ShapeMismatch,
     VariantMismatch,
 )
 from .fincat import (
     FinCategory,
     FinFunctor,
+    NatTransformation,
     comma,
     compose_functor,
     constant_functor,
@@ -30,12 +39,32 @@ from .finset import (
     FinFunction,
     FinSet,
     SetDiagram,
+    SetNat,
     colimit_set,
+    identity_function,
     mediate,
+    restrict,
 )
 from .fixtures import one
 from .kan import lan
 from .report import failed, passed
+
+
+class _FinSets:
+    """The ambient of set-valued diagrams: finite sets and functions, with
+    the ``id_of`` and ``compose`` of a FinCategory."""
+
+    id_of = staticmethod(identity_function)
+    compose = staticmethod(lambda g, f: f.then(g))
+
+
+_FINSETS = _FinSets()
+
+# per kind: the diagram type, X∘F, and the transformations between diagrams
+_KINDS = {
+    "set": (SetDiagram, restrict, SetNat),
+    "cat": (FinFunctor, compose_functor, NatTransformation),
+}
 
 
 @dataclass
@@ -48,17 +77,17 @@ class DiagObject:
     kind: str = "set"  # "set" | "cat"
 
     def __post_init__(self):
-        assert self.kind in ("set", "cat")
-        if self.kind == "set":
-            assert isinstance(self.diagram, SetDiagram)
-            assert self.diagram.shape == self.shape
-        else:
-            assert isinstance(self.diagram, FinFunctor)
-            assert self.diagram.source == self.shape
+        if self.kind not in _KINDS:
+            raise VariantMismatch(("diagram kind", self.kind))
+        if not isinstance(self.diagram, _KINDS[self.kind][0]):
+            raise ShapeMismatch(("not a %s-valued diagram" % self.kind,))
+        shape = self.diagram.shape if self.kind == "set" else self.diagram.source
+        if shape != self.shape:
+            raise ShapeMismatch(("diagram not on its shape",))
 
     @property
     def ambient(self):
-        return self.diagram.target if self.kind == "cat" else None
+        return self.diagram.target if self.kind == "cat" else _FINSETS
 
     def value_at(self, i):
         if self.kind == "set":
@@ -69,6 +98,14 @@ class DiagObject:
         if self.kind == "set":
             return self.diagram.fn(m)
         return self.diagram.mor(m)
+
+    def along(self, f):
+        """X∘F, for a functor F into the shape."""
+        return _KINDS[self.kind][1](self.diagram, f)
+
+
+# witness kinds of the naturality checks, as a Diag morphism names them
+_WITNESS = {"naturality square": "naturality"}
 
 
 @dataclass
@@ -87,81 +124,62 @@ class DiagMorphism:
     components: tuple  # tuple of (index object, component) pairs
 
     def __post_init__(self):
-        assert self.variant in ("forward", "backward")
+        if self.variant not in ("forward", "backward"):
+            raise VariantMismatch(("morphism variant", self.variant))
 
     def at(self, i):
         return dict(self.components)[i]
 
     def check(self):
+        """φ is natural: X ⇒ Y∘F on I (forward) or X∘F ⇒ Y on J (backward).
+        A failure raises NotAMorphism with the kind and the index object or
+        morphism where it occurs."""
         src, tgt, f = self.source, self.target, self.functor_part
         if src.kind != tgt.kind:
             raise EndpointMismatch(("kind", src.kind, tgt.kind))
-        if self.variant == "forward":
-            if f.source != src.shape or f.target != tgt.shape:
-                raise EndpointMismatch(("functor part", self.variant))
-            index, x_of, y_of = src.shape, src, lambda i: tgt.value_at(f.ob(i))
-        else:
-            if f.source != tgt.shape or f.target != src.shape:
-                raise EndpointMismatch(("functor part", self.variant))
-            index, y_of = tgt.shape, tgt.value_at
-            x_of = None
+        forward = self.variant == "forward"
+        index, other = (src, tgt) if forward else (tgt, src)
+        if f.source != index.shape or f.target != other.shape:
+            raise EndpointMismatch(("functor part", self.variant))
         comp = dict(self.components)
-        if set(comp) != set(index.objects):
+        if set(comp) != set(index.shape.objects):
             raise NotAMorphism(("component index set", sorted(comp)))
-        kind = src.kind
-        for i in index.objects:
-            dom_v = (
-                src.value_at(i)
-                if self.variant == "forward"
-                else src.value_at(f.ob(i))
-            )
-            cod_v = (
-                tgt.value_at(f.ob(i))
-                if self.variant == "forward"
-                else tgt.value_at(i)
-            )
-            c = comp[i]
-            if kind == "set":
-                if c.source != dom_v or c.target != cod_v:
-                    raise NotAMorphism(("component endpoints", i))
-            else:
-                amb = src.ambient
-                if amb.dom(c) != dom_v or amb.cod(c) != cod_v:
-                    raise NotAMorphism(("component endpoints", i))
-        # naturality over the index category
-        for m in index.mor_tokens:
-            i, j = index.dom(m), index.cod(m)
-            if self.variant == "forward":
-                top = src.arrow_at(m)
-                bot = tgt.arrow_at(f.mor(m))
-            else:
-                top = src.arrow_at(f.mor(m))
-                bot = tgt.arrow_at(m)
-            if kind == "set":
-                if top.then(comp[j]) != comp[i].then(bot):
-                    raise NotAMorphism(("naturality", m))
-            else:
-                amb = src.ambient
-                if amb.compose(comp[j], top) != amb.compose(bot, comp[i]):
-                    raise NotAMorphism(("naturality", m))
+        x = src.diagram if forward else src.along(f)
+        y = tgt.along(f) if forward else tgt.diagram
+        try:
+            _KINDS[src.kind][2](x, y, comp).check()
+        except (DanglingToken, ShapeMismatch) as err:
+            kind = err.args[0][0]
+            raise NotAMorphism((_WITNESS.get(kind, kind),) + err.args[0][1:2]) from None
         return self
 
 
 def diag_identity(dobj):
-    if dobj.kind == "set":
-        comps = tuple(
-            (i, FinFunction(dobj.value_at(i), dobj.value_at(i),
-                            {e: e for e in dobj.value_at(i)}))
-            for i in dobj.shape.objects
-        )
-    else:
-        comps = tuple(
-            (i, dobj.ambient.id_of(dobj.value_at(i)))
-            for i in dobj.shape.objects
-        )
+    amb = dobj.ambient
+    comps = tuple((i, amb.id_of(dobj.value_at(i))) for i in dobj.shape.objects)
     return DiagMorphism(
         "forward", dobj, dobj, identity_functor(dobj.shape), comps
     ).check()
+
+
+def diag_composite(m2, m1):
+    """m2·m1 unchecked: its functor parts in composition order and its
+    components, forward ((G, F), ψF·φ) over the index of m1, backward
+    ((F, G), ψ·φG) over the index of m2, composed in the ambient."""
+    f, g = m1.functor_part, m2.functor_part
+    first, second = dict(m1.components), dict(m2.components)
+    amb = m1.source.ambient
+    if m1.variant == "forward":
+        comps = tuple(
+            (i, amb.compose(second[f.ob(i)], first[i]))
+            for i in m1.source.shape.objects
+        )
+        return (g, f), comps
+    comps = tuple(
+        (k, amb.compose(second[k], first[g.ob(k)]))
+        for k in m2.target.shape.objects
+    )
+    return (f, g), comps
 
 
 def diag_compose(m2, m1):
@@ -171,28 +189,9 @@ def diag_compose(m2, m1):
         raise VariantMismatch((m2.variant, m1.variant))
     if m1.target != m2.source:
         raise EndpointMismatch(("composition endpoints",))
-    kind = m1.source.kind
-    f, g = m1.functor_part, m2.functor_part
-
-    def comp(a, b):  # a after b
-        if kind == "set":
-            return b.then(a)
-        return m1.source.ambient.compose(a, b)
-
-    if m1.variant == "forward":
-        functor = compose_functor(g, f)
-        comps = tuple(
-            (i, comp(m2.at(f.ob(i)), m1.at(i)))
-            for i in m1.source.shape.objects
-        )
-    else:
-        functor = compose_functor(f, g)
-        comps = tuple(
-            (k, comp(m2.at(k), m1.at(g.ob(k))))
-            for k in m2.target.shape.objects
-        )
+    functors, comps = diag_composite(m2, m1)
     return DiagMorphism(
-        m1.variant, m1.source, m2.target, functor, comps
+        m1.variant, m1.source, m2.target, compose_functor(*functors), comps
     ).check()
 
 
@@ -202,13 +201,9 @@ def verify_2cell(alpha, m, m_prime):
         return failed("verify_2cell", {"not_parallel": True})
     if alpha.source != m.functor_part or alpha.target != m_prime.functor_part:
         return failed("verify_2cell", {"alpha_endpoints": True})
-    y = m.target
-    kind = m.source.kind
+    y, amb = m.target, m.source.ambient
     for i in m.functor_part.source.objects:
-        if kind == "set":
-            lhs = m.at(i).then(y.arrow_at(alpha.at(i)))
-        else:
-            lhs = m.source.ambient.compose(y.arrow_at(alpha.at(i)), m.at(i))
+        lhs = amb.compose(y.arrow_at(alpha.at(i)), m.at(i))
         if lhs != m_prime.at(i):
             return failed("verify_2cell", {"object": i})
     return passed("verify_2cell", components=len(m.components))
@@ -219,9 +214,7 @@ def verify_2cell(alpha, m, m_prime):
 def embed(s):
     """A finite set as a ONE-shaped diagram."""
     shape = one()
-    ident = {
-        shape.id_of("*"): FinFunction(s, s, {e: e for e in s})
-    }
+    ident = {shape.id_of("*"): identity_function(s)}
     return DiagObject(shape, SetDiagram(shape, {"*": s}, ident), "set")
 
 
@@ -229,7 +222,8 @@ def embed_and_reflect(dobj):
     """The reflection unit (I,X) -> E(colim X): the unique-shape collapse
     with the colimit injections as components.  Universal: every forward
     morphism from (I,X) to an embedded set factors uniquely through it."""
-    assert dobj.kind == "set"
+    if dobj.kind != "set":
+        raise AmbientNotFinite("the reflection needs a set-valued diagram")
     col = colimit_set(dobj.diagram)
     target = embed(col.apex)
     unit = DiagMorphism(
@@ -288,7 +282,8 @@ def _strict_index(cy):
 def strictify(m):
     """Strict(F, φ): Id↓X -> Id↓Y, (a, i, u) ↦ (a, F i, φ_i·u)."""
     m.check()
-    assert m.variant == "forward" and m.source.kind == "cat"
+    if m.variant != "forward":
+        raise VariantMismatch(("strictify needs a forward morphism", m.variant))
     amb = m.source.ambient
     cx, cy = strict_category(m.source), strict_category(m.target)
     objects, morphisms = _strict_index(cy)
@@ -330,17 +325,20 @@ def strict_to_lax(x_dobj, y_dobj, h):
     """The inverse direction: a functor H: I -> Id↓Y with dom∘H = X becomes
     the forward morphism (F, φ) with F i and φ_i read off the comma triples."""
     cy = strict_category(y_dobj)
-    assert h.target == cy.category
+    if h.target != cy.category:
+        raise NotAMorphism(("not into the strict category",))
     on_objects, comps = {}, []
     for i in x_dobj.shape.objects:
         a, j, u = cy.triples[h.ob(i)]
-        assert a == x_dobj.diagram.ob(i), "not a morphism over the ambient"
+        if a != x_dobj.diagram.ob(i):
+            raise NotAMorphism(("not over the ambient", i))
         on_objects[i] = j
         comps.append((i, u))
     on_morphisms = {}
     for q in x_dobj.shape.mor_tokens:
         p, fq = cy.pairs[h.mor(q)]
-        assert p == x_dobj.diagram.mor(q), "not over the ambient"
+        if p != x_dobj.diagram.mor(q):
+            raise NotAMorphism(("not over the ambient", q))
         on_morphisms[q] = fq
     f = FinFunctor(
         x_dobj.shape, y_dobj.shape, on_objects, on_morphisms
@@ -497,9 +495,9 @@ def colimit_in_diag(t, bound=10000, kres=None):
     for u, d, e in sh.morphisms:
         tr = phi.transition(u)
         for i in phi.fibre(d).objects:
-            assert t.phi(u)[i].then(injections[e].at(tr.ob(i))) == injections[
-                d
-            ].at(i), ("colimit injections not a cocone", u, i)
+            pushed = t.phi(u)[i].then(injections[e].at(tr.ob(i)))
+            if pushed != injections[d].at(i):
+                raise CertificateFailure(("colimit injections not a cocone", u, i))
     return DiagColimit(kres, result, injections, lans)
 
 
@@ -509,7 +507,8 @@ def dualize(m):
     """The involution between backward morphisms over an ambient category and
     forward morphisms over its opposite (and back)."""
     m.check()
-    assert m.source.kind == "cat"
+    if m.source.kind != "cat":
+        raise AmbientNotFinite("duality needs a cat-valued diagram")
     flip = "forward" if m.variant == "backward" else "backward"
     dual_src = DiagObject(
         opposite(m.target.shape), m.target.diagram.op, "cat"

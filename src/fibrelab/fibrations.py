@@ -35,7 +35,6 @@ from .errors import (
     NoBaseLimit,
     NoFibreLimit,
     NonFunctorialTransition,
-    NotAMorphism,
     ShapeMismatch,
     SplitLawViolation,
     SquareNotCommuting,
@@ -834,7 +833,8 @@ class DiagOfFunctor:
 
     Objects are triples (a, I, X) with X: I -> E landing in the fibre E_a;
     morphisms (u, F, φ) have Pφ constantly u.  The category is large, so it
-    is never enumerated — only validated and composed pointwise.
+    is never enumerated: only its embedding and the hom bijection of a split
+    cofibration are computed.
     """
 
     def __init__(self, p):
@@ -850,46 +850,6 @@ class DiagOfFunctor:
             self.p.ob(x),
             pt,
             FinFunctor(pt, e, {"*": x}, {"1": e.id_of(x)}),
-        )
-
-    def validate_morphism(self, src, tgt, u, f, components):
-        """Check that (u, F, φ) is a morphism (a,I,X) -> (b,J,Y)."""
-        a, shape_i, x = src
-        b, shape_j, y = tgt
-        e, base = self.p.source, self.p.target
-        if base.dom(u) != a or base.cod(u) != b:
-            raise NotAMorphism(("base morphism endpoints", u))
-        f.check()
-        if f.source != shape_i or f.target != shape_j:
-            raise NotAMorphism(("functor part shape",))
-        for i in shape_i.objects:
-            c = components.get(i)
-            if c is None or not e.has_mor(c):
-                raise NotAMorphism(("missing component", i))
-            if e.dom(c) != x.ob(i) or e.cod(c) != y.ob(f.ob(i)):
-                raise NotAMorphism(("component endpoints", i))
-            if self.p.mor(c) != u:
-                raise NotAMorphism(("Pφ not constant at u", i))
-        for m in shape_i.mor_tokens:
-            i, j = shape_i.dom(m), shape_i.cod(m)
-            if e.compose(components[j], x.mor(m)) != e.compose(
-                y.mor(f.mor(m)), components[i]
-            ):
-                raise NotAMorphism(("naturality", m))
-        return (u, f, dict(components))
-
-    def compose(self, src, mid, tgt, m2, m1):
-        """(v, G, ψ)·(u, F, φ) = (v·u, G∘F, ψF·φ)."""
-        u, f, comp1 = self.validate_morphism(src, mid, *m1)
-        v, g, comp2 = self.validate_morphism(mid, tgt, *m2)
-        e, base = self.p.source, self.p.target
-        return (
-            base.compose(v, u),
-            compose_functor(g, f),
-            {
-                i: e.compose(comp2[f.ob(i)], comp1[i])
-                for i in src[1].objects
-            },
         )
 
     def hom_bijection_check(self, cofib_data, src, tgt):

@@ -290,7 +290,9 @@ class SetNat:
         if self.source.shape != self.target.shape:
             raise ShapeMismatch(("transformation across shapes",))
         for a in self.source.shape.objects:
-            c = self.components[a]
+            c = self.components.get(a)
+            if c is None:
+                raise DanglingToken(("missing component", a))
             if c.source != self.source.sets[a] or c.target != self.target.sets[a]:
                 raise ShapeMismatch(("component endpoints", a))
         for f, d, c in self.source.shape.morphisms:

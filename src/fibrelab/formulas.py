@@ -17,7 +17,6 @@ from .diagcat import colimit_in_diag
 from .errors import (
     CertificateFailure,
     IllFormedComparison,
-    NonFunctorialFamily,
     ShapeMismatch,
 )
 from .fincat import FinFunctor, identity_functor, opposite, pair_token
@@ -103,10 +102,10 @@ def _by_family(families):
 
 def _recomposition(check_name, family, lhs, value, seed=None):
     """Compare the limit cone ``lhs`` with the D-limit of the member limits
-    of a BackwardFamily on D, whose transitions send a family ``fam`` of X_d
-    to j ↦ ψ^u_j(fam[Φu j]).  ``value(fam, d, i)`` is the X_d(i) entry of
-    the ``lhs`` family ``fam``; the induced map into the iterated limit is
-    certified bijective."""
+    of a backward DiagFamily on D, whose transitions send a family ``fam``
+    of X_d to j ↦ φ^u_j(fam[Φu j]).  ``value(fam, d, i)`` is the X_d(i)
+    entry of the ``lhs`` family ``fam``; the induced map into the iterated
+    limit is certified bijective."""
     sh = family.shape
     inner = {d: limit_set(family.diagram_at(d)) for d in sh.objects}
     token_of = {d: _by_family(inner[d].families) for d in sh.objects}
@@ -138,7 +137,7 @@ def _recomposition(check_name, family, lhs, value, seed=None):
 def _restrictions(phi, x, cocone):
     """The members X∘K_d of X along the colimit legs K_d of Φ, and for
     u: d -> e of D the pair (Φu, identities on X_d(i)): a DiagFamily on D,
-    and a BackwardFamily on D^op."""
+    and a backward one on D^op."""
     objects = {d: restrict(x, cocone[d]) for d in phi.shape.objects}
     morphisms = {
         u: (
@@ -184,8 +183,8 @@ def check_limit_recomposition(phi, x, bound=DEFAULT_BOUND, kres=None, seed=None)
     x.check()
     _require_shape(x, kres.colimit, "X must live on the glued shape")
     lhs = limit_set(x)
-    family = BackwardFamily(
-        opposite(phi.shape), *_restrictions(phi, x, kres.cocone)
+    family = DiagFamily(
+        opposite(phi.shape), *_restrictions(phi, x, kres.cocone), variant="backward"
     )
 
     def value(fam, d, i):
@@ -372,8 +371,7 @@ def check_general_cdf(t, bound=DEFAULT_BOUND, kres=None, seed=None):
     """The general decomposition formula for a family of set diagrams: build
     (K, X) as a colimit of left Kan extensions, then compare colim X with the
     D-colimit of the member colimits; the joint-Kan universal property of X is
-    certified along the way."""
-    t.check()
+    certified along the way.  ``colimit_in_diag`` checks the family."""
     res = colimit_in_diag(t, bound, kres=kres)
     phi = t.cat_diagram()
     sh = phi.shape
@@ -407,75 +405,9 @@ def check_general_cdf(t, bound=DEFAULT_BOUND, kres=None, seed=None):
     return report
 
 
-class BackwardFamily:
-    """A functor D -> Diag_∘(FinSet): member diagrams X_d on fibres Φd, and
-    for u: d -> e a transition functor Φu: Φe -> Φd with components
-    ψ^u_j: X_d(Φu j) -> X_e(j)."""
-
-    def __init__(self, shape, objects, morphisms):
-        self.shape = shape
-        self.objects = dict(objects)
-        self.morphisms = dict(morphisms)  # u -> (FinFunctor, dict j -> FinFunction)
-
-    def diagram_at(self, d):
-        return self.objects[d]
-
-    def transition(self, u):
-        return self.morphisms[u][0]
-
-    def psi(self, u):
-        return self.morphisms[u][1]
-
-    def cat_diagram(self):
-        return CatDiagram(
-            self.shape,
-            {d: self.objects[d].shape for d in self.shape.objects},
-            {u: self.morphisms[u][0] for u in self.shape.mor_tokens},
-            variance="contravariant",
-        )
-
-    def check(self):
-        sh = self.shape
-        self.cat_diagram().check()
-        for d in sh.objects:
-            self.objects[d].check()
-        for u, d, e in sh.morphisms:
-            tr, comp = self.morphisms[u]
-            xd, xe = self.objects[d], self.objects[e]
-            for j in xe.shape.objects:
-                c = comp.get(j)
-                if c is None:
-                    raise NonFunctorialFamily(("missing component", u, j))
-                if c.source != xd.sets[tr.ob(j)] or c.target != xe.sets[j]:
-                    raise NonFunctorialFamily(("component endpoints", u, j))
-            for h in xe.shape.mor_tokens:
-                j1, j2 = xe.shape.dom(h), xe.shape.cod(h)
-                left = xd.fn(tr.mor(h)).then(comp[j2])
-                right = comp[j1].then(xe.fn(h))
-                if left != right:
-                    raise NonFunctorialFamily(("naturality", u, h))
-        for d in sh.objects:
-            i = sh.id_of(d)
-            for j in self.objects[d].shape.objects:
-                if self.morphisms[i][1][j] != identity_function(
-                    self.objects[d].sets[j]
-                ):
-                    raise NonFunctorialFamily(("identity components", d, j))
-        for g, f in sh.composable_pairs():
-            gf = sh.compose(g, f)
-            tg = self.morphisms[g][0]
-            for j in self.objects[sh.cod(g)].shape.objects:
-                expect = self.morphisms[f][1][tg.ob(j)].then(
-                    self.morphisms[g][1][j]
-                )
-                if self.morphisms[gf][1][j] != expect:
-                    raise NonFunctorialFamily(("composition law", g, f, j))
-        return self
-
-
 def backward_hat(phi, t):
     """The backward family of a diagram on a contravariant total category:
-    member d ↦ T∘J_d with ψ^u_j = T(θ^u_j)."""
+    member d ↦ T∘J_d with φ^u_j = T(θ^u_j)."""
     gr = groth_contra(phi)
     _require_shape(t, gr.total, "T must live on the total category")
     return _backward_hat(t, gr).check()
@@ -492,7 +424,7 @@ def _backward_hat(t, gr):
         )
         for u, _, e in phi.shape.morphisms
     }
-    return BackwardFamily(phi.shape, objects, morphisms)
+    return DiagFamily(phi.shape, objects, morphisms, variant="backward")
 
 
 def check_general_limit_recomposition(t, bound=DEFAULT_BOUND, seed=None):
@@ -513,7 +445,7 @@ def check_general_limit_recomposition(t, bound=DEFAULT_BOUND, seed=None):
     k_cat = kres.colimit
     rans = {d: ran(kres.cocone[d], t.diagram_at(d)) for d in sh.objects}
     # X(k): compatible D-indexed families of Ran-values, with transitions
-    # R_d(k) -> R_e(k) applying ψ^u inside each comma family
+    # R_d(k) -> R_e(k) applying φ^u inside each comma family
     functions = {}
     ran_token = {
         d: {k: _by_family(rans[d].classify[k]) for k in k_cat.objects}
@@ -524,7 +456,7 @@ def check_general_limit_recomposition(t, bound=DEFAULT_BOUND, seed=None):
         tr = phi.transition(u)
         fam = rans[d].classify[k][tok]
         image = {
-            (j, w): t.psi(u)[j](fam[(tr.ob(j), w)])
+            (j, w): t.phi(u)[j](fam[(tr.ob(j), w)])
             for j in phi.fibre(e).objects
             for w in k_cat.hom(k, kres.cocone[e].ob(j))
         }

@@ -22,12 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
+from .diagcat import DiagMorphism, DiagObject, diag_composite
 from .errors import (
     CertificateFailure,
     NonFunctorialDiagram,
     NonFunctorialFamily,
     NotALaxCocone,
+    NotAMorphism,
     ShapeMismatch,
+    VariantMismatch,
 )
 from .fincat import (
     FinCategory,
@@ -36,6 +39,10 @@ from .fincat import (
     identity_functor,
 )
 from .finset import SetDiagram, identity_function
+
+
+# the variance of a family's shape diagram
+_VARIANCE = {"forward": "covariant", "backward": "contravariant"}
 
 
 def obj_token(a, x):
@@ -259,16 +266,24 @@ def opposed_fibres(phi):
 
 
 class DiagFamily:
-    """A functor D -> Diag°(FinSet): per-object set diagrams X_d on shapes
-    Φd, and per-morphism pairs (transition functor Φu, transformation
-    φ^u: X_d -> X_e ∘ Φu).
+    """A functor D -> Diag(FinSet): member set diagrams X_d on shapes Φd,
+    and for each u: d -> e a pair (transition functor Φu, components φ^u),
+    which is a Diag morphism X_d -> X_e of the family's variant:
+
+    - forward (the default): Φu: Φd -> Φe and φ^u_x: X_d(x) -> X_e(Φu x),
+      with a covariant shape diagram;
+    - backward: Φu: Φe -> Φd and φ^u_j: X_d(Φu j) -> X_e(j), with a
+      contravariant shape diagram.
     """
 
-    def __init__(self, shape, objects, morphisms):
+    def __init__(self, shape, objects, morphisms, variant="forward"):
+        if variant not in _VARIANCE:
+            raise VariantMismatch(("family variant", variant))
         self.shape = shape
         self.objects = dict(objects)  # d -> SetDiagram
-        # u -> (FinFunctor, dict fibre-object -> FinFunction)
+        # u -> (FinFunctor, dict index object -> FinFunction)
         self.morphisms = dict(morphisms)
+        self.variant = variant
 
     def diagram_at(self, d):
         return self.objects[d]
@@ -284,55 +299,43 @@ class DiagFamily:
             self.shape,
             {d: self.objects[d].shape for d in self.shape.objects},
             {u: self.morphisms[u][0] for u in self.shape.mor_tokens},
-            variance="covariant",
+            variance=_VARIANCE[self.variant],
         )
 
     def check(self):
+        """Each transition is a Diag morphism (a failure names its kind,
+        the base morphism and the index object or morphism), identities go
+        to identities, and φ^{g∘f} is the composite of φ^g and φ^f."""
         sh = self.shape
         self.cat_diagram().check()
+        members = {}
         for d in sh.objects:
-            self.objects[d].check()
+            members[d] = DiagObject(self.objects[d].shape, self.objects[d].check())
+        arrows = {}
         for u, d, e in sh.morphisms:
             t, comp = self.morphisms[u]
-            xd, xe = self.objects[d], self.objects[e]
-            for x in xd.shape.objects:
-                c = comp.get(x)
-                if c is None:
+            for x in t.source.objects:
+                if x not in comp:
                     raise NonFunctorialFamily(("missing component", u, x))
-                if c.source != xd.sets[x] or c.target != xe.sets[t.ob(x)]:
-                    raise NonFunctorialFamily(("component endpoints", u, x))
-            for h in xd.shape.mor_tokens:
-                hx, hy = xd.shape.dom(h), xd.shape.cod(h)
-                left = xd.fn(h).then(comp[hy])
-                right = comp[hx].then(xe.fn(t.mor(h)))
-                if left != right:
-                    raise NonFunctorialFamily(("naturality", u, h))
+            arrows[u] = DiagMorphism(
+                self.variant, members[d], members[e], t, tuple(comp.items())
+            )
+            try:
+                arrows[u].check()
+            except NotAMorphism as err:
+                kind, *where = err.args[0]
+                raise NonFunctorialFamily((kind, u, *where)) from None
         for d in sh.objects:
-            i = sh.id_of(d)
+            comp = self.morphisms[sh.id_of(d)][1]
             for x in self.objects[d].shape.objects:
-                if self.morphisms[i][1][x] != identity_function(
-                    self.objects[d].sets[x]
-                ):
+                if comp[x] != identity_function(self.objects[d].sets[x]):
                     raise NonFunctorialFamily(("identity components", d, x))
         for g, f in sh.composable_pairs():
-            gf = sh.compose(g, f)
-            tf = self.morphisms[f][0]
-            for x in self.objects[sh.dom(f)].shape.objects:
-                expect = self.morphisms[f][1][x].then(
-                    self.morphisms[g][1][tf.ob(x)]
-                )
-                if self.morphisms[gf][1][x] != expect:
+            comp = self.morphisms[sh.compose(g, f)][1]
+            for x, expect in diag_composite(arrows[g], arrows[f])[1]:
+                if comp[x] != expect:
                     raise NonFunctorialFamily(("composition law", g, f, x))
         return self
-
-    def __eq__(self, other):
-        if not isinstance(other, DiagFamily):
-            return NotImplemented
-        return (
-            self.shape == other.shape
-            and self.objects == other.objects
-            and self.morphisms == other.morphisms
-        )
 
 
 def guitart_hat(phi, t, gr=None):

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibrelab import fixtures
+from fibrelab import finset, fixtures
+from fibrelab.catcolim import colimit_cat
 from fibrelab.diagcat import (
     DiagMorphism,
     DiagObject,
@@ -22,8 +23,14 @@ from fibrelab.diagcat import (
     strictify,
     verify_2cell,
 )
-from fibrelab.errors import NotAMorphism, VariantMismatch
-from fibrelab.fincat import FinFunctor, identity_functor
+from fibrelab.errors import (
+    AmbientNotFinite,
+    CertificateFailure,
+    NotAMorphism,
+    ShapeMismatch,
+    VariantMismatch,
+)
+from fibrelab.fincat import FinFunctor, constant_functor, identity_functor
 from fibrelab.finset import (
     FinFunction,
     FinSet,
@@ -32,6 +39,7 @@ from fibrelab.finset import (
     identity_function,
     is_bijection,
 )
+from fibrelab.grothendieck import groth_co, guitart_hat
 from fibrelab.randgen import random_diag_family, random_set_diagram
 
 CATS = fixtures.all_categories()
@@ -248,3 +256,105 @@ def test_random_forward_morphism_dualize_round_trip(seed):
         dd = dualize(dualize(m))
         assert dict(dd.components) == dict(m.components)
         assert dd.functor_part.on_objects == m.functor_part.on_objects
+
+
+# -- typed guards: none of them is an assert, so all hold under python -O ----
+
+def z2_point_lax():
+    """The identity diagram X of Z2, and the strict functor H of a forward
+    morphism out of the constant diagram at *: H lies over X on the object
+    but not on the morphism s."""
+    z2 = CATS["Z2"]
+    dx = DiagObject(z2, identity_functor(z2), "cat")
+    dc = DiagObject(z2, constant_functor(z2, z2, "*"), "cat")
+    m = enumerate_forward(dc, dx)[0]
+    return dx, lax_to_strict(dc, dx, m)
+
+
+def point_into_arrow():
+    dx = cat_dobj({"*": "0"}, {"1": "id0"})
+    dy = DiagObject(CATS["TWO"], identity_functor(CATS["TWO"]), "cat")
+    return dx, dy
+
+
+class NoUnion(finset.UnionFind):
+    """A union-find that never merges: the pointwise colimit of a family
+    becomes a disjoint union, which is no cocone under a transition."""
+
+    def union(self, x, y):
+        pass
+
+
+def glue_without_unions(monkeypatch):
+    phi = fixtures.span_push3_diagram()
+    t = finset.constant_diagram(groth_co(phi).total, FinSet(("*",)))
+    kres = colimit_cat(phi)
+    monkeypatch.setattr(finset, "UnionFind", NoUnion)
+    return colimit_in_diag(guitart_hat(phi, t), kres=kres)
+
+
+def strict_to_lax_elsewhere(_):
+    dx, dy = point_into_arrow()
+    return strict_to_lax(dx, dy, identity_functor(CATS["TWO"]))
+
+
+def strict_to_lax_other_object(_):
+    dx, dy = point_into_arrow()
+    d1 = cat_dobj({"*": "1"}, {"1": "id1"})
+    h = lax_to_strict(d1, dy, enumerate_forward(d1, dy)[0])
+    return strict_to_lax(dx, dy, h)
+
+
+def strict_to_lax_other_morphism(_):
+    dx, h = z2_point_lax()
+    return strict_to_lax(dx, dx, h)
+
+
+# (name, call, error, its args; None for a certificate whose place varies)
+GUARDS = [
+    ("object kind", lambda _: DiagObject(CATS["TWO"], set_dobj().diagram, "graph"),
+     VariantMismatch, (("diagram kind", "graph"),)),
+    ("set object not a set diagram",
+     lambda _: DiagObject(CATS["TWO"], identity_functor(CATS["TWO"]), "set"),
+     ShapeMismatch, (("not a set-valued diagram",),)),
+    ("set object off its shape", lambda _: DiagObject(CATS["SPAN"], set_dobj().diagram),
+     ShapeMismatch, (("diagram not on its shape",),)),
+    ("cat object not a functor",
+     lambda _: DiagObject(CATS["TWO"], set_dobj().diagram, "cat"),
+     ShapeMismatch, (("not a cat-valued diagram",),)),
+    ("cat object off its shape",
+     lambda _: DiagObject(CATS["SPAN"], identity_functor(CATS["TWO"]), "cat"),
+     ShapeMismatch, (("diagram not on its shape",),)),
+    ("morphism variant",
+     lambda _: DiagMorphism(
+         "sideways", set_dobj(), set_dobj(), identity_functor(CATS["TWO"]), ()
+     ),
+     VariantMismatch, (("morphism variant", "sideways"),)),
+    ("reflection of a cat diagram", lambda _: embed_and_reflect(point_into_arrow()[1]),
+     AmbientNotFinite, ("the reflection needs a set-valued diagram",)),
+    ("strictify a backward morphism",
+     lambda _: strictify(dualize(diag_identity(point_into_arrow()[0]))),
+     VariantMismatch, (("strictify needs a forward morphism", "backward"),)),
+    ("strictify a set morphism", lambda _: strictify(diag_identity(set_dobj())),
+     AmbientNotFinite, ("strictification needs a cat-valued diagram",)),
+    ("strict functor elsewhere", strict_to_lax_elsewhere,
+     NotAMorphism, (("not into the strict category",),)),
+    ("strict functor off the objects", strict_to_lax_other_object,
+     NotAMorphism, (("not over the ambient", "*"),)),
+    ("strict functor off the morphisms", strict_to_lax_other_morphism,
+     NotAMorphism, (("not over the ambient", "s"),)),
+    ("cocone certificate", glue_without_unions, CertificateFailure, None),
+    ("dualize a set morphism", lambda _: dualize(diag_identity(set_dobj())),
+     AmbientNotFinite, ("duality needs a cat-valued diagram",)),
+]
+
+
+@pytest.mark.parametrize("guard", GUARDS, ids=[g[0] for g in GUARDS])
+def test_guards_raise_typed_errors(guard, monkeypatch):
+    _, call, error, args = guard
+    with pytest.raises(error) as err:
+        call(monkeypatch)
+    if args is None:
+        assert err.value.args[0][0] == "colimit injections not a cocone"
+    else:
+        assert err.value.args == args

@@ -4,11 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibrelab import fixtures
-from fibrelab.errors import NonUnique, NotACoconeError, ResourceExceeded
+from fibrelab.errors import (
+    DanglingToken,
+    NonUnique,
+    NotACoconeError,
+    ResourceExceeded,
+)
 from fibrelab.finset import (
     FinFunction,
     FinSet,
     SetDiagram,
+    SetNat,
     colimit_set,
     constant_diagram,
     identity_function,
@@ -339,3 +345,11 @@ def test_membership_of_an_unhashable_value_is_false():
     with pytest.raises(Exception) as info:
         FinFunction(FinSet(("x",)), FinSet(("y",)), {"x": ["y"]}).check()
     assert info.value.args == (("image outside target", "x", ["y"]),)
+
+
+def test_set_nat_missing_component_is_a_dangling_token():
+    s = FinSet(("x",))
+    x = constant_diagram(CATS["TWO"], s)
+    with pytest.raises(DanglingToken) as err:
+        SetNat(x, x, {"0": identity_function(s)}).check()
+    assert err.value.args == (("missing component", "1"),)

@@ -778,7 +778,7 @@ def oracle_check_general_limit_recomposition(t, bound=10000, seed=None):
         tr = phi.transition(u)
         fam = rans[d].classify[k][tok]
         image = {
-            (j, w): t.psi(u)[j](fam[(tr.ob(j), w)])
+            (j, w): t.phi(u)[j](fam[(tr.ob(j), w)])
             for j in phi.fibre(e).objects
             for w in k_cat.hom(k, kres.cocone[e].ob(j))
         }
@@ -818,7 +818,7 @@ def oracle_check_general_limit_recomposition(t, bound=10000, seed=None):
         tr = phi.transition(u)
         mapping = {}
         for tok, fam in inner[d].families.items():
-            image = {j: t.psi(u)[j](fam[tr.ob(j)]) for j in phi.fibre(e).objects}
+            image = {j: t.phi(u)[j](fam[tr.ob(j)]) for j in phi.fibre(e).objects}
             mapping[tok] = inner_token[e][tuple(sorted(image.items()))]
         outer_fns[u] = FinFunction(outer_sets[d], outer_sets[e], mapping)
     outer = SetDiagram(sh, outer_sets, outer_fns).check()

@@ -4,6 +4,8 @@ subcommands.
 ``check-fibration``, ``check-cofibration``, ``bifibration``, ``lift-limit``
 and ``free-cofibration``; the limit side (``limit-set``, ``kan --dual``,
 ``check-cdf --dual``, ``check-general-cdf --dual``, ``check-tfcf --dual``);
+the covariant family formulas (``check-tfcf``, ``check-general-cdf``,
+``check-cdf`` and ``check-fubini``);
 ``strictify``, ``product``, ``comma`` and ``guitart``; ``validate``,
 ``opposite``, ``grothendieck`` (covariant and ``--dual``) and
 ``colimit-cat`` run on the fixtures and on small generated inputs.  Each report must equal, byte for byte, the
@@ -295,6 +297,10 @@ def limit_inputs():
     for name, phi, seed in covariant:
         inputs[name + "-t.json"] = seeded_diagram(seed, groth_co(phi).total)
         inputs[name + "-x.json"] = seeded_diagram(seed, colimit_cat(phi).colimit)
+    # set diagrams on product shapes for ``check-fubini``
+    for left, right, seed in (("TWO", "SPAN", 43), ("PAIR", "Z2", 44)):
+        name = "%s-%s-t.json" % (left.lower(), right.lower())
+        inputs[name] = seeded_diagram(seed, product(cats[left], cats[right]))
     return inputs
 
 
@@ -350,8 +356,15 @@ CASES = [
     ("check-cdf", ("--dual", "--phi", phi, "--x", phi.lstrip(":") + "-x"), 0)
     for phi in (":span-push3", "halving-two")
 ] + [
-    ("guitart", ("--phi", phi, "--t", phi.lstrip(":") + "-t"), 0)
+    (command, ("--phi", phi, "--t", phi.lstrip(":") + "-t"), 0)
+    for command in ("guitart", "check-tfcf", "check-general-cdf")
     for phi in (":span-push3", "halving-two")
+] + [
+    ("check-cdf", ("--phi", phi, "--x", phi.lstrip(":") + "-x"), 0)
+    for phi in (":span-push3", "halving-two")
+] + [
+    ("check-fubini", ("--d", ":" + d, "--e", ":" + e, "--t", "%s-%s-t" % (d, e)), 0)
+    for d, e in (("two", "span"), ("pair", "z2"))
 ] + [
     ("strictify", ("--x", x, "--y", y), 0)
     for x, y in (
