@@ -807,7 +807,7 @@ def main(argv=None):
         )
     except ResourceExceeded as exc:
         return _refuse(args, "resource_exceeded", {"error": str(exc)})
-    except (FibrelabError, AssertionError) as exc:
+    except FibrelabError as exc:
         return _refuse(args, "invalid_input", {"error": str(exc)})
     except FileNotFoundError as exc:
         sys.stdout.write("missing input file: %s\n" % exc.filename)

@@ -149,3 +149,9 @@ class NaturalityFailure(CertificateFailure):
 
 class IllFormedComparison(FibrelabError):
     pass
+
+
+# --- reports ----------------------------------------------------------------
+
+class MissingWitness(FibrelabError):
+    """A fail or invalid_input report was made without its witness."""

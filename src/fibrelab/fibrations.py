@@ -59,10 +59,14 @@ def fibres(p):
     """Every fibre of P: E -> B, by base object in B's order: the objects
     over b, the morphisms over 1_b and their composites, each in E's
     declaration order.  Tokens are reused from E, so fibre categories embed
-    literally.  One pass over E groups them; each fibre is checked, and the
-    result is memoised on P (a functor is immutable)."""
+    literally.  P, E and B are checked first, and one pass over E groups
+    the fibres.  Each is a subcategory of E, so it has a derived
+    certificate, and the result is memoised on P (a functor is
+    immutable)."""
     if p._fibres is None:
         e, b = p.source, p.target
+        for x in (e, b, p):
+            x.check()
         parts = {a: ([], [], {}) for a in b.objects}
         for x in e.objects:
             part = parts.get(p.ob(x))
@@ -83,7 +87,7 @@ def fibres(p):
             {
                 a: FinCategory(
                     objects, morphisms, {x: e.id_of(x) for x in objects}, composition
-                ).check()
+                )._derived()
                 for a, (objects, morphisms, composition) in parts.items()
             }
         )
@@ -637,7 +641,9 @@ def _slice_fibre(p, a):
     """The slice fibre P/a: objects (x, h: Px -> a), morphisms f with
     k∘Pf = h.  Morphisms are listed by source object, then target object
     (both in object order), then f in its hom-set; each composite is read
-    from the morphisms into the outer one's domain."""
+    from the morphisms into the outer one's domain.  P, E and B must be
+    checked: P/a is the comma category P↓a, so it has a derived
+    certificate."""
     e, b = p.source, p.target
     objects, obj_data, over_x = [], {}, {}
     for x in e.objects:
@@ -672,7 +678,7 @@ def _slice_fibre(p, a):
         for m1, _, _ in into.get(d2, ()):
             f, h1, _ = mor_data[m1]
             composition[(m2, m1)] = token_of[(e.compose(g, f), h1, k2)]
-    cat = FinCategory(objects, morphisms, identities, composition).check()
+    cat = FinCategory(objects, morphisms, identities, composition)._derived()
     return cat, obj_data, mor_data
 
 
@@ -683,8 +689,9 @@ def free_cofibration(p):
     the slice fibres a ↦ P/a with transitions u_!(x, h) = (x, u·h); the unit
     H_P sends f to (Pf, f).
     """
-    p.check()
     e, b = p.source, p.target
+    for x in (e, b, p):
+        x.check()
     fibres, objs, mors = {}, {}, {}
     for a in b.objects:
         fibres[a], objs[a], mors[a] = _slice_fibre(p, a)

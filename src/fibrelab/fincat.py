@@ -18,7 +18,9 @@ maps are read-only views, and its check walks the source's composable pairs
 by table lookups, once.
 
 Associativity is certified over a generating set (Light's associativity
-test).  ``check()`` chooses one set A from the validated table: the
+test).  One set A is chosen from the validated table, by ``check()`` when
+it runs Light's test and otherwise on first use of
+:attr:`FinCategory.generators`: the
 indecomposable non-identities first, then, in declaration order, each
 morphism that the closure of A under m -> a∘m (a in A) has not reached, until
 every morphism is an identity or a∘m with a in A and m generated.  It then
@@ -61,6 +63,48 @@ of either one holds for both, so ``opposite(c)`` neither copies nor re-checks
 a category that was checked already.  ``F.op`` is the same object and
 morphism maps between the opposite categories, also cached, and a passing
 check of either functor holds for both.
+
+Derived certificates.  Loaders, the :func:`category` builder, the
+Cat-colimit and every final certificate run the full ``check()``.  The
+constructors whose result is a category by a theorem (:func:`product`,
+:func:`comma` and so the slices and ``Strict(X) = Id↓X``, the Grothendieck
+total of a strict diagram, the fibres and slice fibres of a functor) first
+check what they are built from, a memo hit on checked input, and then run
+only the checks of ``check()`` that are linear in the objects and
+morphisms: distinct tokens, declared endpoints, an identity for every
+object.  The composition table is not checked; thinness is the same
+hom-index test, and the generating set is chosen on first use by the rule
+above, so generating sets, factorizations and witnesses are those of
+``check()``.
+Each theorem is about the structured objects (pairs, triples); the string
+tokens encode them injectively exactly when no two tokens collide, which
+the duplicate-token checks decide, refusing a collision as ``check()``
+does.  The proofs, for checked inputs:
+
+- C×D: identities and composites are taken componentwise, so each entry's
+  typing, the table's totality, both identity laws and associativity at a
+  triple of C×D are the same statements in C and in D at the components.
+- A subcategory S of a checked E, given as a set of objects and of
+  morphisms between them that holds their identities and is closed under
+  E's composition, with E's composites: each axiom of S is an instance of
+  the same axiom in E.  The fibre of a functor P: E -> B over b is one:
+  the morphisms over 1_b hold the identities of the objects over b, and
+  P(g∘f) = P(g)∘P(f) = 1_b∘1_b = 1_b.
+- F↓G for functors F: A -> C, G: B -> C: a morphism is determined by its
+  end triples and its components (p, q), and composes componentwise.  If
+  G(q)∘u = u'∘F(p) and G(q')∘u' = u''∘F(p'), then G(q'∘q)∘u =
+  G(q')∘u'∘F(p) = u''∘F(p'∘p), so every composite is a morphism, and so
+  is (1, 1), as F and G preserve identities.  Each axiom then holds at the
+  components, in A and in B, as for C×D.  The slice C/a is Id↓a, and the
+  slice fibre P/a is P↓a.
+- ∫Φ for a strict Φ: B -> Cat, with (v, g)·(u, f) = (v∘u, g∘Φv(f)): the
+  composite is typed, as Φv(f): Φv(Φu x) = Φ(v∘u) x -> Φv y.  (1, 1) is a
+  two-sided identity since Φ(1) = Id and Φv preserves identities.  Both
+  bracketings of (w, h)·(v, g)·(u, f) are (w∘v∘u, h∘Φw(g)∘Φw(Φv(f))), by
+  associativity in B and in the fibres, since Φw is a functor and
+  Φ(w∘v) = Φw∘Φv.  The projection (u, f) ↦ u and the injections
+  J_a: f ↦ (1_a, f) preserve identities and composites by the same
+  formula, so they are marked checked as well.
 """
 from __future__ import annotations
 
@@ -109,8 +153,10 @@ class FinCategory:
         self._hom = {k: tuple(v) for k, v in hom.items()}
         self._out_of = {k: tuple(v) for k, v in out_of.items()}
         self._into = {k: tuple(v) for k, v in into.items()}
+        # every hom-set has at most one morphism (which proves associativity
+        # once the composites are typed)
+        self._thin = len(self._hom) == len(self.morphisms)
         self._checked = False
-        self._thin = False  # every hom-set has at most one morphism; set by check
         self._generators = None
         self._factorization = None
         self._op = None
@@ -169,31 +215,12 @@ class FinCategory:
         each naming its first witness.  Associativity is then a
         theorem of typing when the category is thin, and Light's test over
         the generating set otherwise (the loop over every triple runs only
-        to name a witness).  The generating set is read off the
-        indecomposables when the category is a poset, and closed greedily
-        otherwise."""
+        to name a witness)."""
         if self._checked:
             return self
-        objset = self._object_set
-        if len(objset) != len(self.objects):
-            raise DanglingToken(("duplicate object token", self.objects))
-        morset = set(self.mor_tokens)
-        if len(morset) != len(self.morphisms):
-            raise DanglingToken(("duplicate morphism token", self.mor_tokens))
-        for t, d, c in self.morphisms:
-            if d not in objset or c not in objset:
-                raise DanglingToken(("morphism endpoints undeclared", t, d, c))
+        morset = self._check_tokens()
         dom, cod, identity = self._dom, self._cod, self.identities
-        ids = set()
-        for a in self.objects:
-            i = identity.get(a)
-            if i is None or i not in morset:
-                raise DanglingToken(("missing identity", a))
-            if dom[i] != a or cod[i] != a:
-                raise IdentityViolation(("identity endpoints", a, i))
-            ids.add(i)
         comp = self._composition
-        decomposable = set()
         for (g, f), gf in comp.items():
             if g not in morset or f not in morset or gf not in morset:
                 raise DanglingToken(("composition entry", g, f, gf))
@@ -201,8 +228,6 @@ class FinCategory:
                 raise DanglingToken(("entry for non-composable pair", g, f))
             if dom[gf] != dom[f] or cod[gf] != cod[g]:
                 raise IdentityViolation(("dom/cod of composite", g, f, gf))
-            if g not in ids and f not in ids:
-                decomposable.add(gf)
         # every entry is a composable pair, so the table is total iff it has
         # as many entries as there are composable pairs
         into = self._into
@@ -217,24 +242,69 @@ class FinCategory:
                 raise IdentityViolation(("left identity", f))
             if comp[(f, identity[dom[f]])] != f:
                 raise IdentityViolation(("right identity", f))
-        hom = self._hom
-        thin = len(hom) == len(self.morphisms)
-        if thin and not any(d != c and (c, d) in hom for d, c in hom):
-            gens = tuple(
-                m for m in self.mor_tokens if m not in ids and m not in decomposable
-            )
-        else:
-            gens = self._generating_set(ids, decomposable)
-            if not thin and not self._associative_at(gens):
+        if not self._thin:
+            gens = self._choose_generators()
+            if not self._associative_at(gens):
                 self._check_every_triple()
-        self._generators = gens
-        self._thin = thin
+            self._generators = gens
+        return self._record_pass()
+
+    def _derived(self):
+        """Record a pass for tables that a constructor built from checked
+        inputs, where a theorem proves the axioms (see the module
+        docstring): only the checks of :meth:`check` that are linear in
+        the objects and morphisms run, so a token collision is refused
+        as there, and the generating set is chosen on first use."""
+        self._check_tokens()
+        return self._record_pass()
+
+    def _check_tokens(self):
+        """The checks of :meth:`check` that read no composition entry: no
+        duplicate token, declared endpoints, an identity for every object.
+        Returns the set of morphism tokens."""
+        objset = self._object_set
+        if len(objset) != len(self.objects):
+            raise DanglingToken(("duplicate object token", self.objects))
+        morset = set(self.mor_tokens)
+        if len(morset) != len(self.morphisms):
+            raise DanglingToken(("duplicate morphism token", self.mor_tokens))
+        for t, d, c in self.morphisms:
+            if d not in objset or c not in objset:
+                raise DanglingToken(("morphism endpoints undeclared", t, d, c))
+        dom, cod, identity = self._dom, self._cod, self.identities
+        for a in self.objects:
+            i = identity.get(a)
+            if i is None or i not in morset:
+                raise DanglingToken(("missing identity", a))
+            if dom[i] != a or cod[i] != a:
+                raise IdentityViolation(("identity endpoints", a, i))
+        return morset
+
+    def _record_pass(self):
+        """Mark the category (and its opposite, if built) checked; the
+        opposite receives the generating set."""
         self._checked = True
         if self._op is not None:
             self._op._checked = True
-            self._op._generators = gens
-            self._op._thin = thin
+            self._op._generators = self.generators
         return self
+
+    def _choose_generators(self):
+        """The generating set of a checked category: its indecomposable
+        non-identities when it is a poset, and closed greedily
+        otherwise."""
+        identity, hom = self.identities, self._hom
+        ids = {identity[a] for a in self.objects}
+        decomposable = {
+            gf
+            for (g, f), gf in self._composition.items()
+            if g not in ids and f not in ids
+        }
+        if self._thin and not any(d != c and (c, d) in hom for d, c in hom):
+            return tuple(
+                m for m in self.mor_tokens if m not in ids and m not in decomposable
+            )
+        return self._generating_set(ids, decomposable)
 
     def _generating_set(self, ids, decomposable):
         """Generators A such that every morphism is an identity or a∘m with
@@ -300,8 +370,12 @@ class FinCategory:
     @property
     def generators(self):
         """The generating set that :meth:`check` certifies with (checking
-        first if need be), in the order it was chosen."""
-        return self.check()._generators
+        first if need be), in the order it was chosen; chosen on first use
+        when no Light's test needed it."""
+        # check() may have chosen the set already, or had the opposite do so
+        if self._generators is None and self.check()._generators is None:
+            self._generators = self._choose_generators()
+        return self._generators
 
     @property
     def factorization(self):
@@ -339,8 +413,7 @@ class FinCategory:
                 name=(self.name + "^op") if self.name else "",
             )
             op._checked = self._checked
-            op._generators = self._generators
-            op._thin = self._thin
+            op._generators = self.generators if self._checked else None
             op._op = self
             self._op = op
         return self._op
@@ -511,6 +584,7 @@ class FinFunctor:
         self._checked = True
         if self._op is not None:
             self._op._checked = True
+        return self
 
     def certified(self):
         """Whether the generator test alone proves the functor: the maps
@@ -549,7 +623,7 @@ class FinFunctor:
         # is thin
         if not (src._checked and tgt._checked):
             return False
-        if not tgt._thin and self._unpreserved(src._generators) is not None:
+        if not tgt._thin and self._unpreserved(src.generators) is not None:
             return False
         self._record_pass()
         return True
@@ -692,7 +766,10 @@ def pair_token(a, b):
 
 
 def product(c, d):
-    """The product category with pair tokens :func:`pair_token`."""
+    """The product category with pair tokens :func:`pair_token`, of
+    checked factors and with a derived certificate."""
+    c.check()
+    d.check()
     p = pair_token
     objects = [p(a, b) for a in c.objects for b in d.objects]
     morphisms = [
@@ -710,7 +787,7 @@ def product(c, d):
         gf2 = c.compose(g2, f2)
         for g1, f1, gf1 in right:
             composition[(p(g2, g1), p(f2, f1))] = p(gf2, gf1)
-    return FinCategory(objects, morphisms, identities, composition).check()
+    return FinCategory(objects, morphisms, identities, composition)._derived()
 
 
 @dataclass
@@ -728,11 +805,14 @@ def comma(f, g):
 
     Objects are triples (a, b, u: F a -> G b); a morphism
     (a,b,u) -> (a',b',u') is a pair (p: a -> a', q: b -> b') with
-    G(q)∘u = u'∘F(p).
+    G(q)∘u = u'∘F(p).  The functors and their categories are checked
+    first, and the comma category has a derived certificate.
     """
     if f.target != g.target:
         raise TargetMismatch(("comma", "functors have different targets"))
     a_cat, b_cat, c_cat = f.source, g.source, f.target
+    for x in (a_cat, b_cat, c_cat, f, g):
+        x.check()
     objects = []
     triples = {}
     for a in a_cat.objects:
@@ -769,7 +849,7 @@ def comma(f, g):
             p = a_cat.compose(pairs[m2][0], pairs[m1][0])
             q = b_cat.compose(pairs[m2][1], pairs[m1][1])
             composition[(m2, m1)] = mor_by_data[(s1, t2, (p, q))]
-    cat = FinCategory(objects, morphisms, identities, composition).check()
+    cat = FinCategory(objects, morphisms, identities, composition)._derived()
     left = FinFunctor(
         cat,
         a_cat,

@@ -201,7 +201,7 @@ class SetDiagram:
                     raise ShapeMismatch(("identity not preserved", a))
         # over a checked shape, X(a∘f) = X(a)∘X(f) for its generators a
         # proves functoriality; otherwise, or if that fails, every pair
-        gens = sh._generators if sh._checked else None
+        gens = sh.generators if sh._checked else None
         if gens is None or self._unpreserved(gens) is not None:
             bad = self._unpreserved(sh.mor_tokens)
             if bad is not None:

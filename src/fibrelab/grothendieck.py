@@ -153,7 +153,7 @@ def groth_co(phi):
     """
     if phi.variance != "covariant":
         raise NonFunctorialDiagram(("groth_co expects a covariant diagram",))
-    return _groth_co(phi.check())
+    return _groth_co(phi)
 
 
 def _co_token(u, x, f):
@@ -161,10 +161,18 @@ def _co_token(u, x, f):
 
 
 def _groth_co(phi, token=_co_token):
-    """groth_co on a diagram that is already checked; ``token(u, x, f)``
-    names the total morphism (u, f) out of the fibre object x."""
-    sh = phi.shape
-    over = {obj_token(a, x): a for a in sh.objects for x in phi.fibre(a).objects}
+    """groth_co on a covariant diagram, which is checked first;
+    ``token(u, x, f)`` names the total morphism (u, f) out of the fibre
+    object x.  The total has a derived certificate, and the projection and
+    fibre injections are functors by the same theorem (see
+    :mod:`fibrelab.fincat`).  Its objects are listed once per pair (a, x),
+    so two pairs with one token are refused as duplicate tokens."""
+    sh = phi.check().shape
+    objects, over = [], {}
+    for a in sh.objects:
+        for x in phi.fibre(a).objects:
+            objects.append(obj_token(a, x))
+            over[objects[-1]] = a
     morphisms = []
     mor_data = {}
     token_of = {}
@@ -197,10 +205,10 @@ def _groth_co(phi, token=_co_token):
         tv = phi.transition(v).on_morphisms
         for m1, u, x, f in into.get(d2, ()):
             composition[(m2, m1)] = token_of[(sh_comp[(v, u)], x, fc_comp[(g, tv[f])])]
-    total = FinCategory(over, morphisms, identities, composition).check()
+    total = FinCategory(objects, morphisms, identities, composition)._derived()
     projection = FinFunctor(
         total, sh, over, {m: mor_data[m][0] for m in mor_data}
-    ).check()
+    )._record_pass()
     cleavage = {}
     for u, a, b in sh.morphisms:
         t = phi.transition(u)
@@ -214,7 +222,7 @@ def _groth_co(phi, token=_co_token):
             total,
             {x: obj_token(a, x) for x in fa.objects},
             {h: token_of[(sh.id_of(a), fa.dom(h), h)] for h in fa.mor_tokens},
-        ).check()
+        )._record_pass()
     return GrothendieckResult(phi, total, projection, cleavage, injections, mor_data)
 
 
@@ -249,8 +257,10 @@ def opposed_fibres(phi):
     """The pointwise dual diagram: opposite base, fibre-wise opposites,
     opposite transitions, swapped variance.  A covariant Φ on D becomes the
     contravariant Φ^op on D^op (and back), and ``opposed_fibres`` twice
-    gives back the same categories (``c.op.op is c``)."""
-    return CatDiagram(
+    gives back the same categories (``c.op.op is c``).  A diagram is
+    strictly functorial iff its dual is, so a passing check of Φ holds for
+    the dual."""
+    dual = CatDiagram(
         phi.shape.op,
         {a: c.op for a, c in phi.fibres.items()},
         {u: t.op for u, t in phi.transitions.items()},
@@ -258,6 +268,8 @@ def opposed_fibres(phi):
             "contravariant" if phi.variance == "covariant" else "covariant"
         ),
     )
+    dual._checked = phi._checked
+    return dual
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +296,7 @@ class DiagFamily:
         # u -> (FinFunctor, dict index object -> FinFunction)
         self.morphisms = dict(morphisms)
         self.variant = variant
+        self._cat_diagram = None
 
     def diagram_at(self, d):
         return self.objects[d]
@@ -295,12 +308,16 @@ class DiagFamily:
         return self.morphisms[u][1]
 
     def cat_diagram(self):
-        return CatDiagram(
-            self.shape,
-            {d: self.objects[d].shape for d in self.shape.objects},
-            {u: self.morphisms[u][0] for u in self.shape.mor_tokens},
-            variance=_VARIANCE[self.variant],
-        )
+        """The shape diagram d ↦ Φd, built on first use and cached, so that
+        it is checked once."""
+        if self._cat_diagram is None:
+            self._cat_diagram = CatDiagram(
+                self.shape,
+                {d: self.objects[d].shape for d in self.shape.objects},
+                {u: self.morphisms[u][0] for u in self.shape.mor_tokens},
+                variance=_VARIANCE[self.variant],
+            )
+        return self._cat_diagram
 
     def check(self):
         """Each transition is a Diag morphism (a failure names its kind,

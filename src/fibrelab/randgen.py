@@ -10,6 +10,7 @@ adjoints).
 from __future__ import annotations
 
 from . import fixtures
+from .errors import ShapeMismatch, UnverifiedCleavage
 from .fincat import FinFunctor, category
 from .finset import FinFunction, FinSet, SetDiagram
 from .grothendieck import CatDiagram, groth_co, guitart_hat
@@ -74,7 +75,8 @@ def monotone_functor(src, tgt, on_objects):
     on_morphisms = {}
     for f, x, y in src.morphisms:
         hom = tgt.hom(on_objects[x], on_objects[y])
-        assert hom, ("not monotone", f)
+        if not hom:
+            raise ShapeMismatch(("not monotone", f))
         on_morphisms[f] = hom[0]
     return FinFunctor(src, tgt, on_objects, on_morphisms).check()
 
@@ -220,5 +222,7 @@ def random_bifibration(rng, max_fibre_objects=4, bases=("TWO", "SPAN", "PAIR")):
     gr = groth_co(phi)
     delta = cleavage_from_groth(gr)
     theta = search_cleavage(gr.projection, "fibration")
-    assert theta is not None, "chain transitions should admit right adjoints"
+    if theta is None:
+        # bottom-preserving monotone maps of chains have right adjoints
+        raise UnverifiedCleavage(("no cleavage of chain transitions", base_name))
     return theta, delta, gr

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import MissingWitness
+
 PASS = "pass"
 FAIL = "fail"
 RESOURCE_EXCEEDED = "resource_exceeded"
@@ -50,7 +52,8 @@ def passed(check_name, witness=None, seed=None, **stats):
 
 
 def failed(check_name, witness, seed=None, **stats):
-    assert witness is not None, "failure reports must carry a witness"
+    if witness is None:
+        raise MissingWitness(("failure without a witness", check_name))
     return VerificationReport(check_name, FAIL, witness, stats, seed)
 
 
@@ -59,5 +62,6 @@ def resource_exceeded(check_name, witness, seed=None, **stats):
 
 
 def invalid_input(check_name, witness, seed=None, **stats):
-    assert witness is not None
+    if witness is None:
+        raise MissingWitness(("invalid input without a witness", check_name))
     return VerificationReport(check_name, INVALID_INPUT, witness, stats, seed)

@@ -4,7 +4,9 @@ also under ``python -O``.
 Each case runs in a fresh interpreter, with and without ``-O``: it corrupts
 the certified object through a monkeypatch and reports which error the
 certificate raised.  An ``assert`` would vanish under ``-O`` and let the
-corrupted result through.
+corrupted result through.  The guards that were the last ``assert``s of the
+engine (reports without a witness, ``randgen``'s monotone maps and its
+cleavage search) raise typed errors the same way.
 """
 import os
 import subprocess
@@ -162,3 +164,45 @@ def test_corrupted_certificate_raises_a_typed_error(case, optimize):
 def test_the_same_run_uncorrupted_passes(case):
     _, run, _ = CASES[case]
     assert run_case(run, False) == ("no error",)
+
+
+# name -> (a run that breaks what an ``assert`` used to guard, the error it
+# must raise)
+GUARDS = {
+    "failure report without a witness": (
+        """
+        from fibrelab.report import failed
+        failed("is_final", None)
+        """,
+        ("MissingWitness", "failure without a witness"),
+    ),
+    "invalid_input report without a witness": (
+        """
+        from fibrelab.report import invalid_input
+        invalid_input("validate", None)
+        """,
+        ("MissingWitness", "invalid input without a witness"),
+    ),
+    "monotone functor on a map that is not monotone": (
+        """
+        from fibrelab.randgen import chain, monotone_functor
+        monotone_functor(chain(2), chain(2), {"c0": "c1", "c1": "c0"})
+        """,
+        ("ShapeMismatch", "not monotone"),
+    ),
+    "random bifibration whose cleavage search fails": (
+        """
+        from fibrelab import fibrations, randgen
+        fibrations.search_cleavage = lambda p, direction: None
+        randgen.random_bifibration(random.Random(1))
+        """,
+        ("UnverifiedCleavage", "no cleavage of chain transitions"),
+    ),
+}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["asserts", "python-O"])
+@pytest.mark.parametrize("case", sorted(GUARDS))
+def test_guards_raise_a_typed_error(case, optimize):
+    run, expected = GUARDS[case]
+    assert run_case(run, optimize) == expected

@@ -24,6 +24,7 @@ from fibrelab.errors import (
     BoundExceeded,
     DanglingToken,
     IllFormedComparison,
+    NonFunctorialDiagram,
     ResourceExceeded,
     ShapeMismatch,
 )
@@ -244,6 +245,41 @@ def test_general_cdf_on_hat_families():
         fam = guitart_hat(phi, t)
         rep = check_general_cdf(fam)
         assert rep.ok, (name, rep.witness)
+
+
+def test_general_cdf_checks_the_shape_diagram_once(monkeypatch):
+    """A family builds its shape diagram once, so one check_general_cdf on
+    glued chains runs one CatDiagram.check body (a second call none), with
+    the outcome and witness it had when each step built its own."""
+    from test_golden_reports import glued_chains
+
+    bodies = []
+    check = CatDiagram.check
+
+    def counted(self):
+        if not self._checked:
+            bodies.append(self)
+        return check(self)
+
+    monkeypatch.setattr(CatDiagram, "check", counted)
+    for (n, m, seed), size in (((3, 4, 5), 3), ((2, 5, 0), 2)):
+        phi = glued_chains(n, m)
+        t = random_set_diagram(random.Random(seed), groth_co(phi).total)
+        hat = guitart_hat(phi, t)
+        fam = DiagFamily(hat.shape, hat.objects, hat.morphisms)
+        expected = passed("check_general_cdf", lhs=size, rhs=size).to_dict()
+        del bodies[:]
+        for _ in range(2):
+            assert check_general_cdf(fam).to_dict() == expected
+            assert bodies == [fam.cat_diagram()]
+        # a transition into the wrong member shape fails in the one body
+        wrong = dict(hat.morphisms, le=hat.morphisms["ri"])
+        bad = DiagFamily(hat.shape, hat.objects, wrong)
+        del bodies[:]
+        with pytest.raises(NonFunctorialDiagram) as err:
+            check_general_cdf(bad)
+        assert err.value.args[0] == ("transition endpoints", "le")
+        assert bodies == [bad.cat_diagram()]
 
 
 def test_general_limit_recomposition_on_backward_families():

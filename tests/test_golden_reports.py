@@ -7,11 +7,13 @@ and ``free-cofibration``; the limit side (``limit-set``, ``kan --dual``,
 the covariant family formulas (``check-tfcf``, ``check-general-cdf``,
 ``check-cdf`` and ``check-fubini``);
 ``strictify``, ``product``, ``comma`` and ``guitart``; ``validate``,
-``opposite``, ``grothendieck`` (covariant and ``--dual``) and
-``colimit-cat`` run on the fixtures and on small generated inputs.  Each report must equal, byte for byte, the
-one stored under ``tests/golden/``, and exit with the stored code.  The
-inputs are built here from the fixtures and ``randgen`` (seeded) and written
-to a temporary directory.
+``opposite``, ``grothendieck`` (covariant and ``--dual``), ``colimit-cat``,
+``colimit-set``, ``kan`` (left), ``comparison-q`` and ``corpus`` run on the
+fixtures and on small generated inputs.  Each report must equal, byte for
+byte, the one stored under ``tests/golden/``, and exit with the stored
+code.  The inputs are built here from the fixtures and ``randgen`` (seeded)
+and written to a temporary directory.  ``explain`` renders reports that
+other subcommands wrote there (its goldens are text, ``.txt``).
 
 ``python tests/test_golden_reports.py DIR`` writes the generated inputs to
 DIR, so that the same reports can be produced from the command line.
@@ -304,11 +306,24 @@ def limit_inputs():
     return inputs
 
 
+# report files for ``explain``: name -> the command that writes it
+REPORTS = {
+    "report-push3": ("validate", (":push3",)),
+    "report-mistyped-chain": ("validate", ("mistyped-chain",)),
+    "report-identity-last": ("check-fibration", ("identity-last",)),
+    "report-loop-coeq": ("colimit-cat", ("--phi", ":loop-coeq", "--bound=40")),
+    "report-corpus": ("corpus", (":",)),
+}
+
+
 def write_inputs(directory):
     os.makedirs(directory, exist_ok=True)
     for name, raw in golden_inputs().items():
         with open(os.path.join(directory, name), "w") as fh:
             json.dump(raw, fh, indent=1)
+    for name, (command, args) in REPORTS.items():
+        out = os.path.join(directory, name + ".json")
+        main(["--output", out] + argv((command, args, None), directory))
 
 
 FUNCTORS = (
@@ -323,7 +338,8 @@ FUNCTORS = (
     "two-to-one",
 )
 
-# (command, arguments, exit code); a ":" prefix names a fixture file
+# (command, arguments, exit code); a ":" prefix names a fixture file, and
+# ":" alone the fixture directory
 CASES = [
     (command, (name,), code)
     for command, codes in (
@@ -395,17 +411,34 @@ CASES = [
     ("colimit-cat", ("--phi", "glued-chain"), 0),
     ("colimit-cat", ("--phi", ":span-push3"), 0),
     ("colimit-cat", ("--phi", ":loop-coeq", "--bound=40"), 3),
+] + [
+    ("colimit-set", (x,), 0)
+    for x in ("x-push3", "x-span", "x-pair", "x-s3", "x-z3-action", "x-chain4x3")
+] + [
+    ("kan", ("--functor", f, "--diagram", f + "-x"), 0)
+    for f in ("f-two-push3", "f-z2-one", "f-span-two", "f-chain2-chain4", "f-push3-id")
+] + [
+    ("comparison-q", ("--phi", phi), 0)
+    for phi in ("glued-chain", ":span-push3", ":semidirect", "halving-two")
+] + [
+    ("comparison-q", ("--phi", ":loop-coeq", "--bound=40"), 3),
+    ("corpus", (":",), 0),
+    ("corpus", (), 0),
+] + [
+    ("explain", (name,), 0) for name in REPORTS
+] + [
+    ("explain", ("two-to-one",), 2),
 ]
 
 
 def case_id(case):
     command, args, _ = case
     names = [
-        "dual" if a == "--dual" else a.lstrip(":")
+        "dual" if a == "--dual" else a.lstrip(":") or "fixtures"
         for a in args
         if a == "--dual" or not a.startswith("--")
     ]
-    return "%s__%s" % (command, "__".join(names))
+    return "__".join([command] + names)
 
 
 @pytest.fixture(scope="module")
@@ -421,6 +454,8 @@ def argv(case, input_dir):
     for a in args:
         if a.startswith("--"):
             out.append(a)
+        elif a == ":":
+            out.append(FIXDIR)
         elif a.startswith(":"):
             out.append(os.path.join(FIXDIR, a[1:] + ".json"))
         else:
@@ -432,7 +467,8 @@ def argv(case, input_dir):
 def test_report_matches_golden(case, input_dir, capsys):
     code = main(argv(case, input_dir))
     out = capsys.readouterr().out
-    with open(os.path.join(GOLDEN, case_id(case) + ".json")) as fh:
+    ext = ".txt" if case[0] == "explain" else ".json"
+    with open(os.path.join(GOLDEN, case_id(case) + ext)) as fh:
         assert out == fh.read()
     assert code == case[2]
 
