@@ -18,12 +18,11 @@ maps are read-only views, and its check walks the source's composable pairs
 by table lookups, once.
 
 Associativity is certified over a generating set (Light's associativity
-test).  One set A is chosen from the validated table, by ``check()`` when
-it runs Light's test and otherwise on first use of
-:attr:`FinCategory.generators`: the
-indecomposable non-identities first, then, in declaration order, each
-morphism that the closure of A under m -> a∘m (a in A) has not reached, until
-every morphism is an identity or a∘m with a in A and m generated.  It then
+test).  One set A is chosen from the validated table, by ``check()``, or
+for a derived certificate (below) on first use of
+:attr:`FinCategory.generators`: the indecomposable non-identities first,
+then, in declaration order, each morphism that the closure of A under
+m -> a∘m (a in A) has not reached, until every morphism is an identity or a∘m with a in A and m generated.  It then
 checks (h∘a)∘f = h∘(a∘f) only for a in A.  That suffices, by induction on m:
 
     (h∘(a∘m))∘f = ((h∘a)∘m)∘f = (h∘a)∘(m∘f)     (a in A, then m)
@@ -158,6 +157,8 @@ class FinCategory:
         self._thin = len(self._hom) == len(self.morphisms)
         self._checked = False
         self._generators = None
+        # whether the generating set is read from the opposite (see ``op``)
+        self._shares_generators = False
         self._factorization = None
         self._op = None
 
@@ -220,7 +221,9 @@ class FinCategory:
             return self
         morset = self._check_tokens()
         dom, cod, identity = self._dom, self._cod, self.identities
+        ids = {identity[a] for a in self.objects}
         comp = self._composition
+        decomposable = set()
         for (g, f), gf in comp.items():
             if g not in morset or f not in morset or gf not in morset:
                 raise DanglingToken(("composition entry", g, f, gf))
@@ -228,6 +231,8 @@ class FinCategory:
                 raise DanglingToken(("entry for non-composable pair", g, f))
             if dom[gf] != dom[f] or cod[gf] != cod[g]:
                 raise IdentityViolation(("dom/cod of composite", g, f, gf))
+            if g not in ids and f not in ids:
+                decomposable.add(gf)
         # every entry is a composable pair, so the table is total iff it has
         # as many entries as there are composable pairs
         into = self._into
@@ -242,11 +247,10 @@ class FinCategory:
                 raise IdentityViolation(("left identity", f))
             if comp[(f, identity[dom[f]])] != f:
                 raise IdentityViolation(("right identity", f))
-        if not self._thin:
-            gens = self._choose_generators()
-            if not self._associative_at(gens):
-                self._check_every_triple()
-            self._generators = gens
+        gens = self._choose_generators(ids, decomposable)
+        if not self._thin and not self._associative_at(gens):
+            self._check_every_triple()
+        self._generators = gens
         return self._record_pass()
 
     def _derived(self):
@@ -282,24 +286,20 @@ class FinCategory:
 
     def _record_pass(self):
         """Mark the category (and its opposite, if built) checked; the
-        opposite receives the generating set."""
+        opposite shares the generating set."""
         self._checked = True
         if self._op is not None:
             self._op._checked = True
-            self._op._generators = self.generators
+            self._op._generators = self._generators
+            self._op._shares_generators = True
         return self
 
-    def _choose_generators(self):
-        """The generating set of a checked category: its indecomposable
-        non-identities when it is a poset, and closed greedily
-        otherwise."""
-        identity, hom = self.identities, self._hom
-        ids = {identity[a] for a in self.objects}
-        decomposable = {
-            gf
-            for (g, f), gf in self._composition.items()
-            if g not in ids and f not in ids
-        }
+    def _choose_generators(self, ids, decomposable):
+        """The generating set of a table that passed the checks up to
+        Light's test: its indecomposable non-identities when it is a
+        poset, and closed greedily otherwise; ``ids`` are the identities
+        and ``decomposable`` the composites of two non-identities."""
+        hom = self._hom
         if self._thin and not any(d != c and (c, d) in hom for d, c in hom):
             return tuple(
                 m for m in self.mor_tokens if m not in ids and m not in decomposable
@@ -370,11 +370,23 @@ class FinCategory:
     @property
     def generators(self):
         """The generating set that :meth:`check` certifies with (checking
-        first if need be), in the order it was chosen; chosen on first use
-        when no Light's test needed it."""
-        # check() may have chosen the set already, or had the opposite do so
+        first if need be), in the order it was chosen; for a derived
+        certificate, chosen on first use, and an opposite built or checked
+        after this category passed reads this category's set."""
         if self._generators is None and self.check()._generators is None:
-            self._generators = self._choose_generators()
+            if self._shares_generators:
+                self._generators = self._op.generators
+            else:
+                identity = self.identities
+                ids = {identity[a] for a in self.objects}
+                self._generators = self._choose_generators(
+                    ids,
+                    {
+                        gf
+                        for (g, f), gf in self._composition.items()
+                        if g not in ids and f not in ids
+                    },
+                )
         return self._generators
 
     @property
@@ -413,7 +425,8 @@ class FinCategory:
                 name=(self.name + "^op") if self.name else "",
             )
             op._checked = self._checked
-            op._generators = self.generators if self._checked else None
+            op._generators = self._generators
+            op._shares_generators = self._checked
             op._op = self
             self._op = op
         return self._op

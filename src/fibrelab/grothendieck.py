@@ -86,9 +86,12 @@ class CatDiagram:
         return self._transitions[u]
 
     def check(self):
+        """The shape, then each fibre and transition, then strict
+        functoriality; a pass is remembered.  The Grothendieck total
+        certifies itself from this pass, so the shape is checked here."""
         if self._checked:
             return self
-        sh, fibres, transitions = self.shape, self._fibres, self._transitions
+        sh, fibres, transitions = self.shape.check(), self._fibres, self._transitions
         for a in sh.objects:
             if a not in fibres:
                 raise NonFunctorialDiagram(("missing fibre", a))

@@ -14,7 +14,8 @@ marked checked, pass a full functor check on fresh copies.
 Inputs come from ``randgen`` and the fixtures, with non-thin fibres and
 bases (S3, Z2, Z3, PAIR).  Token collisions are refused with the error
 class and witness that the full check gave, and ``product`` refuses an
-unchecked, broken factor with that factor's own error.
+unchecked, broken factor, and ``groth_co`` and ``groth_contra`` an
+unchecked, broken shape, with that input's own error.
 """
 import random
 
@@ -22,7 +23,7 @@ import pytest
 
 from fibrelab import fixtures
 from fibrelab.diagcat import DiagObject, strict_category
-from fibrelab.errors import DanglingToken, IdentityViolation
+from fibrelab.errors import AssociativityViolation, DanglingToken, IdentityViolation
 from fibrelab.fibrations import enumerate_functors, fibres, free_cofibration
 from fibrelab.fincat import (
     FinCategory,
@@ -53,7 +54,10 @@ def assert_as_checked(c, op_first=False):
     assert c._checked
     full = fresh(c).check()
     if op_first:
+        lazy = c._generators is None
+        # building the opposite does not choose the generating set
         c.op
+        assert (c._generators is None) == lazy
     assert c._thin == full._thin
     assert c.generators == full.generators
     assert c.factorization == full.factorization
@@ -65,8 +69,7 @@ def assert_as_checked(c, op_first=False):
 
 
 def assert_lazy(c):
-    """No full check ran: it would have chosen the generating set of a
-    category that is not thin."""
+    """No full check ran: it would have chosen the generating set."""
     assert c._checked and c._generators is None
 
 
@@ -123,8 +126,7 @@ def test_product(seed):
     rng = random.Random(seed)
     c, d = random_category(rng), random_category(rng)
     prod = product(c, d)
-    if not prod._thin:
-        assert_lazy(prod)
+    assert_lazy(prod)
     assert_as_checked(prod, op_first=seed % 2)
 
 
@@ -153,8 +155,7 @@ def test_grothendieck_totals(seed):
     rng = random.Random(seed)
     phi = random_diagram(rng)
     gr = groth_co(phi)
-    if not gr.total._thin:
-        assert_lazy(gr.total)
+    assert_lazy(gr.total)
     assert_as_checked(gr.total, op_first=seed % 2)
     for f in (gr.projection, *gr.injections.values()):
         assert_functor(f)
@@ -331,3 +332,47 @@ def test_product_refuses_an_unchecked_factor_with_its_own_error():
         with pytest.raises(IdentityViolation) as err:
             product(pair[factors[0]], pair[factors[1]])
         assert err.value.args == (witness,)
+
+
+def _one_object_shape(table):
+    """An unchecked shape on one object * with identity i and the
+    non-identities of ``table``, composed by ``table`` besides i."""
+    mors = sorted({m for pair in table for m in pair} - {"i"})
+    composition = dict(table)
+    for m in ["i"] + mors:
+        composition.setdefault(("i", m), m)
+        composition.setdefault((m, "i"), m)
+    return FinCategory(
+        ["*"], [(m, "*", "*") for m in ["i"] + mors], {"*": "i"}, composition
+    )
+
+
+BROKEN_SHAPES = {
+    # i∘e = i breaks the left identity law
+    "identity law": {("i", "e"): "i", ("e", "e"): "e"},
+    # (a∘a)∘b = b∘b = a but a∘(a∘b) = a∘a = b
+    "associativity": {
+        ("a", "a"): "b",
+        ("a", "b"): "a",
+        ("b", "a"): "b",
+        ("b", "b"): "a",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_SHAPES))
+@pytest.mark.parametrize("variance", ["covariant", "contravariant"])
+def test_grothendieck_refuses_an_unchecked_shape_with_its_own_error(name, variance):
+    """Strictness holds trivially for constant ONE fibres with identity
+    transitions, so only the shape's own check refuses the diagram."""
+    table = BROKEN_SHAPES[name]
+    with pytest.raises(Exception) as full:
+        _one_object_shape(table).check()
+    assert isinstance(full.value, (IdentityViolation, AssociativityViolation))
+    shape = _one_object_shape(table)
+    phi = CatDiagram(shape, {"*": CATS["ONE"]}, {}, variance)
+    build = groth_co if variance == "covariant" else groth_contra
+    with pytest.raises(type(full.value)) as err:
+        build(phi)
+    assert err.value.args == full.value.args
+    assert not phi._checked

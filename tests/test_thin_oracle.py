@@ -396,12 +396,8 @@ def test_thin_categories_skip_lights_test_and_posets_the_closure(
         kinds.add((thin, poset))
         del closures[:], lights[:]
         c.check()
-        # a thin category needs no generators to be checked: they are
-        # chosen when first read
-        assert closures == ([] if thin else [c]), seed
-        assert lights == ([] if thin else [c]), seed
-        c.generators
         assert closures == ([] if poset else [c]), seed
+        assert lights == ([] if thin else [c]), seed
     assert kinds == KINDS[source]
 
 
