@@ -1,8 +1,16 @@
 """Command-line interface: JSON file formats, batch commands, and
 machine-readable verification reports.
 
+A command loads all of its input files, then runs the engine, and returns
+a verification report, a JSON document to print as it is, or the exit code
+of output it wrote itself.  :func:`main` alone times a command and turns an
+engine error that reaches it into a report whose status the error's class
+names (``FibrelabError.status`` in :mod:`fibrelab.errors`).
+
 Exit codes: 0 = pass, 1 = property violated, 2 = invalid input,
-3 = resource bound exceeded.
+3 = resource bound exceeded, 4 = internal error (a certificate the engine
+checks on its own result failed).  An input file that is missing, a
+directory, or not JSON is invalid input.
 """
 from __future__ import annotations
 
@@ -24,15 +32,9 @@ from .errors import (
     BoundExceeded,
     DanglingToken,
     FibrelabError,
-    HomBijectionFailure,
-    NoBaseLimit,
-    NoFibreLimit,
     NonFunctorialDiagram,
-    ResourceExceeded,
     ShapeMismatch,
-    TerminalityFailure,
-    TriangleViolation,
-    UnverifiedCleavage,
+    UnreadableInput,
 )
 from .fincat import (
     FinFunctor,
@@ -48,6 +50,7 @@ from .fibrations import (
     cleavage_from_groth,
     free_cofibration,
     lift_limit,
+    reconstitute,
     search_cleavage,
     verify_split_cofibration,
     verify_split_fibration,
@@ -71,26 +74,26 @@ from .grothendieck import (
 )
 from .kan import lan, ran
 from .randgen import random_set_diagram
-from .report import (
-    failed,
-    invalid_input,
-    passed,
-    resource_exceeded,
-)
+from .report import VerificationReport, failed, invalid_input, passed
 
 EXIT_CODES = {
     "pass": 0,
     "fail": 1,
     "invalid_input": 2,
     "resource_exceeded": 3,
+    "internal_error": 4,
 }
 
 
 # -- serialization -----------------------------------------------------------
 
 def _load(path):
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or str(exc)
+        raise UnreadableInput(("unreadable input file", path, reason)) from None
 
 
 def load_category(raw):
@@ -230,303 +233,170 @@ def _emit(args, payload):
         sys.stdout.write(text)
 
 
-def _finish(args, report, started):
-    if not args.no_timing:
-        report.stats["elapsed_s"] = round(time.time() - started, 3)
-    _emit(args, report.to_dict(include_timing=not args.no_timing))
-    return EXIT_CODES[report.status]
+def _refusal(check_name, exc):
+    """The report of an engine error that ends a check."""
+    witness = {"error": str(exc)}
+    if isinstance(exc, BoundExceeded):
+        witness["trace"] = exc.trace
+    return VerificationReport(check_name, exc.status, witness)
+
+
+def _named(args, report):
+    """``report`` under the name of the command that made it."""
+    report.check_name = args.command
+    return report
 
 
 # -- commands ----------------------------------------------------------------
 
 def _cmd_validate(args):
-    started = time.time()
-    try:
-        c = load_category(_load(args.path))
-    except (FibrelabError, KeyError, ValueError) as exc:
-        return _finish(
-            args, invalid_input("validate", {"error": str(exc)}), started
-        )
-    return _finish(
-        args,
-        passed("validate", objects=len(c.objects), morphisms=len(c.morphisms)),
-        started,
-    )
+    c = load_category(_load(args.path))
+    return passed("validate", objects=len(c.objects), morphisms=len(c.morphisms))
 
 
 def _cmd_opposite(args):
-    c = load_category(_load(args.path))
-    _emit(args, opposite(c).to_dict())
-    return 0
+    return opposite(load_category(_load(args.path))).to_dict()
 
 
 def _cmd_product(args):
     a = load_category(_load(args.left))
     b = load_category(_load(args.right))
-    _emit(args, product(a, b).to_dict())
-    return 0
+    return product(a, b).to_dict()
 
 
 def _cmd_comma(args):
     f = load_functor(_load(args.left))
     g = load_functor(_load(args.right))
-    _emit(args, comma(f, g).category.to_dict())
-    return 0
+    return comma(f, g).category.to_dict()
 
 
 def _cmd_colimit_set(args):
-    started = time.time()
     x = load_set_diagram(_load(args.path))
     if args.dual:
-        try:
-            cone = limit_set(x)
-        except ResourceExceeded as exc:
-            return _finish(
-                args,
-                resource_exceeded("limit-set", {"error": str(exc)}),
-                started,
-            )
-        witness = {
-            "apex": list(cone.apex),
-            "legs": {a: dict(cone.legs[a].mapping) for a in x.shape.objects},
-        }
-        return _finish(
-            args, passed("limit-set", witness=witness, size=len(cone.apex)), started
-        )
-    cocone = colimit_set(x)
+        name, cone = "limit-set", limit_set(x)
+    else:
+        name, cone = "colimit-set", colimit_set(x)
     witness = {
-        "apex": list(cocone.apex),
-        "legs": {a: dict(cocone.legs[a].mapping) for a in x.shape.objects},
+        "apex": list(cone.apex),
+        "legs": {a: dict(cone.legs[a].mapping) for a in x.shape.objects},
     }
-    return _finish(
-        args,
-        passed("colimit-set", witness=witness, size=len(cocone.apex)),
-        started,
-    )
+    return passed(name, witness=witness, size=len(cone.apex))
 
 
 def _cmd_kan(args):
-    started = time.time()
     f = load_functor(_load(args.functor))
     x = load_set_diagram(_load(args.diagram))
     result = ran(f, x) if args.dual else lan(f, x)
-    name = "ran" if args.dual else "lan"
-    return _finish(
-        args,
-        passed(
-            name,
-            witness={"extension": set_diagram_to_json(result.extension)},
-            sizes=sum(len(s) for s in result.extension.sets.values()),
-        ),
-        started,
+    return passed(
+        "ran" if args.dual else "lan",
+        witness={"extension": set_diagram_to_json(result.extension)},
+        sizes=sum(len(s) for s in result.extension.sets.values()),
     )
 
 
 def _cmd_colimit_cat(args):
-    started = time.time()
-    phi = load_cat_diagram(_load(args.phi))
-    try:
-        res = colimit_cat(phi, bound=args.bound)
-    except BoundExceeded as exc:
-        return _finish(
-            args,
-            resource_exceeded(
-                "colimit-cat", {"error": str(exc), "trace": exc.trace}
-            ),
-            started,
-        )
-    return _finish(
-        args,
-        passed(
-            "colimit-cat",
-            witness={"colimit": res.colimit.to_dict()},
-            **res.saturation_stats,
-        ),
-        started,
+    res = colimit_cat(load_cat_diagram(_load(args.phi)), bound=args.bound)
+    return passed(
+        "colimit-cat",
+        witness={"colimit": res.colimit.to_dict()},
+        **res.saturation_stats,
     )
 
 
 def _cmd_grothendieck(args):
     phi = load_cat_diagram(_load(args.phi))
-    gr = groth_contra(phi) if args.dual else groth_co(phi)
-    _emit(args, gr.total.to_dict())
-    return 0
+    return (groth_contra(phi) if args.dual else groth_co(phi)).total.to_dict()
 
 
-def _cmd_guitart(args):
-    started = time.time()
-    phi = load_cat_diagram(_load(args.phi))
-    t = load_set_diagram(_load(args.t))
-    hat = guitart_hat(phi, t)
-    back = guitart_check(hat)
+def _guitart_round_trip(phi, t):
+    """Whether check∘hat is the identity on the set diagram ``t`` over ∫Φ."""
+    back = guitart_check(guitart_hat(phi, t))
     if back.sets != t.sets or any(
         back.functions[m] != t.functions[m] for m in t.shape.mor_tokens
     ):
-        return _finish(
-            args, failed("guitart", {"round_trip": "check∘hat ≠ id"}), started
-        )
-    return _finish(
-        args,
-        passed("guitart", members=len(phi.shape.objects)),
-        started,
-    )
+        return failed("guitart", {"round_trip": "check∘hat ≠ id"})
+    return passed("guitart", members=len(phi.shape.objects))
 
 
-def _cmd_check_fibration(args, direction):
-    started = time.time()
-    p = load_functor(_load(args.path))
-    data = search_cleavage(p, direction)
+def _cmd_guitart(args):
+    phi = load_cat_diagram(_load(args.phi))
+    return _guitart_round_trip(phi, load_set_diagram(_load(args.t)))
+
+
+def _cmd_check_fibration(args):
+    direction = args.command[len("check-"):]
+    data = search_cleavage(load_functor(_load(args.path)), direction)
     if data is None:
-        return _finish(
-            args,
-            failed("check-%s" % direction, {"missing_liftings": True}),
-            started,
-        )
+        return failed(args.command, {"missing_liftings": True})
     verify = (
         verify_split_fibration
         if direction == "fibration"
         else verify_split_cofibration
     )
-    report, _ = verify(data)
-    report.check_name = "check-%s" % direction
-    return _finish(args, report, started)
-
-
-# the errors of bifibration_check and lift_limit that report a property
-# that fails (exit 1); input errors and refusals go to main's mapping
-BIFIBRATION_FAILURES = (
-    HomBijectionFailure,
-    NoBaseLimit,
-    NoFibreLimit,
-    TerminalityFailure,
-    TriangleViolation,
-    UnverifiedCleavage,
-)
+    return _named(args, verify(data)[0])
 
 
 def _cmd_bifibration(args):
-    started = time.time()
+    """``bifibration``, and ``lift-limit``, which also lifts the limit of
+    ``--f`` along the bifibration."""
     phi = load_cat_diagram(_load(args.phi))
+    f = load_functor(_load(args.f)) if args.command == "lift-limit" else None
     gr = groth_co(phi)
     delta = cleavage_from_groth(gr)
     theta = search_cleavage(gr.projection, "fibration")
     if theta is None:
-        return _finish(
-            args,
-            failed("bifibration", {"no_cartesian_liftings": True}),
-            started,
-        )
-    try:
+        return failed(args.command, {"no_cartesian_liftings": True})
+    if f is None:
         witness = bifibration_check(theta, delta)
-    except BIFIBRATION_FAILURES as exc:
-        return _finish(args, failed("bifibration", {"error": str(exc)}), started)
-    return _finish(
-        args,
-        passed(
-            "bifibration",
-            units=len(witness.units),
-            counits=len(witness.counits),
-        ),
-        started,
-    )
-
-
-def _cmd_lift_limit(args):
-    started = time.time()
-    phi = load_cat_diagram(_load(args.phi))
-    f = load_functor(_load(args.f))
-    gr = groth_co(phi)
-    delta = cleavage_from_groth(gr)
-    theta = search_cleavage(gr.projection, "fibration")
-    if theta is None:
-        return _finish(
-            args, failed("lift-limit", {"no_cartesian_liftings": True}), started
+        return passed(
+            "bifibration", units=len(witness.units), counits=len(witness.counits)
         )
-    try:
-        cone, report = lift_limit(theta, delta, f)
-    except BIFIBRATION_FAILURES as exc:
-        return _finish(args, failed("lift-limit", {"error": str(exc)}), started)
-    report.check_name = "lift-limit"
+    cone, report = lift_limit(theta, delta, f)
     report.witness = report.witness or {"apex": cone.apex}
-    return _finish(args, report, started)
+    return _named(args, report)
 
 
 def _cmd_free_cofibration(args):
-    started = time.time()
-    p = load_functor(_load(args.path))
-    free = free_cofibration(p)
+    free = free_cofibration(load_functor(_load(args.path)))
     report, _ = verify_split_cofibration(cleavage_from_groth(free.result))
-    report.check_name = "free-cofibration"
     report.stats["total_objects"] = len(free.result.total.objects)
     report.stats["total_morphisms"] = len(free.result.total.morphisms)
-    return _finish(args, report, started)
+    return _named(args, report)
 
 
 def _cmd_strictify(args):
-    started = time.time()
     x = load_functor(_load(args.x))
     y = load_functor(_load(args.y))
     dx = DiagObject(x.source, x, "cat")
     dy = DiagObject(y.source, y, "cat")
-    report = strict_hom_bijection(dx, dy)
-    report.check_name = "strictify"
-    return _finish(args, report, started)
+    return _named(args, strict_hom_bijection(dx, dy))
 
 
 def _cmd_comparison_q(args):
-    started = time.time()
     phi = load_cat_diagram(_load(args.phi))
-    try:
-        res = colimit_cat(phi, bound=args.bound)
-    except BoundExceeded as exc:
-        return _finish(
-            args,
-            resource_exceeded("comparison-q", {"error": str(exc)}),
-            started,
-        )
-    q = comparison_q(phi, res)
-    report = certify_cofinal_quotient(q)
-    report.check_name = "comparison-q"
-    return _finish(args, report, started)
-
-
-def _formula_command(args, run):
-    started = time.time()
-    try:
-        report = run()
-    except (BoundExceeded, ResourceExceeded) as exc:
-        return _finish(
-            args,
-            resource_exceeded(args.command, {"error": str(exc)}),
-            started,
-        )
-    report.check_name = args.command
-    return _finish(args, report, started)
+    q = comparison_q(phi, colimit_cat(phi, bound=args.bound))
+    return _named(args, certify_cofinal_quotient(q))
 
 
 def _cmd_check_cdf(args):
     phi = load_cat_diagram(_load(args.phi))
     x = load_set_diagram(_load(args.x))
-    if args.dual:
-        return _formula_command(
-            args, lambda: check_limit_recomposition(phi, x, args.bound)
-        )
-    return _formula_command(args, lambda: check_cdf(phi, x, args.bound))
+    check = check_limit_recomposition if args.dual else check_cdf
+    return _named(args, check(phi, x, args.bound))
 
 
 def _cmd_check_tfcf(args):
     phi = load_cat_diagram(_load(args.phi))
     t = load_set_diagram(_load(args.t))
-    if args.dual:
-        return _formula_command(args, lambda: check_twisted_limit(phi, t))
-    return _formula_command(args, lambda: check_tfcf(phi, t))
+    check = check_twisted_limit if args.dual else check_tfcf
+    return _named(args, check(phi, t))
 
 
 def _cmd_check_fubini(args):
     d_cat = load_category(_load(args.d))
     e_cat = load_category(_load(args.e))
     t = load_set_diagram(_load(args.t))
-    return _formula_command(args, lambda: check_fubini(d_cat, e_cat, t))
+    return _named(args, check_fubini(d_cat, e_cat, t))
 
 
 def _cmd_check_general_cdf(args):
@@ -534,46 +404,24 @@ def _cmd_check_general_cdf(args):
     t = load_set_diagram(_load(args.t))
     if args.dual:
         fam = backward_hat(phi, t)
-        return _formula_command(
-            args, lambda: check_general_limit_recomposition(fam, args.bound)
-        )
-    fam = guitart_hat(phi, t)
-    return _formula_command(args, lambda: check_general_cdf(fam, args.bound))
+        return _named(args, check_general_limit_recomposition(fam, args.bound))
+    return _named(args, check_general_cdf(guitart_hat(phi, t), args.bound))
 
 
 # -- corpus ------------------------------------------------------------------
 
 def _corpus_cat_diagram(name, phi, args, results):
-    from .fibrations import reconstitute
-
     if phi.variance != "covariant":
         return
     gr = groth_co(phi)
     rep = reconstitute(cleavage_from_groth(gr))
     results.append(("grothendieck-round-trip", name, rep))
     t = random_set_diagram(random.Random(args.seed), gr.total)
-    hat = guitart_hat(phi, t)
-    back = guitart_check(hat)
-    ok = back.sets == t.sets and all(
-        back.functions[m] == t.functions[m] for m in t.shape.mor_tokens
-    )
-    results.append(
-        (
-            "guitart-round-trip",
-            name,
-            passed("guitart") if ok else failed("guitart", {"fixture": name}),
-        )
-    )
+    results.append(("guitart-round-trip", name, _guitart_round_trip(phi, t)))
     try:
         res = colimit_cat(phi, bound=args.bound)
     except BoundExceeded as exc:
-        results.append(
-            (
-                "colimit-cat",
-                name,
-                resource_exceeded("colimit-cat", {"error": str(exc)}),
-            )
-        )
+        results.append(("colimit-cat", name, _refusal("colimit-cat", exc)))
         return
     results.append(("colimit-cat", name, passed("colimit-cat")))
     q = comparison_q(phi, res)
@@ -589,16 +437,18 @@ def _cmd_corpus(args):
     results = []
     if args.dir:
         if not os.path.isdir(args.dir):
-            report = invalid_input("corpus", {"missing_directory": args.dir})
-            return _finish(args, report, started)
+            return invalid_input("corpus", {"missing_directory": args.dir})
         for fname in sorted(os.listdir(args.dir)):
             if not fname.endswith(".json"):
                 continue
-            raw = _load(os.path.join(args.dir, fname))
-            kind = raw.get("kind", "category")
             name = os.path.splitext(fname)[0]
+            kind = "category"
+            # a file that does not load, or whose checks stop with an
+            # error, is one row of the matrix; the corpus goes on
             try:
-                if kind == "cat-diagram":
+                raw = _load(os.path.join(args.dir, fname))
+                if isinstance(raw, dict) and raw.get("kind") == "cat-diagram":
+                    kind = "cat-diagram"
                     _corpus_cat_diagram(
                         name, load_cat_diagram(raw), args, results
                     )
@@ -606,9 +456,7 @@ def _cmd_corpus(args):
                     load_category(raw)
                     results.append(("validate", name, passed("validate")))
             except FibrelabError as exc:
-                results.append(
-                    (kind, name, invalid_input(kind, {"error": str(exc)}))
-                )
+                results.append((kind, name, _refusal(kind, exc)))
     else:
         for name in fixtures.all_categories():
             results.append(("validate", name, passed("validate")))
@@ -617,7 +465,9 @@ def _cmd_corpus(args):
     matrix = {}
     for check, name, rep in results:
         matrix.setdefault(check, {})[name] = rep.status
-    n_fail = sum(1 for _, _, r in results if r.status in ("fail", "invalid_input"))
+    n_fail = sum(
+        1 for _, _, r in results if r.status not in ("pass", "resource_exceeded")
+    )
     summary = {
         "format": "fibrelab/1",
         "check_name": "corpus",
@@ -638,16 +488,26 @@ def _cmd_corpus(args):
     return 0 if n_fail == 0 else 1
 
 
+def _mapping(raw, key):
+    value = raw.get(key)
+    return value if isinstance(value, dict) else {}
+
+
 def _cmd_explain(args):
     try:
         raw = _load(args.path)
-        status = raw["status"]
-        name = raw["check_name"]
-    except (OSError, KeyError, ValueError, json.JSONDecodeError):
+    except UnreadableInput:
+        raw = None
+    if not (
+        isinstance(raw, dict)
+        and "check_name" in raw
+        and isinstance(raw.get("status"), str)
+    ):
         sys.stdout.write("not a readable report file\n")
         return 2
-    lines = ["%s: %s" % (name, status.upper())]
-    stats = raw.get("stats") or {}
+    status = raw["status"]
+    lines = ["%s: %s" % (raw["check_name"], status.upper())]
+    stats = _mapping(raw, "stats")
     if stats:
         lines.append(
             "  sizes: "
@@ -655,8 +515,8 @@ def _cmd_explain(args):
         )
     if raw.get("seed") is not None:
         lines.append("  seed: %s" % raw["seed"])
-    witness = raw.get("witness")
-    if status == "resource_exceeded" and witness and "trace" in witness:
+    witness = _mapping(raw, "witness")
+    if status == "resource_exceeded" and "trace" in witness:
         if "error" in witness:
             lines.append("  refused: %s" % witness["error"])
         lines.append("  growth trace: %s" % witness["trace"])
@@ -664,12 +524,13 @@ def _cmd_explain(args):
         lines.append("  witness:")
         for k, v in sorted(witness.items()):
             lines.append("    %s: %s" % (k, v))
-    if "matrix" in raw:
-        for check, row in sorted(raw["matrix"].items()):
-            lines.append(
-                "  %s: %s"
-                % (check, ", ".join("%s=%s" % kv for kv in sorted(row.items())))
-            )
+    matrix = _mapping(raw, "matrix")
+    for check in sorted(matrix):
+        row = _mapping(matrix, check)
+        lines.append(
+            "  %s: %s"
+            % (check, ", ".join("%s=%s" % kv for kv in sorted(row.items())))
+        )
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -726,19 +587,19 @@ def build_parser():
     p.add_argument("--t", required=True)
     p = add(
         "check-fibration",
-        lambda a: _cmd_check_fibration(a, "fibration"),
+        _cmd_check_fibration,
         help="search a cleavage and verify the split laws",
     )
     p.add_argument("path")
     p = add(
         "check-cofibration",
-        lambda a: _cmd_check_fibration(a, "cofibration"),
+        _cmd_check_fibration,
         help="search a cocleavage and verify the split laws",
     )
     p.add_argument("path")
     p = add("bifibration", _cmd_bifibration, help="units, counits, hom bijections")
     p.add_argument("--phi", required=True)
-    p = add("lift-limit", _cmd_lift_limit, help="lift a base limit along a bifibration")
+    p = add("lift-limit", _cmd_bifibration, help="lift a base limit along a bifibration")
     p.add_argument("--phi", required=True)
     p.add_argument("--f", required=True)
     p = add("free-cofibration", _cmd_free_cofibration, help="free split cofibration")
@@ -781,37 +642,24 @@ def build_parser():
     return parser
 
 
-def _refuse(args, status, witness):
-    _emit(
-        args,
-        {
-            "format": "fibrelab/1",
-            "check_name": args.command,
-            "status": status,
-            "witness": witness,
-        },
-    )
-    return EXIT_CODES[status]
-
-
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
         if getattr(args, "bound", 0) < 0:
             raise FibrelabError(("negative --bound", args.bound))
-        return args.fn(args)
-    except BoundExceeded as exc:
-        return _refuse(
-            args, "resource_exceeded", {"error": str(exc), "trace": exc.trace}
-        )
-    except ResourceExceeded as exc:
-        return _refuse(args, "resource_exceeded", {"error": str(exc)})
+        result = args.fn(args)
     except FibrelabError as exc:
-        return _refuse(args, "invalid_input", {"error": str(exc)})
-    except FileNotFoundError as exc:
-        sys.stdout.write("missing input file: %s\n" % exc.filename)
-        return 2
+        result = _refusal(args.command, exc)
+    if isinstance(result, int):  # the command wrote its own output
+        return result
+    if isinstance(result, dict):  # a JSON document, printed as it is
+        _emit(args, result)
+        return 0
+    if not args.no_timing:
+        result.stats["elapsed_s"] = round(time.time() - started, 3)
+    _emit(args, result.to_dict(include_timing=not args.no_timing))
+    return EXIT_CODES[result.status]
 
 
 if __name__ == "__main__":

@@ -1,12 +1,28 @@
 """Exception hierarchy shared by all modules.
 
 Every error carries the offending data in ``args`` so callers (and the CLI)
-can render a concrete witness instead of a bare message.
+can render a concrete witness instead of a bare message.  Its class's
+``status`` names the report the CLI gives when the error reaches it:
+``invalid_input`` by default, ``fail`` for a :class:`PropertyFailure`,
+``resource_exceeded`` for a :class:`ResourceExceeded` and
+``internal_error`` for a fault of the engine's own.
 """
 
 
 class FibrelabError(Exception):
     """Base class for all engine errors."""
+
+    status = "invalid_input"
+
+
+class PropertyFailure(FibrelabError):
+    """A property the input was checked for does not hold."""
+
+    status = "fail"
+
+
+class UnreadableInput(FibrelabError):
+    """An input file is missing, a directory, or not JSON."""
 
 
 # --- category validation ---------------------------------------------------
@@ -46,7 +62,9 @@ class NonUnique(FibrelabError):
 
 
 class ResourceExceeded(FibrelabError):
-    pass
+    """A resource bound was hit before the answer was found."""
+
+    status = "resource_exceeded"
 
 
 # --- Kan extensions ---------------------------------------------------------
@@ -83,27 +101,27 @@ class NonFunctorialTransition(FibrelabError):
     pass
 
 
-class UnverifiedCleavage(FibrelabError):
+class UnverifiedCleavage(PropertyFailure):
     pass
 
 
-class TriangleViolation(FibrelabError):
+class TriangleViolation(PropertyFailure):
     pass
 
 
-class HomBijectionFailure(FibrelabError):
+class HomBijectionFailure(PropertyFailure):
     pass
 
 
-class NoBaseLimit(FibrelabError):
+class NoBaseLimit(PropertyFailure):
     pass
 
 
-class NoFibreLimit(FibrelabError):
+class NoFibreLimit(PropertyFailure):
     pass
 
 
-class TerminalityFailure(FibrelabError):
+class TerminalityFailure(PropertyFailure):
     pass
 
 
@@ -131,7 +149,7 @@ class AmbientNotFinite(FibrelabError):
 
 # --- colimits in Cat --------------------------------------------------------
 
-class BoundExceeded(FibrelabError):
+class BoundExceeded(ResourceExceeded):
     """The saturation bound was hit; the colimit may be infinite."""
 
     def __init__(self, message, trace=None):
@@ -141,6 +159,8 @@ class BoundExceeded(FibrelabError):
 
 class CertificateFailure(FibrelabError):
     """A certificate that the engine checks on its own result failed."""
+
+    status = "internal_error"
 
 
 class NaturalityFailure(CertificateFailure):
@@ -155,3 +175,5 @@ class IllFormedComparison(FibrelabError):
 
 class MissingWitness(FibrelabError):
     """A fail or invalid_input report was made without its witness."""
+
+    status = "internal_error"

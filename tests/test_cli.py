@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -819,3 +820,140 @@ def test_lift_limit_exit_code_follows_the_error_kind(
     got, out = run(capsys, "--no-timing", "lift-limit", "--phi", phi, "--f", f)
     assert got == code
     assert json.loads(out)["witness"]["error"] == str(error)
+
+
+# -- unreadable input files and engine faults ---------------------------------
+
+
+# subcommand -> its argument parser
+SUBCOMMANDS = next(
+    a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+
+
+def _with_every_file(command, path):
+    """``command``'s argv with ``path`` for each of its input files."""
+    argv = [command]
+    for action in SUBCOMMANDS[command]._actions:
+        if action.option_strings:
+            if action.required:
+                argv += [action.option_strings[0], path]
+        elif action.nargs != "?":
+            argv.append(path)
+    return argv
+
+
+def _unreadable(tmp_path, how):
+    if how == "missing":
+        return str(tmp_path / "missing.json")
+    if how == "directory":
+        (tmp_path / "dir.json").mkdir()
+        return str(tmp_path / "dir.json")
+    (tmp_path / "junk.json").write_text("not json at all")
+    return str(tmp_path / "junk.json")
+
+
+@pytest.mark.parametrize("how", ["missing", "directory", "not json"])
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_an_unreadable_input_file_is_invalid_input(tmp_path, capsys, command, how):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = _unreadable(corpus, how)
+    if command == "corpus":
+        # a missing directory is refused; an unreadable file is one row
+        argv = ["corpus", path if how == "missing" else str(corpus)]
+    else:
+        argv = _with_every_file(command, path)
+    code, out = run(capsys, "--no-timing", *argv)
+    if command == "explain":
+        assert (code, out) == (2, "not a readable report file\n")
+        return
+    rep = json.loads(out)
+    if command == "corpus" and how != "missing":
+        assert code == 1
+        name = os.path.splitext(os.path.basename(path))[0]
+        assert rep["matrix"] == {"category": {name: "invalid_input"}}
+        return
+    assert code == 2
+    assert rep["status"] == "invalid_input"
+    assert rep["check_name"] == command
+    assert rep["stats"] == {}
+
+
+def test_an_unreadable_input_file_gives_no_traceback(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text("{bad")
+    proc = _run_cli_process(["colimit-cat", "--phi", str(p)], False)
+    assert proc.returncode == 2, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["witness"]["error"].startswith("('unreadable input file'")
+
+
+@pytest.mark.parametrize(
+    "raw", [[1, 2], "report", {"check_name": "x", "status": 5}], ids=repr
+)
+def test_explain_refuses_json_that_is_no_report(tmp_path, capsys, raw):
+    p = tmp_path / "report.json"
+    p.write_text(json.dumps(raw))
+    assert run(capsys, "explain", str(p)) == (2, "not a readable report file\n")
+
+
+def test_explain_skips_parts_of_a_report_that_are_no_mappings(tmp_path, capsys):
+    p = tmp_path / "report.json"
+    raw = {"check_name": "x", "status": "fail", "stats": [1], "witness": [2]}
+    p.write_text(json.dumps(dict(raw, matrix={"validate": 3, "guitart": {"a": "pass"}})))
+    code, out = run(capsys, "explain", str(p))
+    assert code == 0
+    assert out == "x: FAIL\n  guitart: a=pass\n  validate: \n"
+
+
+ENGINE_FAULTS = [
+    errors.CertificateFailure(("joint-Kan mediator must be the identity", "k")),
+    errors.MissingWitness(("failure without a witness", "check_cdf")),
+]
+
+
+@pytest.mark.parametrize("error", ENGINE_FAULTS, ids=lambda e: type(e).__name__)
+def test_an_engine_fault_is_an_internal_error(tmp_path, capsys, monkeypatch, error):
+    def fault(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "check_cdf", fault)
+    paths = formula_inputs(tmp_path)
+    out_path = tmp_path / "report.json"
+    code, _ = run(
+        capsys, "--no-timing", "--output", str(out_path),
+        "check-cdf", "--phi", paths["PHI"], "--x", paths["X"],
+    )
+    assert code == 4
+    rep = json.loads(out_path.read_text())
+    assert rep["status"] == "internal_error"
+    assert rep["witness"] == {"error": str(error)}
+    code, out = run(capsys, "explain", str(out_path))
+    assert code == 0
+    assert out.splitlines() == [
+        "check-cdf: INTERNAL_ERROR",
+        "  witness:",
+        "    error: " + str(error),
+    ]
+
+
+@pytest.mark.parametrize("error", ENGINE_FAULTS, ids=lambda e: type(e).__name__)
+def test_corpus_rows_record_the_status_of_their_error(tmp_path, capsys, monkeypatch, error):
+    def fault(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "check_cdf", fault)
+    d = tmp_path / "corpus"
+    d.mkdir()
+    shutil.copy(os.path.join(FIXDIR, "span-push3.json"), str(d))
+    code, out = run(capsys, "--no-timing", "corpus", str(d))
+    assert code == 1
+    summary = json.loads(out)
+    assert summary["matrix"]["cat-diagram"] == {"span-push3": "internal_error"}
+    assert summary["counts"]["fail"] == 1
+    # without a directory the fault ends the corpus run in main
+    code, out = run(capsys, "--no-timing", "corpus")
+    assert code == 4
+    assert json.loads(out)["status"] == "internal_error"
