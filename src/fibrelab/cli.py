@@ -175,6 +175,10 @@ def load_cat_diagram(raw):
     if not isinstance(specs, dict):
         raise DanglingToken(("not a cat-diagram description", ["transitions"]))
     base = load_category(raw["base"])
+    objects = set(base.objects)
+    for a in raw["fibres"]:
+        if a not in objects:
+            raise DanglingToken(("fibre for undeclared object", a))
     fibres = {a: load_category(v) for a, v in raw["fibres"].items()}
     for a in base.objects:
         if a not in fibres:

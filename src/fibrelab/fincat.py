@@ -40,6 +40,25 @@ with a in A, so a functor is fixed by its images of A, and
 :meth:`FinFunctor.certified` is the check without that fall-back: an
 enumerator of functors rejects a candidate with one generator test.
 
+Transformations, cones and cocones are families of squares, one per
+morphism, and they use the set too (:func:`first_witness`).  For a
+transformation α: F ⇒ G of functors C -> D that passed their checks,
+between checked C and D, naturality at a in A and at m gives it at a∘m,
+by associativity in D:
+
+    α_c'∘F(a∘m) = α_c'∘F(a)∘F(m) = G(a)∘α_c∘F(m)
+                = G(a)∘G(m)∘α_d = G(a∘m)∘α_d
+
+so, by induction along the closure, the squares at the identities and at
+A prove every square; the identity squares hold once the components are
+typed.  The same induction proves strictness of a Cat-valued diagram from
+the pairs with a generator outside (``CatDiagram.check`` in
+:mod:`fibrelab.grothendieck`), and the squares of cones, cocones and
+transformations of set diagrams (see :mod:`fibrelab.finset`).  The
+squares only prove a pass: when one fails, or an input is unchecked, every
+square is checked in declaration order, so a failure names the witness it
+always named.
+
 Thin categories, where every hom-set has at most one morphism, are
 certified by typing.  Once every composite has the right endpoints,
 (h∘g)∘f and h∘(g∘f) both lie in hom(dom f, cod h), which holds one
@@ -536,6 +555,10 @@ def validate_category(raw):
         raise DanglingToken(("malformed description", str(exc))) from None
     for tokens in (objects, identities.values(), *morphisms):
         _require_hashable(tokens)
+    declared = set(objects)
+    for a in identities:
+        if a not in declared:
+            raise DanglingToken(("identity for undeclared object", a))
     return category(
         objects, morphisms, identities, composition, name=raw.get("name", "")
     )
@@ -714,11 +737,41 @@ def compose_functor(g, f):
     )
 
 
+def first_witness(shape, witness, fast, identities=True):
+    """The first witness that ``witness(f, d, c)`` returns over the morphism
+    records of ``shape`` in declaration order, or None when there is none;
+    ``witness`` returns None where its square at f holds.
+
+    ``fast`` says that the caller's diagrams have passed their checks.  With
+    a checked shape, the squares at the identities (unless ``identities``
+    is false) and at the generators are tried first, and when they all
+    hold, every square does (see the module docstring).  A failed square
+    there, or a KeyError or TypeError from a partial map, runs the loop over
+    every morphism, so a witness, or an error, is always the loop's first."""
+    if fast and shape._checked:
+        dom, cod, identity = shape._dom, shape._cod, shape.identities
+        try:
+            if (
+                not identities
+                or all(witness(identity[a], a, a) is None for a in shape.objects)
+            ) and all(witness(g, dom[g], cod[g]) is None for g in shape.generators):
+                return None
+        except (KeyError, TypeError):
+            pass
+    for f, d, c in shape.morphisms:
+        bad = witness(f, d, c)
+        if bad is not None:
+            return bad
+    return None
+
+
 class NatTransformation:
     """A natural transformation between parallel functors.
 
     ``components`` maps each source object i to a morphism F(i) -> G(i) of
-    the common target category.
+    the common target category.  Once F and G have passed their checks, and
+    so have their source and target, naturality is checked over the
+    identities and generators of the source (:func:`first_witness`).
     """
 
     def __init__(self, source, target, components):
@@ -730,6 +783,9 @@ class NatTransformation:
         return self.components[i]
 
     def check(self):
+        """Parallel functors, a typed component per object, then the
+        naturality squares (over the generators when F, G, their source and
+        their target are checked, or if that fails, at every morphism)."""
         f, g = self.source, self.target
         if f.source != g.source or f.target != g.target:
             raise ShapeMismatch(("transformation between non-parallel functors",))
@@ -740,11 +796,17 @@ class NatTransformation:
                 raise DanglingToken(("missing component", i))
             if cat.dom(c) != f.ob(i) or cat.cod(c) != g.ob(i):
                 raise ShapeMismatch(("component endpoints", i, c))
-        for m, d, c in f.source.morphisms:
-            left = cat.compose(self.components[c], f.mor(m))
-            right = cat.compose(g.mor(m), self.components[d])
-            if left != right:
-                raise ShapeMismatch(("naturality square", m, left, right))
+        components = self.components
+
+        def square(m, d, c):
+            left = cat.compose(components[c], f.mor(m))
+            right = cat.compose(g.mor(m), components[d])
+            return None if left == right else (m, left, right)
+
+        fast = f._checked and g._checked and cat._checked
+        bad = first_witness(f.source, square, fast)
+        if bad is not None:
+            raise ShapeMismatch(("naturality square",) + bad)
         return self
 
     def __eq__(self, other):

@@ -21,6 +21,34 @@ validated at most once; its check compares mappings element by element
 instead of building composite functions, and over a checked shape only for
 the shape's generators (see :mod:`fibrelab.fincat`).  Cones, cocones and
 transformations check the same way, by lookups in the mappings.
+
+Over a checked shape, cones, cocones and transformations of checked diagrams
+are certified at the identities and generators only
+(:func:`fibrelab.fincat.first_witness`).  Each is a family of squares, one
+per morphism f: d -> c: λ_c∘X(f) = λ_d for a cocone, X(f)∘λ_d = λ_c for a
+cone, α_c∘X(f) = Y(f)∘α_d for a transformation.  The square at 1_d types
+the leg or component at d: a cocone leg is defined on exactly X(d), a cone
+leg on exactly its source and into X(d), and a component takes all of X(d)
+into Y(d).  With that typing the square at a∘m
+(a a generator, m: d -> c, a: c -> c') follows from those at a and m, since
+X(a∘m) = X(a)∘X(m) and X(m) lands in X(c):
+
+    cocone:         λ_c'∘X(a)∘X(m) = λ_c∘X(m) = λ_d
+    cone:           X(a)∘X(m)∘λ_d = X(a)∘λ_c = λ_c'
+    transformation: α_c'∘X(a)∘X(m) = Y(a)∘α_c∘X(m) = Y(a)∘Y(m)∘α_d
+
+and the equalities of sources and targets that a square also asks for are
+transitive.  Every morphism is an identity or a∘m with m generated, so by
+induction every square holds.  A failed square, or a partial map, sends the
+check to the loop over every morphism, which names the first witness.
+
+:func:`colimit_set` of a checked diagram on a checked shape unions along the
+generators only.  Its classes are those of e ~ X(f)e over every f, and
+X(a∘m)e = X(a)(X(m)e), so by the same induction e and X(f)e are joined by
+unions along generators.  The smallest root wins, so each root is the
+minimum of its class, and the apex, legs and classify are those of unions
+along every morphism.  :func:`restrict` records a pass for X∘F when X and F
+passed their checks, as a functor followed by a functor is one.
 """
 from __future__ import annotations
 
@@ -34,6 +62,7 @@ from .errors import (
     ResourceExceeded,
     ShapeMismatch,
 )
+from .fincat import first_witness
 from .report import failed, passed
 
 SEARCH_NODE_CAP = 10**6
@@ -254,9 +283,14 @@ class SetCocone:
     classify: dict = field(default_factory=dict)
 
     def check(self):
-        for f, d, c in self.diagram.shape.morphisms:
-            if not _is_composite(self.diagram.fn(f), self.legs[c], self.legs[d]):
-                raise NotACoconeError((f,))
+        x, legs = self.diagram, self.legs
+
+        def square(f, d, c):
+            return None if _is_composite(x.fn(f), legs[c], legs[d]) else (f,)
+
+        bad = first_witness(x.shape, square, x._checked)
+        if bad is not None:
+            raise NotACoconeError(bad)
         return self
 
 
@@ -269,9 +303,14 @@ class SetCone:
     families: dict = field(default_factory=dict)
 
     def check(self):
-        for f, d, c in self.diagram.shape.morphisms:
-            if not _is_composite(self.legs[d], self.diagram.fn(f), self.legs[c]):
-                raise NotACoconeError((f,))
+        x, legs = self.diagram, self.legs
+
+        def square(f, d, c):
+            return None if _is_composite(legs[d], x.fn(f), legs[c]) else (f,)
+
+        bad = first_witness(x.shape, square, x._checked)
+        if bad is not None:
+            raise NotACoconeError(bad)
         return self
 
 
@@ -295,17 +334,24 @@ class SetNat:
                 raise DanglingToken(("missing component", a))
             if c.source != self.source.sets[a] or c.target != self.target.sets[a]:
                 raise ShapeMismatch(("component endpoints", a))
-        for f, d, c in self.source.shape.morphisms:
+        x, y, components = self.source, self.target, self.components
+
+        def square(f, d, c):
             # top.then(right) == left.then(bottom), read off the mappings
-            top, right = self.source.fn(f), self.components[c]
+            top, right = x.fn(f), components[c]
             upper = _composite(top, right)
-            left, bottom = self.components[d], self.target.fn(f)
-            if not (
+            left, bottom = components[d], y.fn(f)
+            if (
                 upper == _composite(left, bottom)
                 and top.source == left.source
                 and right.target == bottom.target
             ):
-                raise ShapeMismatch(("naturality", f))
+                return None
+            return ("naturality", f)
+
+        bad = first_witness(x.shape, square, x._checked and y._checked)
+        if bad is not None:
+            raise ShapeMismatch(bad)
         return self
 
     def __eq__(self, other):
@@ -329,11 +375,17 @@ def colimit_set(x):
     Apex elements are the union-find classes of the tagged disjoint union,
     named "object.element" after their smallest member.
     """
+    sh = x.shape
+    if x._checked and sh._checked:
+        dom, cod = sh._dom, sh._cod
+        morphisms = [(g, dom[g], cod[g]) for g in sh.generators]
+    else:
+        morphisms = sh.morphisms
     uf = UnionFind()
-    for a in x.shape.objects:
+    for a in sh.objects:
         for e in x.sets[a]:
             uf.find(element_token(a, e))
-    for f, d, c in x.shape.morphisms:
+    for f, d, c in morphisms:
         fn = x.fn(f)
         for e in x.sets[d]:
             uf.union(element_token(d, e), element_token(c, fn(e)))
@@ -556,14 +608,18 @@ def is_bijection(h):
 
 
 def restrict(x, f):
-    """Precompose the diagram X on K with a functor F: J -> K."""
+    """Precompose the diagram X on K with a functor F: J -> K; the result
+    is checked when X and F are."""
     if f.target != x.shape:
         raise ShapeMismatch(("restrict", "diagram shape differs from F target"))
-    return SetDiagram(
+    xf = SetDiagram(
         f.source,
         {a: x.sets[f.ob(a)] for a in f.source.objects},
         {m: x.functions[f.mor(m)] for m in f.source.mor_tokens},
     )
+    # a functor followed by a functor is a functor
+    xf._checked = x._checked and f._checked
+    return xf
 
 
 def constant_diagram(shape, s):

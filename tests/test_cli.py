@@ -712,6 +712,32 @@ def test_malformed_cat_diagrams_are_invalid_input(tmp_path, capsys, change, witn
         assert witness in rep["witness"]["error"]
 
 
+def test_an_identity_for_an_undeclared_object_is_invalid_input(tmp_path, capsys):
+    raw = json.loads(open(os.path.join(FIXDIR, "two.json")).read())
+    raw["identities"]["ghost"] = "id0"
+    p = tmp_path / "two.json"
+    p.write_text(json.dumps(raw))
+    for command in ("validate", "opposite"):
+        code, out = run(capsys, "--no-timing", command, str(p))
+        assert code == 2
+        rep = json.loads(out)
+        assert rep["status"] == "invalid_input"
+        assert rep["witness"]["error"] == str(("identity for undeclared object", "ghost"))
+
+
+def test_a_fibre_for_an_undeclared_object_is_invalid_input(tmp_path, capsys):
+    raw = json.loads(open(os.path.join(FIXDIR, "span-push3.json")).read())
+    raw["fibres"]["ghost"] = raw["fibres"]["l"]
+    p = tmp_path / "phi.json"
+    p.write_text(json.dumps(raw))
+    for command in ("grothendieck", "colimit-cat"):
+        code, out = run(capsys, "--no-timing", command, "--phi", str(p))
+        assert code == 2
+        rep = json.loads(out)
+        assert rep["status"] == "invalid_input"
+        assert rep["witness"]["error"] == str(("fibre for undeclared object", "ghost"))
+
+
 # -- bifibration and lift-limit: failures, input errors and refusals ----------
 
 
