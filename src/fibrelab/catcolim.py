@@ -15,13 +15,30 @@ presentation is decided in four steps.
 
 1. Completion.  Knuth–Bendix completion with the shortlex order makes the
    equations a confluent rewriting system (rules only shorten words or
-   decrease them lexicographically, so rewriting terminates).  Critical
-   pairs are formed only between rules that share a letter, found through
-   an index from letter to rules, and a rule whose left side contains a
-   newer left side is retired and its equation processed again.  The result
-   is the reduced complete system, which is unique for the order.
-   Completion can diverge on an infinite colimit, so the rule count is
-   bounded.
+   decrease them lexicographically, so rewriting terminates).  A rule whose
+   left side contains a newer left side is retired and its equation
+   processed again, so no left side ever contains another.  The result is
+   the reduced complete system, which is unique for the order.  Completion
+   can diverge on an infinite colimit, so the rule count is bounded.
+
+   The rules are indexed so that no step scans them all:
+
+   - ``reduce`` looks the word up at a position once per distinct
+     left-side length, in a dict from left side to rule.  Two left sides
+     that occur at one position are prefixes of one another, so one
+     contains the other; since left sides are reduced, at most one occurs,
+     and the lookup rewrites what a scan of the rules would.
+   - Retirement finds the left sides that contain a new one through its
+     first two letters (a bigram index), or its one letter.
+   - A proper overlap with the new left side l in front starts the other
+     left side at a letter of l after its first (first-letter index); with
+     l behind, the other ends at a letter of l before its last (last-letter
+     index, read in rule-id order).  Critical pairs are queued in the order
+     a scan of every rule sharing a letter with l would queue them.
+
+   Every fibre equation has a left side of at most two letters and a right
+   side of at most one, so every critical pair does too: left sides stay
+   within two letters, and at most two lengths are looked up.
 2. Finiteness.  The morphism classes are the irreducible composable words,
    and these are the words a finite automaton accepts: a state is the
    longest suffix read that is a proper prefix of a left side (a node of the
@@ -160,14 +177,16 @@ class _Saturator:
     def reduce(self, word, start=0):
         """The normal form of ``word`` under the current rules, where no left
         side occurs at a position before ``start``."""
-        i = max(start, 0)
+        rule_at, lengths, back = self._rule_at, self._lengths, self.max_lhs - 1
+        i = start if start > 0 else 0
         while i < len(word):
-            for lhs, rhs in self._by_first.get(word[i], {}).values():
-                n = len(lhs)
-                if word[i : i + n] == lhs:
-                    word = word[:i] + rhs + word[i + n :]
+            # left sides are reduced, so at most one occurs at i
+            for n in lengths:
+                rule = rule_at.get(word[i : i + n])
+                if rule is not None:
+                    word = word[:i] + rule[1] + word[i + n :]
                     # a new occurrence overlaps the replaced span
-                    i = max(0, i - self.max_lhs + 1)
+                    i = i - back if i > back else 0
                     break
             else:
                 i += 1
@@ -175,22 +194,37 @@ class _Saturator:
 
     def _add_rule(self, rid, rule):
         lhs = rule[0]
-        self.rules[rid] = rule
+        self.rules[rid] = self._rule_at[lhs] = rule
+        self._lengths[len(lhs)] = self._lengths.get(len(lhs), 0) + 1
         self._by_first.setdefault(lhs[0], {})[rid] = rule
+        self._by_last.setdefault(lhs[-1], {})[rid] = rule
         for a in dict.fromkeys(lhs):
             self._containing.setdefault(a, {})[rid] = rule
+        for ab in dict.fromkeys(zip(lhs, lhs[1:])):
+            self._by_bigram.setdefault(ab, {})[rid] = rule
         self.max_lhs = max(self.max_lhs, len(lhs))
 
     def _retire_rule(self, rid):
         lhs = self.rules.pop(rid)[0]
+        del self._rule_at[lhs]
+        self._lengths[len(lhs)] -= 1
+        if not self._lengths[len(lhs)]:
+            del self._lengths[len(lhs)]
         del self._by_first[lhs[0]][rid]
+        del self._by_last[lhs[-1]][rid]
         for a in dict.fromkeys(lhs):
             del self._containing[a][rid]
+        for ab in dict.fromkeys(zip(lhs, lhs[1:])):
+            del self._by_bigram[ab][rid]
 
     def complete(self):
         self.rules = {}  # rule id -> (lhs, rhs), alive rules in creation order
-        self._by_first = {}  # letter -> {rule id: rule} with lhs starting there
-        self._containing = {}  # letter -> {rule id: rule} with lhs containing it
+        self._rule_at = {}  # lhs -> rule
+        self._lengths = {}  # left-side length -> number of alive rules
+        # letter (or bigram) -> {rule id: rule}, in rule-id order, for the
+        # rules whose lhs starts with it / ends with it / contains it
+        self._by_first, self._by_last = {}, {}
+        self._containing, self._by_bigram = {}, {}
         self.max_lhs = 1
         self.critical_pairs = 0
         eqs = {}
@@ -213,9 +247,15 @@ class _Saturator:
             rule = (u, v) if (len(u), u) > (len(v), v) else (v, u)
             lhs = rule[0]
             # lhs is irreducible, so it contains no older left side; an older
-            # left side that contains lhs is retired and its equation
-            # reprocessed, which keeps the left sides reduced
-            for rid, old in list(self._containing.get(lhs[0], {}).items()):
+            # left side that contains lhs (so its first bigram, or its one
+            # letter) is retired and its equation reprocessed, which keeps
+            # the left sides reduced
+            holders = (
+                self._by_bigram.get(lhs[:2], {})
+                if len(lhs) > 1
+                else self._containing.get(lhs[0], {})
+            )
+            for rid, old in list(holders.items()):
                 if _occurs(lhs, old[0]):
                     self._retire_rule(rid)
                     queue.append(old)
@@ -227,23 +267,30 @@ class _Saturator:
                     % (len(self.rules), self.rule_bound),
                     [("rules", len(self.rules)), ("critical_pairs", self.critical_pairs)],
                 )
-            # a proper overlap with lhs in front needs the other rule's first
-            # letter inside lhs; with lhs behind, lhs's first letter inside
-            # the other left side
-            ahead = {}
+            # a proper overlap with lhs in front needs the other left side to
+            # start at a letter of lhs after its first; the buckets are read
+            # in order of first occurrence in lhs
+            inner = set(lhs[1:])
             for a in dict.fromkeys(lhs):
-                ahead.update(self._by_first.get(a, {}))
-            for other in ahead.values():
-                for pair in _overlaps(rule, other):
-                    self.critical_pairs += 1
-                    queue.append(pair)
-            for other in self._containing[lhs[0]].values():
+                if a in inner:
+                    for other in self._by_first.get(a, {}).values():
+                        for pair in _overlaps(rule, other):
+                            self.critical_pairs += 1
+                            queue.append(pair)
+            # with lhs behind, the other left side ends at a letter of lhs
+            # before its last; those rules are read in rule-id order
+            behind = {}
+            for a in dict.fromkeys(lhs[:-1]):
+                behind.update(self._by_last.get(a, {}))
+            for rid in sorted(behind):
+                other = behind[rid]
                 if other is not rule:
                     for pair in _overlaps(other, rule):
                         self.critical_pairs += 1
                         queue.append(pair)
+        # only ``rules`` and ``_rule_at`` are read after completion
         for rid, (lhs, rhs) in list(self.rules.items()):
-            self._add_rule(rid, (lhs, self.reduce(rhs)))
+            self.rules[rid] = self._rule_at[lhs] = (lhs, self.reduce(rhs))
 
     # -- 2. finiteness ------------------------------------------------------
 

@@ -11,23 +11,26 @@ Exit codes: 0 = pass, 1 = property violated, 2 = invalid input,
 3 = resource bound exceeded, 4 = internal error (a certificate the engine
 checks on its own result failed).  An input file that is missing, a
 directory, or not JSON is invalid input.
+
+Start-up: a process pays only for the command it runs.  This module
+imports the standard library, :mod:`fibrelab.errors` and
+:mod:`fibrelab.report`; each command and loader imports the engine names it
+uses inside its own body, and a test that replaces an engine function
+replaces it in the engine module.  The commands are one table,
+:data:`COMMANDS`.  argv that is top-level ``--no-timing``, ``--output X``
+or ``--output=X``, then a command name, is parsed by a parser of that one
+command; every other argv (help, unknown or abbreviated options, and any
+error the one-command parser meets) goes to the parser of every command,
+so help texts and usage errors are its own.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
-import random
 import sys
 import time
 
-from . import fixtures
-from .catcolim import (
-    certify_cofinal_quotient,
-    colimit_cat,
-    comparison_q,
-)
-from .diagcat import DiagObject, strict_hom_bijection
 from .errors import (
     BoundExceeded,
     DanglingToken,
@@ -36,44 +39,6 @@ from .errors import (
     ShapeMismatch,
     UnreadableInput,
 )
-from .fincat import (
-    FinFunctor,
-    _require_hashable,
-    comma,
-    opposite,
-    product,
-    validate_category,
-)
-from .finset import FinFunction, FinSet, SetDiagram, colimit_set, limit_set
-from .fibrations import (
-    bifibration_check,
-    cleavage_from_groth,
-    free_cofibration,
-    lift_limit,
-    reconstitute,
-    search_cleavage,
-    verify_split_cofibration,
-    verify_split_fibration,
-)
-from .formulas import (
-    backward_hat,
-    check_cdf,
-    check_fubini,
-    check_general_cdf,
-    check_general_limit_recomposition,
-    check_limit_recomposition,
-    check_tfcf,
-    check_twisted_limit,
-)
-from .grothendieck import (
-    CatDiagram,
-    groth_co,
-    groth_contra,
-    guitart_check,
-    guitart_hat,
-)
-from .kan import lan, ran
-from .randgen import random_set_diagram
 from .report import VerificationReport, failed, invalid_input, passed
 
 EXIT_CODES = {
@@ -97,6 +62,8 @@ def _load(path):
 
 
 def load_category(raw):
+    from .fincat import validate_category
+
     return validate_category(raw)
 
 
@@ -109,6 +76,8 @@ def _require_mappings(raw, keys, *what):
 
 
 def load_functor(raw):
+    from .fincat import FinFunctor, _require_hashable
+
     keys = ("source", "target", "on_objects", "on_morphisms")
     _require_mappings(raw, keys, "not a functor description")
     src = load_category(raw["source"])
@@ -121,6 +90,9 @@ def load_functor(raw):
 
 
 def load_set_diagram(raw):
+    from .fincat import _require_hashable
+    from .finset import FinFunction, FinSet, SetDiagram
+
     keys = ("shape", "sets", "functions")
     _require_mappings(raw, keys, "not a set-diagram description")
     shape = load_category(raw["shape"])
@@ -170,6 +142,9 @@ def set_diagram_to_json(x):
 
 
 def load_cat_diagram(raw):
+    from .fincat import FinFunctor, _require_hashable
+    from .grothendieck import CatDiagram
+
     _require_mappings(raw, ("base", "fibres"), "not a cat-diagram description")
     specs = raw.get("transitions", {})
     if not isinstance(specs, dict):
@@ -259,24 +234,32 @@ def _cmd_validate(args):
 
 
 def _cmd_opposite(args):
+    from .fincat import opposite
+
     return opposite(load_category(_load(args.path))).to_dict()
 
 
 def _cmd_product(args):
+    from .fincat import product
+
     a = load_category(_load(args.left))
     b = load_category(_load(args.right))
     return product(a, b).to_dict()
 
 
 def _cmd_comma(args):
+    from .fincat import comma
+
     f = load_functor(_load(args.left))
     g = load_functor(_load(args.right))
     return comma(f, g).category.to_dict()
 
 
 def _cmd_colimit_set(args):
+    from .finset import colimit_set, limit_set
+
     x = load_set_diagram(_load(args.path))
-    if args.dual:
+    if args.command == "limit-set" or args.dual:
         name, cone = "limit-set", limit_set(x)
     else:
         name, cone = "colimit-set", colimit_set(x)
@@ -288,6 +271,8 @@ def _cmd_colimit_set(args):
 
 
 def _cmd_kan(args):
+    from .kan import lan, ran
+
     f = load_functor(_load(args.functor))
     x = load_set_diagram(_load(args.diagram))
     result = ran(f, x) if args.dual else lan(f, x)
@@ -299,6 +284,8 @@ def _cmd_kan(args):
 
 
 def _cmd_colimit_cat(args):
+    from .catcolim import colimit_cat
+
     res = colimit_cat(load_cat_diagram(_load(args.phi)), bound=args.bound)
     return passed(
         "colimit-cat",
@@ -308,12 +295,16 @@ def _cmd_colimit_cat(args):
 
 
 def _cmd_grothendieck(args):
+    from .grothendieck import groth_co, groth_contra
+
     phi = load_cat_diagram(_load(args.phi))
     return (groth_contra(phi) if args.dual else groth_co(phi)).total.to_dict()
 
 
 def _guitart_round_trip(phi, t):
     """Whether check∘hat is the identity on the set diagram ``t`` over ∫Φ."""
+    from .grothendieck import guitart_check, guitart_hat
+
     back = guitart_check(guitart_hat(phi, t))
     if back.sets != t.sets or any(
         back.functions[m] != t.functions[m] for m in t.shape.mor_tokens
@@ -328,6 +319,12 @@ def _cmd_guitart(args):
 
 
 def _cmd_check_fibration(args):
+    from .fibrations import (
+        search_cleavage,
+        verify_split_cofibration,
+        verify_split_fibration,
+    )
+
     direction = args.command[len("check-"):]
     data = search_cleavage(load_functor(_load(args.path)), direction)
     if data is None:
@@ -343,6 +340,14 @@ def _cmd_check_fibration(args):
 def _cmd_bifibration(args):
     """``bifibration``, and ``lift-limit``, which also lifts the limit of
     ``--f`` along the bifibration."""
+    from .fibrations import (
+        bifibration_check,
+        cleavage_from_groth,
+        lift_limit,
+        search_cleavage,
+    )
+    from .grothendieck import groth_co
+
     phi = load_cat_diagram(_load(args.phi))
     f = load_functor(_load(args.f)) if args.command == "lift-limit" else None
     gr = groth_co(phi)
@@ -361,6 +366,12 @@ def _cmd_bifibration(args):
 
 
 def _cmd_free_cofibration(args):
+    from .fibrations import (
+        cleavage_from_groth,
+        free_cofibration,
+        verify_split_cofibration,
+    )
+
     free = free_cofibration(load_functor(_load(args.path)))
     report, _ = verify_split_cofibration(cleavage_from_groth(free.result))
     report.stats["total_objects"] = len(free.result.total.objects)
@@ -369,6 +380,8 @@ def _cmd_free_cofibration(args):
 
 
 def _cmd_strictify(args):
+    from .diagcat import DiagObject, strict_hom_bijection
+
     x = load_functor(_load(args.x))
     y = load_functor(_load(args.y))
     dx = DiagObject(x.source, x, "cat")
@@ -377,12 +390,16 @@ def _cmd_strictify(args):
 
 
 def _cmd_comparison_q(args):
+    from .catcolim import certify_cofinal_quotient, colimit_cat, comparison_q
+
     phi = load_cat_diagram(_load(args.phi))
     q = comparison_q(phi, colimit_cat(phi, bound=args.bound))
     return _named(args, certify_cofinal_quotient(q))
 
 
 def _cmd_check_cdf(args):
+    from .formulas import check_cdf, check_limit_recomposition
+
     phi = load_cat_diagram(_load(args.phi))
     x = load_set_diagram(_load(args.x))
     check = check_limit_recomposition if args.dual else check_cdf
@@ -390,6 +407,8 @@ def _cmd_check_cdf(args):
 
 
 def _cmd_check_tfcf(args):
+    from .formulas import check_tfcf, check_twisted_limit
+
     phi = load_cat_diagram(_load(args.phi))
     t = load_set_diagram(_load(args.t))
     check = check_twisted_limit if args.dual else check_tfcf
@@ -397,6 +416,8 @@ def _cmd_check_tfcf(args):
 
 
 def _cmd_check_fubini(args):
+    from .formulas import check_fubini
+
     d_cat = load_category(_load(args.d))
     e_cat = load_category(_load(args.e))
     t = load_set_diagram(_load(args.t))
@@ -404,6 +425,13 @@ def _cmd_check_fubini(args):
 
 
 def _cmd_check_general_cdf(args):
+    from .formulas import (
+        backward_hat,
+        check_general_cdf,
+        check_general_limit_recomposition,
+    )
+    from .grothendieck import guitart_hat
+
     phi = load_cat_diagram(_load(args.phi))
     t = load_set_diagram(_load(args.t))
     if args.dual:
@@ -415,6 +443,14 @@ def _cmd_check_general_cdf(args):
 # -- corpus ------------------------------------------------------------------
 
 def _corpus_cat_diagram(name, phi, args, results):
+    import random
+
+    from .catcolim import certify_cofinal_quotient, colimit_cat, comparison_q
+    from .fibrations import cleavage_from_groth, reconstitute
+    from .formulas import check_cdf
+    from .grothendieck import groth_co
+    from .randgen import random_set_diagram
+
     if phi.variance != "covariant":
         return
     gr = groth_co(phi)
@@ -462,6 +498,8 @@ def _cmd_corpus(args):
             except FibrelabError as exc:
                 results.append((kind, name, _refusal(kind, exc)))
     else:
+        from . import fixtures
+
         for name in fixtures.all_categories():
             results.append(("validate", name, passed("validate")))
         for name, phi in fixtures.all_cat_diagrams().items():
@@ -541,8 +579,143 @@ def _cmd_explain(args):
 
 # -- argument parsing --------------------------------------------------------
 
-def build_parser():
-    parser = argparse.ArgumentParser(
+def _arg(*flags, **options):
+    return flags, options
+
+
+_PATH = _arg("path")
+_PHI = _arg("--phi", required=True)
+_BOUND = _arg("--bound", type=int, default=10000)
+_LEFT_RIGHT = [_arg("left"), _arg("right")]
+
+# command -> (function, help, arguments), in the order that help lists them
+COMMANDS = {
+    "validate": (_cmd_validate, "validate a category file", [_PATH]),
+    "opposite": (_cmd_opposite, "opposite category", [_PATH]),
+    "product": (_cmd_product, "product of two categories", _LEFT_RIGHT),
+    "comma": (_cmd_comma, "comma category of two functors", _LEFT_RIGHT),
+    "colimit-set": (
+        _cmd_colimit_set,
+        "colimit of a set diagram",
+        [_PATH, _arg("--dual", action="store_true", help="compute the limit")],
+    ),
+    "limit-set": (_cmd_colimit_set, "limit of a set diagram", [_PATH]),
+    "kan": (
+        _cmd_kan,
+        "pointwise Kan extension",
+        [
+            _arg("--functor", required=True),
+            _arg("--diagram", required=True),
+            _arg("--dual", action="store_true", help="right Kan extension"),
+        ],
+    ),
+    "colimit-cat": (_cmd_colimit_cat, "colimit of categories", [_PHI, _BOUND]),
+    "grothendieck": (
+        _cmd_grothendieck,
+        "total category of a diagram",
+        [_PHI, _arg("--dual", action="store_true", help="contravariant variant")],
+    ),
+    "guitart": (
+        _cmd_guitart, "hat/check round trip", [_PHI, _arg("--t", required=True)]
+    ),
+    "check-fibration": (
+        _cmd_check_fibration,
+        "search a cleavage and verify the split laws",
+        [_PATH],
+    ),
+    "check-cofibration": (
+        _cmd_check_fibration,
+        "search a cocleavage and verify the split laws",
+        [_PATH],
+    ),
+    "bifibration": (
+        _cmd_bifibration, "units, counits, hom bijections", [_PHI]
+    ),
+    "lift-limit": (
+        _cmd_bifibration,
+        "lift a base limit along a bifibration",
+        [_PHI, _arg("--f", required=True)],
+    ),
+    "free-cofibration": (
+        _cmd_free_cofibration, "free split cofibration", [_PATH]
+    ),
+    "strictify": (
+        _cmd_strictify,
+        "strictification hom bijection",
+        [_arg("--x", required=True), _arg("--y", required=True)],
+    ),
+    "comparison-q": (
+        _cmd_comparison_q, "cofinal quotient certificate", [_PHI, _BOUND]
+    ),
+    "check-cdf": (
+        _cmd_check_cdf,
+        "colimit decomposition formula",
+        [
+            _PHI,
+            _arg("--x", required=True),
+            _BOUND,
+            _arg("--dual", action="store_true", help="limit recomposition"),
+        ],
+    ),
+    "check-tfcf": (
+        _cmd_check_tfcf,
+        "twisted Fubini formula",
+        [
+            _PHI,
+            _arg("--t", required=True),
+            _arg("--dual", action="store_true", help="twisted limit variant"),
+        ],
+    ),
+    "check-fubini": (
+        _cmd_check_fubini,
+        "Fubini over a product shape",
+        [
+            _arg("--d", required=True),
+            _arg("--e", required=True),
+            _arg("--t", required=True),
+        ],
+    ),
+    "check-general-cdf": (
+        _cmd_check_general_cdf,
+        "general decomposition for a family built from a total diagram",
+        [
+            _PHI,
+            _arg("--t", required=True),
+            _BOUND,
+            _arg("--dual", action="store_true", help="general recomposition"),
+        ],
+    ),
+    "corpus": (
+        _cmd_corpus,
+        "run the standard checks over fixtures",
+        [
+            _arg("dir", nargs="?", help="fixture directory (default: built-in)"),
+            _BOUND,
+            _arg("--seed", type=int, default=0),
+            _arg("--cases", type=int, default=3),
+        ],
+    ),
+    "explain": (_cmd_explain, "render a report file as text", [_PATH]),
+}
+
+
+class _FastPathMiss(Exception):
+    """argv that the one-command parser does not parse."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    """A parser that raises instead of writing a usage error."""
+
+    def error(self, message):
+        raise _FastPathMiss(message)
+
+
+def build_parser(command=None):
+    """The parser of every command, or with ``command`` the fast-path parser
+    of that command alone: it has no ``--help`` and raises
+    :class:`_FastPathMiss` where the full parser would print an error."""
+    cls = argparse.ArgumentParser if command is None else _OneCommandParser
+    parser = cls(
         prog="fibrelab",
         description="Finite-category-theory engine: verify decomposition "
         "formulas, fibration structure, and Kan extensions on explicit data.",
@@ -554,100 +727,35 @@ def build_parser():
         help="omit elapsed time for byte-identical reports",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    for name in COMMANDS if command is None else (command,):
+        fn, help_text, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text, add_help=command is None)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("validate", _cmd_validate, help="validate a category file")
-    p.add_argument("path")
-    p = add("opposite", _cmd_opposite, help="opposite category")
-    p.add_argument("path")
-    p = add("product", _cmd_product, help="product of two categories")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add("comma", _cmd_comma, help="comma category of two functors")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add("colimit-set", _cmd_colimit_set, help="colimit of a set diagram")
-    p.add_argument("path")
-    p.add_argument("--dual", action="store_true", help="compute the limit")
-    p = add("limit-set", _cmd_colimit_set, help="limit of a set diagram")
-    p.add_argument("path")
-    p.set_defaults(dual=True)
-    p = add("kan", _cmd_kan, help="pointwise Kan extension")
-    p.add_argument("--functor", required=True)
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--dual", action="store_true", help="right Kan extension")
-    p = add("colimit-cat", _cmd_colimit_cat, help="colimit of categories")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--bound", type=int, default=10000)
-    p = add("grothendieck", _cmd_grothendieck, help="total category of a diagram")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--dual", action="store_true", help="contravariant variant")
-    p = add("guitart", _cmd_guitart, help="hat/check round trip")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--t", required=True)
-    p = add(
-        "check-fibration",
-        _cmd_check_fibration,
-        help="search a cleavage and verify the split laws",
-    )
-    p.add_argument("path")
-    p = add(
-        "check-cofibration",
-        _cmd_check_fibration,
-        help="search a cocleavage and verify the split laws",
-    )
-    p.add_argument("path")
-    p = add("bifibration", _cmd_bifibration, help="units, counits, hom bijections")
-    p.add_argument("--phi", required=True)
-    p = add("lift-limit", _cmd_bifibration, help="lift a base limit along a bifibration")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--f", required=True)
-    p = add("free-cofibration", _cmd_free_cofibration, help="free split cofibration")
-    p.add_argument("path")
-    p = add("strictify", _cmd_strictify, help="strictification hom bijection")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p = add("comparison-q", _cmd_comparison_q, help="cofinal quotient certificate")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--bound", type=int, default=10000)
-    p = add("check-cdf", _cmd_check_cdf, help="colimit decomposition formula")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--bound", type=int, default=10000)
-    p.add_argument("--dual", action="store_true", help="limit recomposition")
-    p = add("check-tfcf", _cmd_check_tfcf, help="twisted Fubini formula")
-    p.add_argument("--phi", required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument("--dual", action="store_true", help="twisted limit variant")
-    p = add("check-fubini", _cmd_check_fubini, help="Fubini over a product shape")
-    p.add_argument("--d", required=True)
-    p.add_argument("--e", required=True)
-    p.add_argument("--t", required=True)
-    p = add(
-        "check-general-cdf",
-        _cmd_check_general_cdf,
-        help="general decomposition for a family built from a total diagram",
-    )
-    p.add_argument("--phi", required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument("--bound", type=int, default=10000)
-    p.add_argument("--dual", action="store_true", help="general recomposition")
-    p = add("corpus", _cmd_corpus, help="run the standard checks over fixtures")
-    p.add_argument("dir", nargs="?", help="fixture directory (default: built-in)")
-    p.add_argument("--bound", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=3)
-    p = add("explain", _cmd_explain, help="render a report file as text")
-    p.add_argument("path")
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
+def parse_args(argv):
+    """``argv`` parsed as the full parser parses it.  argv that is top-level
+    ``--no-timing``, ``--output X`` or ``--output=X``, then a command name,
+    is parsed by that command's parser alone; anything else, and anything
+    that parser refuses, by the full parser."""
+    i = 0
+    while i < len(argv) and (
+        argv[i] in ("--no-timing", "--output") or argv[i].startswith("--output=")
+    ):
+        i += 2 if argv[i] == "--output" else 1
+    if i < len(argv) and argv[i] in COMMANDS:
+        try:
+            return build_parser(argv[i]).parse_args(argv)
+        except _FastPathMiss:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     started = time.time()
     try:
         if getattr(args, "bound", 0) < 0:

@@ -726,15 +726,19 @@ def constant_functor(source, target, obj):
 
 
 def compose_functor(g, f):
-    """g∘f (apply f first)."""
+    """g∘f (apply f first); checked when f and g are."""
     if f.target != g.source:
         raise ShapeMismatch(("functor composition", "middle category differs"))
-    return FinFunctor(
+    gf = FinFunctor(
         f.source,
         g.target,
         {a: g.ob(f.ob(a)) for a in f.source.objects},
         {m: g.mor(f.mor(m)) for m in f.source.mor_tokens},
     )
+    # a functor followed by a functor is a functor
+    if f._checked and g._checked:
+        gf._record_pass()
+    return gf
 
 
 def first_witness(shape, witness, fast, identities=True):

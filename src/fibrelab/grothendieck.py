@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .diagcat import DiagMorphism, DiagObject, diag_composite
 from .errors import (
     CertificateFailure,
     NonFunctorialDiagram,
@@ -346,6 +345,8 @@ class DiagFamily:
         """Each transition is a Diag morphism (a failure names its kind,
         the base morphism and the index object or morphism), identities go
         to identities, and φ^{g∘f} is the composite of φ^g and φ^f."""
+        from .diagcat import DiagMorphism, DiagObject, diag_composite
+
         sh = self.shape
         self.cat_diagram().check()
         members = {}

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from fibrelab import cli, errors, finset, fixtures
+from fibrelab import cli, errors, fibrations, finset, fixtures, formulas, grothendieck
 from fibrelab.cli import cat_diagram_to_json, main, set_diagram_to_json
 from fibrelab.errors import BoundExceeded
 
@@ -653,7 +653,7 @@ def test_bound_refusal_reaching_main_exits_3_with_its_trace(
     def refuse(phi):
         raise BoundExceeded(("words", 11, 10), trace=[[1, 2], [2, 11]])
 
-    monkeypatch.setattr(cli, "groth_co", refuse)
+    monkeypatch.setattr(grothendieck, "groth_co", refuse)
     phi = write_diagram(tmp_path, "span-push3")
     code, out = run(capsys, "--no-timing", "grothendieck", "--phi", phi)
     assert code == 3
@@ -811,7 +811,7 @@ def test_bifibration_exit_code_follows_the_error_kind(
     def raise_it(theta, delta):
         raise error
 
-    monkeypatch.setattr(cli, "bifibration_check", raise_it)
+    monkeypatch.setattr(fibrations, "bifibration_check", raise_it)
     phi, _ = _halving_two(tmp_path)
     got, out = run(capsys, "--no-timing", "bifibration", "--phi", phi)
     assert got == code
@@ -839,7 +839,7 @@ def test_lift_limit_exit_code_follows_the_error_kind(
     def raise_it(theta, delta, f):
         raise error
 
-    monkeypatch.setattr(cli, "lift_limit", raise_it)
+    monkeypatch.setattr(fibrations, "lift_limit", raise_it)
     phi, total = _halving_two(tmp_path)
     one = fixtures.all_categories()["ONE"]
     f = _write_functor(tmp_path, "f.json", constant_functor(one, total, "0|c1"))
@@ -945,7 +945,7 @@ def test_an_engine_fault_is_an_internal_error(tmp_path, capsys, monkeypatch, err
     def fault(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "check_cdf", fault)
+    monkeypatch.setattr(formulas, "check_cdf", fault)
     paths = formula_inputs(tmp_path)
     out_path = tmp_path / "report.json"
     code, _ = run(
@@ -970,7 +970,7 @@ def test_corpus_rows_record_the_status_of_their_error(tmp_path, capsys, monkeypa
     def fault(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(cli, "check_cdf", fault)
+    monkeypatch.setattr(formulas, "check_cdf", fault)
     d = tmp_path / "corpus"
     d.mkdir()
     shutil.copy(os.path.join(FIXDIR, "span-push3.json"), str(d))

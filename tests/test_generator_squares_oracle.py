@@ -711,3 +711,41 @@ def test_restrict_records_a_pass_only_for_checked_inputs(x_checked, f_checked):
     xf = restrict(x, f)
     assert xf._checked == (x_checked and f_checked)
     assert xf.check() is xf
+
+
+@pytest.mark.parametrize("g_checked", [True, False])
+@pytest.mark.parametrize("f_checked", [True, False])
+def test_compose_functor_records_a_pass_only_for_checked_factors(f_checked, g_checked):
+    f = FinFunctor(CATS["TWO"], chain(4), {"0": "c1", "1": "c3"},
+                   {"id0": "idc1", "id1": "idc3", "a": "c1<c3"})
+    g = identity_functor(chain(4))
+    if f_checked:
+        f.check()
+    if g_checked:
+        g.check()
+    gf = compose_functor(g, f)
+    assert gf._checked == (f_checked and g_checked)
+    assert gf.check() is gf
+
+
+def test_cat_valued_forward_morphisms_take_the_generator_squares(monkeypatch):
+    """enumerate_forward's naturality checks run no loop over every
+    morphism: its target Y∘F composes two checked functors."""
+    from fibrelab import fincat
+    from fibrelab.diagcat import DiagObject, enumerate_forward
+
+    incl = FinFunctor(chain(4), chain(5), {"c%d" % i: "c%d" % i for i in range(4)},
+                      {m: m for m in chain(4).mor_tokens}).check()
+    dx = DiagObject(chain(4), incl, "cat")
+    dy = DiagObject(chain(4), incl, "cat")
+    calls = []
+    orig = fincat.first_witness
+
+    def counted(shape, witness, fast, identities=True):
+        calls.append(fast and shape._checked)
+        return orig(shape, witness, fast, identities)
+
+    monkeypatch.setattr(fincat, "first_witness", counted)
+    after = enumerate_forward(dx, dy)
+    assert len(calls) == len(after) == 14
+    assert calls.count(False) == 0

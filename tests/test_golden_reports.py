@@ -295,6 +295,8 @@ def limit_inputs():
     covariant = (
         ("span-push3", fixtures.span_push3_diagram(), 41),
         ("halving-two", halving_bifibration("TWO", 3), 42),
+        ("semidirect", fixtures.semidirect_diagram(), 45),
+        ("glued-chain", glued_chains(3, 4), 46),
     )
     for name, phi, seed in covariant:
         inputs[name + "-t.json"] = seeded_diagram(seed, groth_co(phi).total)
