@@ -77,6 +77,7 @@ class BucketScanSaturator(_Saturator):
                 rhs = self.strip(((d, fib.compose(g, f)),))
                 if lhs != rhs:
                     eqs[(lhs, rhs)] = None
+        # catcolim's deque, which completion() replaces to record the pops
         queue = catcolim.deque(sorted(eqs))
         next_id = 0
         while queue:

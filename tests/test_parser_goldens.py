@@ -2,7 +2,9 @@
 
 ``fibrelab --help``, ``fibrelab <command> --help`` for every subcommand,
 and a set of usage errors must write the stored stdout and stderr, byte for
-byte, and exit with the stored code.  Help is formatted for 80 columns.
+byte, and exit with the stored code.  Help is formatted for 80 columns.  The
+tests also pin which parsers are built: a plain command line builds only
+its command's parser; help, abbreviations and errors build the full one.
 
 ``python tests/test_parser_goldens.py`` writes the goldens from the current
 parser into ``tests/golden/parser/``.
@@ -15,6 +17,7 @@ import sys
 
 import pytest
 
+from fibrelab import cli
 from fibrelab.cli import main
 
 PARSER_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "parser")
@@ -61,6 +64,46 @@ def test_parser_output_matches_golden(name, monkeypatch):
     with open(os.path.join(PARSER_GOLDEN, name + ".json")) as fh:
         golden = json.load(fh)
     assert run_parser_case(CASES[name]) == golden
+
+
+def _parsers_built(monkeypatch):
+    """The ``command`` argument of every ``build_parser`` call from now on."""
+    calls = []
+    build = cli.build_parser
+
+    def counted(command=None):
+        calls.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, built",
+    [
+        ("abbreviated-no-timing", [None]),
+        ("unrecognized-extra-argument", ["validate", None]),
+        ("validate--help", ["validate", None]),
+        ("negative-bound", ["colimit-cat"]),
+        ("help", [None]),
+    ],
+)
+def test_only_a_plain_command_line_skips_the_full_parser(name, built, monkeypatch):
+    calls = _parsers_built(monkeypatch)
+    run_parser_case(CASES[name])
+    assert calls == built
+
+
+@pytest.mark.parametrize("prefix", [["--output", "OUT"], ["--output=OUT"]])
+def test_output_before_the_command_takes_the_fast_path(prefix, tmp_path, monkeypatch):
+    calls = _parsers_built(monkeypatch)
+    out = str(tmp_path / "report.json")
+    argv = [a.replace("OUT", out) for a in prefix] + ["--no-timing", "validate", TWO]
+    assert main(argv) == 0
+    with open(out) as fh:
+        assert json.load(fh)["status"] == "pass"
+    assert calls == ["validate"]
 
 
 if __name__ == "__main__":
