@@ -10,8 +10,26 @@ and a count prove a pass (:func:`is_cocartesian`); any other outcome runs
 the loop over every such pair and its fillers, which names the first pair
 without exactly one filler.  Limits are found by exhaustive terminal-cone
 search, adjunctions by exhaustive hom counting.  The fibres of P are
-extracted once, in one pass over E, and memoised on P (:func:`fibres`); a
-fibration is verified on P^op with the opposites of the same fibres.
+built once and memoised on P (:func:`fibres`): a ∫Φ projection has them
+from Φ, any other P by one pass over E; a fibration is verified on P^op
+with the opposites of the same fibres.
+
+The filler index.  The injectivity pass keeps what it computes: for m
+with cod m = y, :func:`_fillers` maps each pair (t∘m, Pt) to the list of
+the t out of y that give it, in E's ``out_of`` order, memoised on P.  Every
+unique filler search then reads it instead of scanning a hom-set and
+composing: the transition functors u_! (fillers of δ^u_x), the units and
+counits of a bifibration (fillers of θ^u and δ^u, for P^op and P), the
+fibre diagram of limit lifting (fillers of θ for P^op) and factorization
+(fillers of δ).  Each search asked for the t: y -> z of a hom-set, or of a
+fibre's hom-set, with t∘m = h and Pt = w.  When y = cod m and z = cod h,
+t∘m = h already forces cod t = z, and a fibre's hom-set is the morphisms
+over its identity, so the index's list is the scan's list, order
+included: a failure names the same candidates.  A search whose lifting
+does not type it that way (y is not cod m, or z is not cod h) is reachable
+only in the bifibration check, with corrupted liftings behind passing
+verifications; there the scan still runs, so it raises the same
+MissingComposite or finds the same empty list as before.
 
 Only the cofibration side is written out.  A morphism is P-cartesian iff
 it is cocartesian for P^op (``p.op``, same tokens), and a cleavage of P is
@@ -59,39 +77,52 @@ def fibres(p):
     """Every fibre of P: E -> B, by base object in B's order: the objects
     over b, the morphisms over 1_b and their composites, each in E's
     declaration order.  Tokens are reused from E, so fibre categories embed
-    literally.  P, E and B are checked first, and one pass over E groups
-    the fibres.  Each is a subcategory of E, so it has a derived
-    certificate, and the result is memoised on P (a functor is
-    immutable)."""
+    literally.  P, E and B are checked first.  The projection of a ∫Φ
+    hands over its fibres, Φa renamed through J_a in the order extraction
+    gives (:func:`fibrelab.grothendieck._fibres_through`), and the
+    opposite of such a projection reads their opposites; any other P has
+    them extracted in one pass over E (:func:`_extracted_fibres`).  Each
+    is a subcategory of E, so it has a derived certificate, and the result
+    is memoised on P (a functor is immutable)."""
     if p._fibres is None:
-        e, b = p.source, p.target
-        for x in (e, b, p):
+        for x in (p.source, p.target, p):
             x.check()
-        parts = {a: ([], [], {}) for a in b.objects}
-        for x in e.objects:
-            part = parts.get(p.ob(x))
-            if part is not None:
-                part[0].append(x)
-        over_id = {b.id_of(a): a for a in b.objects}
-        over = {}  # vertical morphism -> its base object
-        for t, d, c in e.morphisms:
-            a = over_id.get(p.mor(t))
-            if a is not None:
-                over[t] = a
-                parts[a][1].append((t, d, c))
-        for (g, f), gf in e.composition.items():
-            a = over.get(g)
-            if a is not None and over.get(f) == a:
-                parts[a][2][(g, f)] = gf
-        p._fibres = MappingProxyType(
-            {
-                a: FinCategory(
-                    objects, morphisms, {x: e.id_of(x) for x in objects}, composition
-                )._derived()
-                for a, (objects, morphisms, composition) in parts.items()
-            }
-        )
+        if p._fibre_source is not None:
+            parts = p._fibre_source()
+        elif p._op is not None and p._op._fibre_source is not None:
+            parts = {a: f.op for a, f in fibres(p._op).items()}
+        else:
+            parts = _extracted_fibres(p)
+        p._fibres = MappingProxyType(parts)
     return p._fibres
+
+
+def _extracted_fibres(p):
+    """The fibres of a checked P: E -> B, grouped in one pass over E's
+    objects, morphisms and composition entries."""
+    e, b = p.source, p.target
+    parts = {a: ([], [], {}) for a in b.objects}
+    for x in e.objects:
+        part = parts.get(p.ob(x))
+        if part is not None:
+            part[0].append(x)
+    over_id = {b.id_of(a): a for a in b.objects}
+    over = {}  # vertical morphism -> its base object
+    for t, d, c in e.morphisms:
+        a = over_id.get(p.mor(t))
+        if a is not None:
+            over[t] = a
+            parts[a][1].append((t, d, c))
+    for (g, f), gf in e.composition.items():
+        a = over.get(g)
+        if a is not None and over.get(f) == a:
+            parts[a][2][(g, f)] = gf
+    return {
+        a: FinCategory(
+            objects, morphisms, {x: e.id_of(x) for x in objects}, composition
+        )._derived()
+        for a, (objects, morphisms, composition) in parts.items()
+    }
 
 
 def fibre(p, b):
@@ -144,27 +175,67 @@ def is_cocartesian(p, m):
 
 def _counted_cocartesian(p, m):
     """Whether t ↦ (t∘m, Pt) maps the morphisms out of y = cod m one to one
-    onto the pairs (h, w) of :func:`is_cocartesian`, which are counted as
-    Σ_h #{w out of Py : w∘Pm = Ph}; None when P is not a checked functor
-    between checked categories, or a table read misses, where the count
-    proves nothing."""
+    onto the pairs (h, w) of :func:`is_cocartesian`: the filler index of m
+    (:func:`_fillers`) has one key per t, and as many keys as pairs.  The
+    pairs are counted as Σ_{w out of Py} #{h out of x : Ph = w∘Pm}, from
+    the images of the morphisms out of x = dom m (:func:`_image_counts`).
+    None when P is not a checked functor between checked categories, or a
+    table read misses, where the count proves nothing."""
     e, b = p.source, p.target
     if not (p._checked and e._checked and b._checked):
         return None
-    pmor, ecomp, bcomp = p.on_morphisms, e.composition, b.composition
     try:
-        u = pmor[m]
-        hits = {}  # w∘u for w out of Py -> how many such w
-        for w in b.out_of(p.ob(e.cod(m))):
-            wu = bcomp[(w, u)]
-            hits[wu] = hits.get(wu, 0) + 1
-        pairs = sum(hits.get(pmor[h], 0) for h in e.out_of(e.dom(m)))
-        out = e.out_of(e.cod(m))
-        if len(out) != pairs:
+        u, y = p._on_morphisms[m], e._cod[m]
+        images, bcomp = _image_counts(p, e._dom[m]), b._composition
+        pairs = sum(
+            images.get(bcomp[(w, u)], 0) for w in b.out_of(p._on_objects[y])
+        )
+        if len(e.out_of(y)) != pairs:
             return False
-        return len({(ecomp[(t, m)], pmor[t]) for t in out}) == pairs
+        return len(_fillers(p, m)) == pairs
     except KeyError:
         return None
+
+
+def _image_counts(p, x):
+    """How many morphisms h out of x have each image Ph, memoised per x on
+    P (a checked functor)."""
+    memo = p._image_counts
+    if memo is None:
+        memo = p._image_counts = {}
+    counts = memo.get(x)
+    if counts is None:
+        pmor, counts = p._on_morphisms, {}
+        for h in p.source.out_of(x):
+            ph = pmor[h]
+            counts[ph] = counts.get(ph, 0) + 1
+        memo[x] = counts
+    return counts
+
+
+def _fillers(p, m):
+    """The filler index of m: x -> y for a checked P: E -> B over a checked
+    E: each pair (t∘m, Pt) mapped to the list of the t out of y that give
+    it, in E's ``out_of`` order; memoised per m on P.  The unique filler
+    searches read it: the t: y -> z with t∘m = h and Pt = w are
+    ``_fillers(p, m).get((h, w))``, in E's order, because t∘m = h forces
+    cod t = cod h."""
+    memo = p._filler_index
+    if memo is None:
+        memo = p._filler_index = {}
+    index = memo.get(m)
+    if index is None:
+        e = p.source
+        ecomp, pmor, index = e._composition, p._on_morphisms, {}
+        for t in e.out_of(e._cod[m]):
+            key = (ecomp[(t, m)], pmor[t])
+            fillers = index.get(key)
+            if fillers is None:
+                index[key] = [t]
+            else:
+                fillers.append(t)
+        memo[m] = index
+    return index
 
 
 def _cocartesian(p, m):
@@ -238,25 +309,24 @@ def search_cleavage(p, direction):
 
 def _transport_functor(data, u, fibres):
     """The reindexing functor u_! : E_a -> E_b induced by a split
-    cocleavage along u.  Morphism images are found by unique vertical
-    filler search."""
+    cocleavage along u, for a checked P and liftings that passed their
+    endpoint checks.  The image of j: x -> x2 is the unique vertical
+    filler t with t∘δ^u_x = δ^u_x2∘j, read off the filler index of
+    δ^u_x."""
     p = data.base_functor
     e, b = p.source, p.target
-    src, tgt = fibres[b.dom(u)], fibres[b.cod(u)]
-    on_objects = {x: e.cod(data.lifting[(u, x)]) for x in src.objects}
+    lifting = data.lifting
+    src = fibres[b.dom(u)]
+    vertical = b.id_of(b.cod(u))
+    on_objects = {x: e.cod(lifting[(u, x)]) for x in src.objects}
     on_morphisms = {}
-    for j in src.mor_tokens:
-        x, x2 = src.dom(j), src.cod(j)
-        want = e.compose(data.lifting[(u, x2)], j)
-        cands = [
-            t
-            for t in tgt.hom(on_objects[x], on_objects[x2])
-            if e.compose(t, data.lifting[(u, x)]) == want
-        ]
+    for j, x, x2 in src.morphisms:
+        want = e.compose(lifting[(u, x2)], j)
+        cands = _fillers(p, lifting[(u, x)]).get((want, vertical), ())
         if len(cands) != 1:
-            raise NonFunctorialTransition((u, j, cands))
+            raise NonFunctorialTransition((u, j, list(cands)))
         on_morphisms[j] = cands[0]
-    return FinFunctor(src, tgt, on_objects, on_morphisms).check()
+    return FinFunctor(src, fibres[b.cod(u)], on_objects, on_morphisms).check()
 
 
 def _verify_split(data, direction):
@@ -391,14 +461,9 @@ def factorize(data, f):
     p = data.base_functor
     e, b = p.source, p.target
     delta = data.lifting[(p.mor(f), e.dom(f))]
-    id_b = b.id_of(p.ob(e.cod(f)))
-    cands = [
-        t
-        for t in e.hom(e.cod(delta), e.cod(f))
-        if p.mor(t) == id_b and e.compose(t, delta) == f
-    ]
+    cands = _fillers(p, delta).get((f, b.id_of(p.ob(e.cod(f)))), ())
     if len(cands) != 1:
-        raise UnverifiedCleavage(("cocartesian filler not unique", f, cands))
+        raise UnverifiedCleavage(("cocartesian filler not unique", f, list(cands)))
     return FactorizationResult(delta, cands[0], "(cocartesian,vertical)")
 
 
@@ -432,21 +497,34 @@ def bifibration_check(theta, delta):
         raise UnverifiedCleavage(("cofibration", rep_c.witness))
     fibres = phi_c.fibres
 
-    def unit(u, kind, cat, over, there, back, lift, through):
+    def unit(u, kind, q, over, there, back, lift, through):
         """For each z over ``over`` the one vertical t: z -> back(there z) of
-        ``cat`` with through(u, there z)·t = lift(u, z).  The counit is the
-        unit of P^op: E^op over cod u, transitions and cleavages swapped."""
+        cat = Q's source^op with through(u, there z)·t = lift(u, z): a
+        filler of the cocartesian morphism through(u, there z) of Q, read
+        off its filler index.  The unit reads Q = P^op, and the counit is
+        the unit of P^op: Q = P, E^op over cod u, transitions and cleavages
+        swapped.  A lifting whose endpoints do not type the search (the
+        domain in cat of through(u, there z) is not back(there z), or that
+        of lift(u, z) is not z), which only corrupted liftings behind
+        passing verifications give, is searched by the scan of the hom-set,
+        so it fails as it always did."""
         maps, vertical = {}, b.id_of(over)
+        cat, ends = q.source.op, q.source._cod
         for z in fibres[over].objects:
             zz, want = there.ob(z), lift[(u, z)]
-            cands = [
-                t
-                for t in cat.hom(z, back.ob(zz))
-                if p.mor(t) == vertical
-                and cat.compose(through[(u, zz)], t) == want
-            ]
+            target = back.ob(zz)
+            m = through.get((u, zz))
+            if m is not None and ends.get(m) == target and ends.get(want) == z:
+                cands = _fillers(q, m).get((want, vertical), ())
+            else:
+                cands = [
+                    t
+                    for t in cat.hom(z, target)
+                    if p.mor(t) == vertical
+                    and cat.compose(through[(u, zz)], t) == want
+                ]
             if len(cands) != 1:
-                raise TriangleViolation((u, kind, z, cands))
+                raise TriangleViolation((u, kind, z, list(cands)))
             maps[z] = cands[0]
         return maps
 
@@ -454,8 +532,8 @@ def bifibration_check(theta, delta):
     for u in b.mor_tokens:
         a_obj, b_obj = b.dom(u), b.cod(u)
         push, pull = phi_c.transition(u), phi_f.transition(u)
-        eta = unit(u, "unit", e, a_obj, push, pull, delta.lifting, theta.lifting)
-        eps = unit(u, "counit", e.op, b_obj, pull, push, theta.lifting, delta.lifting)
+        eta = unit(u, "unit", p.op, a_obj, push, pull, delta.lifting, theta.lifting)
+        eps = unit(u, "counit", p, b_obj, pull, push, theta.lifting, delta.lifting)
         # triangle identities
         for x in fibres[a_obj].objects:
             if e.compose(eps[push.ob(x)], push.mor(eta[x])) != e.id_of(push.ob(x)):
@@ -572,19 +650,18 @@ def lift_limit(theta, delta, f):
     alphas = {d: theta.lifting[(base.legs[d], f.ob(d))] for d in d_cat.objects}
     fib = witness.fibres[b]
     # induced fibre diagram L: D -> E_b via unique cartesian fillers
+    # L(m) for m: d1 -> d2 is the vertical t with α_d2∘t = F(m)∘α_d1, a
+    # filler of α_d2 for P^op
     on_objects = {d: e.dom(alphas[d]) for d in d_cat.objects}
     on_morphisms = {}
     id_b = b_cat.id_of(b)
-    for m in d_cat.mor_tokens:
-        d1, d2 = d_cat.dom(m), d_cat.cod(m)
+    for m, d1, d2 in d_cat.morphisms:
         want = e.compose(f.mor(m), alphas[d1])
-        cands = [
-            t
-            for t in fib.hom(on_objects[d1], on_objects[d2])
-            if e.compose(alphas[d2], t) == want and p.mor(t) == id_b
-        ]
+        cands = _fillers(p.op, alphas[d2]).get((want, id_b), ())
         if len(cands) != 1:
-            raise UnverifiedCleavage(("cartesian filler for fibre diagram", m, cands))
+            raise UnverifiedCleavage(
+                ("cartesian filler for fibre diagram", m, list(cands))
+            )
         on_morphisms[m] = cands[0]
     l_fun = FinFunctor(d_cat, fib, on_objects, on_morphisms).check()
     fib_lim = terminal_cone(l_fun)
@@ -641,10 +718,11 @@ def _slice_fibre(p, a):
     """The slice fibre P/a: objects (x, h: Px -> a), morphisms f with
     k∘Pf = h.  Morphisms are listed by source object, then target object
     (both in object order), then f in its hom-set; each composite is read
-    from the morphisms into the outer one's domain.  P, E and B must be
-    checked: P/a is the comma category P↓a, so it has a derived
-    certificate."""
+    from the morphisms into the outer one's domain, and from the raw tables
+    of E and B.  P, E and B must be checked: P/a is the comma category
+    P↓a, so it has a derived certificate."""
     e, b = p.source, p.target
+    ecomp, bcomp = e._composition, b._composition
     objects, obj_data, over_x = [], {}, {}
     for x in e.objects:
         over_x[x] = []
@@ -662,7 +740,7 @@ def _slice_fibre(p, a):
             fs = [(f, p.mor(f)) for f in e.hom(x, y)]
             for t2, k in over_x[y]:
                 for f, pf in fs:
-                    if b.compose(k, pf) != h:
+                    if bcomp[(k, pf)] != h:
                         continue
                     m = "%s@%s>%s" % (f, h, k)
                     morphisms.append((m, t1, t2))
@@ -677,7 +755,7 @@ def _slice_fibre(p, a):
         g, _, k2 = mor_data[m2]
         for m1, _, _ in into.get(d2, ()):
             f, h1, _ = mor_data[m1]
-            composition[(m2, m1)] = token_of[(e.compose(g, f), h1, k2)]
+            composition[(m2, m1)] = token_of[(ecomp[(g, f)], h1, k2)]
     cat = FinCategory(objects, morphisms, identities, composition)._derived()
     return cat, obj_data, mor_data
 

@@ -76,9 +76,13 @@ F(g∘f) and F(g)∘F(f) lie in one hom-set: between checked categories
 
 Duality goes through the ``op`` properties.  ``c.op`` is built on first use
 and cached: the same tokens in the same order, dom and cod swapped, the
-composition table transposed.  ``c.op.op is c``, and a passing ``check()``
-of either one holds for both, so ``opposite(c)`` neither copies nor re-checks
-a category that was checked already.  ``F.op`` is the same object and
+composition table transposed.  It is not rebuilt through ``__init__``: its
+dom and cod maps are this category's cod and dom maps, its by-dom and
+by-cod indexes are the by-cod and by-dom ones, and its hom index has the
+keys reversed, which are the tables ``__init__`` would build from the
+swapped records, in the same order.  ``c.op.op is c``, and a passing
+``check()`` of either one holds for both, so ``opposite(c)`` neither copies
+nor re-checks a category that was checked already.  ``F.op`` is the same object and
 morphism maps between the opposite categories, also cached, and a passing
 check of either functor holds for both.
 
@@ -122,7 +126,10 @@ does.  The proofs, for checked inputs:
   associativity in B and in the fibres, since Φw is a functor and
   Φ(w∘v) = Φw∘Φv.  The projection (u, f) ↦ u and the injections
   J_a: f ↦ (1_a, f) preserve identities and composites by the same
-  formula, so they are marked checked as well.
+  formula, so they are marked checked as well.  The fibre of the
+  projection over a is the image of J_a (the morphisms over 1_a are the
+  (1_a, f)), so ``fibrations.fibres`` renames Φa through J_a instead of
+  extracting it from the total; it is the same subcategory.
 """
 from __future__ import annotations
 
@@ -285,12 +292,8 @@ class FinCategory:
         """The checks of :meth:`check` that read no composition entry: no
         duplicate token, declared endpoints, an identity for every object.
         Returns the set of morphism tokens."""
+        morset = distinct_tokens(self.objects, self.mor_tokens)
         objset = self._object_set
-        if len(objset) != len(self.objects):
-            raise DanglingToken(("duplicate object token", self.objects))
-        morset = set(self.mor_tokens)
-        if len(morset) != len(self.morphisms):
-            raise DanglingToken(("duplicate morphism token", self.mor_tokens))
         for t, d, c in self.morphisms:
             if d not in objset or c not in objset:
                 raise DanglingToken(("morphism endpoints undeclared", t, d, c))
@@ -434,18 +437,29 @@ class FinCategory:
 
     @property
     def op(self):
-        """The opposite category, built on first use and cached."""
+        """The opposite category, built on first use and cached.  Its tables
+        are this category's with the dom and cod maps, the by-dom and by-cod
+        indexes and the hom keys swapped, and the composition table
+        transposed, each in the order ``__init__`` would give them, so it
+        is not rebuilt through ``__init__``; the immutable tables that do
+        not change (objects, identities, token sets) are shared."""
         if self._op is None:
-            op = FinCategory(
-                self.objects,
-                [(t, c, d) for t, d, c in self.morphisms],
-                self.identities,
-                {(f, g): gf for (g, f), gf in self._composition.items()},
-                name=(self.name + "^op") if self.name else "",
-            )
+            op = object.__new__(FinCategory)
+            op.objects, op.identities = self.objects, self.identities
+            op.morphisms = tuple((t, c, d) for t, d, c in self.morphisms)
+            op._composition = {(f, g): gf for (g, f), gf in self._composition.items()}
+            op.composition = MappingProxyType(op._composition)
+            op.name = (self.name + "^op") if self.name else ""
+            op.mor_tokens, op._object_set = self.mor_tokens, self._object_set
+            op._dom, op._cod = self._cod, self._dom
+            op._identity_tokens = self._identity_tokens
+            op._hom = {(c, d): ts for (d, c), ts in self._hom.items()}
+            op._out_of, op._into = self._into, self._out_of
+            op._thin = self._thin
             op._checked = self._checked
             op._generators = self._generators
             op._shares_generators = self._checked
+            op._factorization = None
             op._op = self
             self._op = op
         return self._op
@@ -487,6 +501,18 @@ class FinCategory:
                 if not self.is_identity(g) and not self.is_identity(f)
             ),
         }
+
+
+def distinct_tokens(objects, mor_tokens):
+    """Refuse a repeated object token, then a repeated morphism token, with
+    the witnesses of :meth:`FinCategory.check`, for a constructor whose
+    tables are keyed by the tokens; returns the set of morphism tokens."""
+    if len(set(objects)) != len(objects):
+        raise DanglingToken(("duplicate object token", tuple(objects)))
+    morset = set(mor_tokens)
+    if len(morset) != len(mor_tokens):
+        raise DanglingToken(("duplicate morphism token", tuple(mor_tokens)))
+    return morset
 
 
 def group_by_cod(morphisms):
@@ -575,6 +601,11 @@ class FinFunctor:
     Like :class:`FinCategory` it is immutable once built: the maps are
     read-only views, and :meth:`check` validates at most once.
     """
+
+    # memo slots of :mod:`fibrelab.fibrations`, set on first use
+    _fibre_source = None  # what fibres() builds from, left by a constructor
+    _filler_index = None  # m -> {(t∘m, Pt): [t, ...]}
+    _image_counts = None  # x -> {Ph: how many h out of x}
 
     def __init__(self, source, target, on_objects, on_morphisms, name=""):
         self.source = source
@@ -846,26 +877,33 @@ def pair_token(a, b):
 
 def product(c, d):
     """The product category with pair tokens :func:`pair_token`, of
-    checked factors and with a derived certificate."""
+    checked factors and with a derived certificate.  Each pair token is
+    rendered once, in rows by the left factor, and the tables are read
+    from the rows."""
     c.check()
     d.check()
     p = pair_token
-    objects = [p(a, b) for a in c.objects for b in d.objects]
+    obs = {a: {b: p(a, b) for b in d.objects} for a in c.objects}
+    mors = {f: {g: p(f, g) for g in d.mor_tokens} for f in c.mor_tokens}
+    objects = [t for row in obs.values() for t in row.values()]
     morphisms = [
-        (p(f, g), p(fd, gd), p(fc, gc))
+        (mors[f][g], obs[fd][gd], obs[fc][gc])
         for f, fd, fc in c.morphisms
         for g, gd, gc in d.morphisms
     ]
+    c_id, d_id = c.identities, d.identities
     identities = {
-        p(a, b): p(c.id_of(a), d.id_of(b)) for a in c.objects for b in d.objects
+        t: mors[c_id[a]][d_id[b]] for a, row in obs.items() for b, t in row.items()
     }
     # each factor composite once per composable pair of its factor
-    right = [(g1, f1, d.compose(g1, f1)) for g1, f1 in d.composable_pairs()]
+    d_comp = d._composition
+    right = [(g1, f1, d_comp[(g1, f1)]) for g1, f1 in d.composable_pairs()]
     composition = {}
+    c_comp = c._composition
     for g2, f2 in c.composable_pairs():
-        gf2 = c.compose(g2, f2)
+        g2s, f2s, gf2s = mors[g2], mors[f2], mors[c_comp[(g2, f2)]]
         for g1, f1, gf1 in right:
-            composition[(p(g2, g1), p(f2, f1))] = p(gf2, gf1)
+            composition[(g2s[g1], f2s[f1])] = gf2s[gf1]
     return FinCategory(objects, morphisms, identities, composition)._derived()
 
 

@@ -35,7 +35,9 @@ from .fincat import (
     FinCategory,
     FinFunctor,
     compose_functor,
+    distinct_tokens,
     first_witness,
+    group_by_cod,
     identity_functor,
 )
 from .finset import SetDiagram, identity_function
@@ -187,65 +189,108 @@ def _groth_co(phi, token=_co_token):
     ``token(u, x, f)`` names the total morphism (u, f) out of the fibre
     object x.  The total has a derived certificate, and the projection and
     fibre injections are functors by the same theorem (see
-    :mod:`fibrelab.fincat`).  Its objects are listed once per pair (a, x),
-    so two pairs with one token are refused as duplicate tokens."""
+    :mod:`fibrelab.fincat`).  Two pairs with one token are refused as
+    duplicate tokens before the composition table is built.  The tables of Φ
+    are read directly, and each object token is rendered once per (a, x).
+    The projection keeps what its fibres are built from: Φa renamed
+    through J_a (:func:`_fibres_through`), on first use of
+    :func:`fibrelab.fibrations.fibres`."""
     sh = phi.check().shape
+    fibres, transitions = phi._fibres, phi._transitions
+    # base object -> fibre object -> total object token
+    tokens = {a: {x: obj_token(a, x) for x in fibres[a].objects} for a in sh.objects}
     objects, over = [], {}
-    for a in sh.objects:
-        for x in phi.fibre(a).objects:
-            objects.append(obj_token(a, x))
-            over[objects[-1]] = a
+    for a, row in tokens.items():
+        for t in row.values():
+            objects.append(t)
+            over[t] = a
     morphisms = []
     mor_data = {}
     token_of = {}
     into = {}  # total object -> (m, u, x, f) for each morphism m = (u, f) into it
     for u, a, b in sh.morphisms:
-        t = phi.transition(u)
-        fb = phi.fibre(b)
-        for x in phi.fibre(a).objects:
-            ux = t.ob(x)
-            for f in fb.out_of(ux):
+        t_ob = transitions[u]._on_objects
+        fb = fibres[b]
+        fb_out, fb_cod = fb._out_of, fb._cod
+        src, tgt = tokens[a], tokens[b]
+        for x in fibres[a].objects:
+            dom = src[x]
+            for f in fb_out.get(t_ob[x], ()):
                 m = token(u, x, f)
-                y = fb.cod(f)
-                cod = obj_token(b, y)
-                morphisms.append((m, obj_token(a, x), cod))
+                y = fb_cod[f]
+                cod = tgt[y]
+                morphisms.append((m, dom, cod))
                 mor_data[m] = (u, x, f, y)
                 token_of[(u, x, f)] = m
                 into.setdefault(cod, []).append((m, u, x, f))
+    if len(over) != len(objects) or len(mor_data) != len(morphisms):
+        distinct_tokens(objects, [m for m, _, _ in morphisms])
     identities = {}
-    for a in sh.objects:
-        for x in phi.fibre(a).objects:
-            identities[obj_token(a, x)] = token_of[
-                (sh.id_of(a), x, phi.fibre(a).id_of(x))
-            ]
+    for a, row in tokens.items():
+        i, fa_ids = sh.identities[a], fibres[a].identities
+        for x, t in row.items():
+            identities[t] = token_of[(i, x, fa_ids[x])]
     composition = {}
-    sh_comp = sh.composition
+    sh_comp, sh_cod = sh._composition, sh._cod
     for m2, d2, _ in morphisms:
         v, _, g, _ = mor_data[m2]
         # bound once per (v, g): the composition of Φ(cod v), Φv on morphisms
-        fc_comp = phi.fibre(sh.cod(v)).composition
-        tv = phi.transition(v).on_morphisms
+        fc_comp = fibres[sh_cod[v]]._composition
+        tv = transitions[v]._on_morphisms
         for m1, u, x, f in into.get(d2, ()):
             composition[(m2, m1)] = token_of[(sh_comp[(v, u)], x, fc_comp[(g, tv[f])])]
     total = FinCategory(objects, morphisms, identities, composition)._derived()
     projection = FinFunctor(
-        total, sh, over, {m: mor_data[m][0] for m in mor_data}
+        total, sh, over, {m: data[0] for m, data in mor_data.items()}
     )._record_pass()
     cleavage = {}
     for u, a, b in sh.morphisms:
-        t = phi.transition(u)
-        for x in phi.fibre(a).objects:
-            cleavage[(u, x)] = token_of[(u, x, phi.fibre(b).id_of(t.ob(x)))]
+        t_ob, fb_ids = transitions[u]._on_objects, fibres[b].identities
+        for x in fibres[a].objects:
+            cleavage[(u, x)] = token_of[(u, x, fb_ids[t_ob[x]])]
     injections = {}
-    for a in sh.objects:
-        fa = phi.fibre(a)
+    for a, row in tokens.items():
+        fa, i = fibres[a], sh.identities[a]
+        fa_dom = fa._dom
         injections[a] = FinFunctor(
             fa,
             total,
-            {x: obj_token(a, x) for x in fa.objects},
-            {h: token_of[(sh.id_of(a), fa.dom(h), h)] for h in fa.mor_tokens},
+            row,
+            {h: token_of[(i, fa_dom[h], h)] for h in fa.mor_tokens},
         )._record_pass()
+    projection._fibre_source = lambda: _fibres_through(phi, injections, total)
     return GrothendieckResult(phi, total, projection, cleavage, injections, mor_data)
+
+
+def _fibres_through(phi, injections, total):
+    """The fibres of the projection of ∫Φ, as
+    :func:`fibrelab.fibrations.fibres` would extract them from the total:
+    Φa renamed through J_a, with the objects in Φa's order, the morphisms
+    by domain in that order and then in Φa's ``out_of`` order (the
+    total's order of the morphisms (1_a, f)), and the composition entries
+    in the total table's order, each read from that table.  Each fibre is
+    a subcategory of the checked total, so it has a derived
+    certificate."""
+    comp = total._composition
+    fibres = {}
+    for a, j in injections.items():
+        fa = phi._fibres[a]
+        obs, mors, fa_cod = j._on_objects, j._on_morphisms, fa._cod
+        morphisms = [
+            (mors[f], obs[x], obs[fa_cod[f]]) for x in fa.objects for f in fa.out_of(x)
+        ]
+        into = group_by_cod(morphisms)
+        composition = {}
+        for g, d, _ in morphisms:
+            for f, _, _ in into.get(d, ()):
+                composition[(g, f)] = comp[(g, f)]
+        fibres[a] = FinCategory(
+            [obs[x] for x in fa.objects],
+            morphisms,
+            {obs[x]: mors[fa.identities[x]] for x in fa.objects},
+            composition,
+        )._derived()
+    return fibres
 
 
 def groth_contra(phi):

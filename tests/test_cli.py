@@ -738,6 +738,32 @@ def test_a_fibre_for_an_undeclared_object_is_invalid_input(tmp_path, capsys):
         assert rep["witness"]["error"] == str(("fibre for undeclared object", "ghost"))
 
 
+@pytest.mark.parametrize("variance", ["covariant", "contravariant"])
+def test_colliding_total_object_tokens_are_invalid_input(tmp_path, variance):
+    # over the discrete base {a, a|b}, the fibre objects b|c over a and c
+    # over a|b both give the total object token a|b|c
+    from fibrelab.fincat import category
+    from fibrelab.grothendieck import CatDiagram
+
+    def discrete(objects):
+        ids = {o: "id_" + o for o in objects}
+        return category(objects, [(ids[o], o, o) for o in objects], ids, {})
+
+    fibres = {"a": discrete(["b|c"]), "a|b": discrete(["c"])}
+    phi = CatDiagram(discrete(["a", "a|b"]), fibres, {}, variance)
+    p = tmp_path / "phi.json"
+    p.write_text(json.dumps(cat_diagram_to_json(phi)))
+    dual = ["--dual"] if variance == "contravariant" else []
+    proc = _run_cli_process(["grothendieck", *dual, "--phi", str(p)], False)
+    assert proc.returncode == 2, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["status"] == "invalid_input"
+    assert rep["witness"]["error"] == str(
+        ("duplicate object token", ("a|b|c", "a|b|c"))
+    )
+
+
 # -- bifibration and lift-limit: failures, input errors and refusals ----------
 
 

@@ -282,8 +282,8 @@ COLLISIONS = {
         DanglingToken,
         ("duplicate object token", ("x@y@z", "x@y@z")),
     ),
-    # two total objects with one token: the composite of their identities
-    # is missing from the base before any check runs
+    # two total objects with one token: refused before the composition
+    # table is keyed by the token
     "groth_co objects": (
         lambda: groth_co(
             CatDiagram(
@@ -292,8 +292,8 @@ COLLISIONS = {
                 {},
             )
         ),
-        KeyError,
-        ("id_a", "id_a|b"),
+        DanglingToken,
+        ("duplicate object token", ("a|b|c", "a|b|c")),
     ),
     "groth_contra morphisms": (
         lambda: groth_contra(
@@ -304,8 +304,8 @@ COLLISIONS = {
                 "contravariant",
             )
         ),
-        KeyError,
-        ("q", "q|r"),
+        DanglingToken,
+        ("duplicate morphism token", ("i|q|r|p", "i|q|r|p")),
     ),
 }
 
