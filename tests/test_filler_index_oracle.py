@@ -51,7 +51,7 @@ from fibrelab.fibrations import (
     verify_split_fibration,
 )
 from fibrelab.fincat import FinFunctor, category, compose_functor
-from fibrelab.grothendieck import CatDiagram, groth_co, groth_contra, opposed_fibres
+from fibrelab.grothendieck import CatDiagram, groth_co, groth_contra
 from fibrelab.randgen import random_bifibration
 from fibrelab.report import passed
 from test_fibration_index_oracle import _corrupt, functors_of, unchecked
@@ -340,34 +340,30 @@ def test_transport_functors_match_the_scan(monkeypatch):
 
 def test_factorizations_match_the_scan():
     kinds = set()
-    cases = [
-        (theta, delta) for theta, delta in bifibrations()
-    ] + [(cleavage_from_groth(groth_contra(idempotent_diagram())), None)]
+    cases = [data for pair in bifibrations() for data in pair]
+    cases.append(cleavage_from_groth(groth_contra(idempotent_diagram())))
     rng = random.Random(8)
-    for theta, delta in cases:
-        for data in (theta, delta):
-            if data is None:
-                continue
-            verify = verify_split_fibration if data.direction == "fibration" else (
-                verify_split_cofibration
-            )
-            assert verify(data)[0]
-            e = data.base_functor.source
-            for f in e.mor_tokens:
-                got = outcome(lambda: factorize(data, f))
-                assert got == outcome(lambda: oracle_factorize(data, f))
-                kinds.add(got[0])
-            # liftings changed after verification give no filler, or a
-            # lifting that no longer types the search
-            tampered = CleavageData(
-                data.base_functor, data.direction, dict(data.lifting), True
-            )
-            key = rng.choice(sorted(tampered.lifting))
-            tampered.lifting[key] = rng.choice(e.mor_tokens)
-            for f in e.mor_tokens:
-                got = outcome(lambda: factorize(tampered, f))
-                assert got == outcome(lambda: oracle_factorize(tampered, f))
-                kinds.add(got[0])
+    for data in cases:
+        if data.direction == "fibration":
+            assert verify_split_fibration(data)[0]
+        else:
+            assert verify_split_cofibration(data)[0]
+        e = data.base_functor.source
+        for f in e.mor_tokens:
+            got = outcome(lambda: factorize(data, f))
+            assert got == outcome(lambda: oracle_factorize(data, f))
+            kinds.add(got[0])
+        # liftings changed after verification give no filler, or a
+        # lifting that no longer types the search
+        tampered = CleavageData(
+            data.base_functor, data.direction, dict(data.lifting), True
+        )
+        key = rng.choice(sorted(tampered.lifting))
+        tampered.lifting[key] = rng.choice(e.mor_tokens)
+        for f in e.mor_tokens:
+            got = outcome(lambda: factorize(tampered, f))
+            assert got == outcome(lambda: oracle_factorize(tampered, f))
+            kinds.add(got[0])
     assert kinds == {"value", "UnverifiedCleavage"}
 
 
