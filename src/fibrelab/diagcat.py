@@ -354,11 +354,16 @@ def enumerate_forward(x_dobj, y_dobj):
 
     amb = x_dobj.ambient
     x, y = x_dobj.diagram, y_dobj.diagram
+    # X and Y∘F are functors into the checked ambient, on a shape that
+    # enumerate_functors checks
+    functorial = x._checked and y._checked and amb._checked and y.target == amb
     out = []
     for f in enumerate_functors(x_dobj.shape, y_dobj.shape):
         pools = {i: amb.hom(x.ob(i), y.ob(f.ob(i))) for i in x.source.objects}
         along_f = lambda m: y.mor(f.mor(m))
-        for comp in natural_families(amb, x.source, pools, x.mor, along_f):
+        for comp in natural_families(
+            amb, x.source, pools, x.mor, along_f, functorial
+        ):
             m = DiagMorphism("forward", x_dobj, y_dobj, f, tuple(comp.items()))
             out.append(m.check())
     return out

@@ -60,8 +60,14 @@ from .errors import (
     TriangleViolation,
     UnverifiedCleavage,
 )
-from .fincat import FinCategory, FinFunctor, compose_functor, group_by_cod
-from .finset import forward_check, search
+from .fincat import (
+    FinCategory,
+    FinFunctor,
+    compose_functor,
+    distinct_tokens,
+    group_by_cod,
+)
+from .finset import constrained_morphisms, forward_check, search
 from .grothendieck import (
     CatDiagram,
     GrothendieckResult,
@@ -588,11 +594,15 @@ def enumerate_cones(f):
     """All cones over a functor F: D -> C, by exhaustive search: for each
     apex, the natural transformations from the constant functor to F."""
     d_cat, c_cat = f.source, f.target
+    # a constant functor and F, on a checked shape into a checked C
+    functorial = f._checked and d_cat._checked and c_cat._checked
     cones = []
     for apex in c_cat.objects:
         pools = {d: c_cat.hom(apex, f.ob(d)) for d in d_cat.objects}
         at_apex = lambda m: c_cat.id_of(apex)
-        for legs in natural_families(c_cat, d_cat, pools, at_apex, f.mor):
+        for legs in natural_families(
+            c_cat, d_cat, pools, at_apex, f.mor, functorial
+        ):
             cones.append(CatCone(apex, legs))
     return cones
 
@@ -746,6 +756,9 @@ def _slice_fibre(p, a):
                     morphisms.append((m, t1, t2))
                     mor_data[m] = (f, h, k)
                     token_of[(f, h, k)] = m
+    # the tables below are keyed by the tokens: refuse a collision first
+    if len(obj_data) != len(objects) or len(mor_data) != len(morphisms):
+        distinct_tokens(objects, [m for m, _, _ in morphisms])
     identities = {
         t: token_of[(e.id_of(x), h, h)] for t, (x, h) in obj_data.items()
     }
@@ -997,14 +1010,16 @@ def enumerate_functors(i_cat, j_cat):
     Every other generator comes right after both of its endpoints, with its
     hom-set as candidates.  The assignment extends along
     :attr:`FinCategory.factorization`, F(a∘r) := F(a)∘F(r), to the only
-    candidate functor it admits, kept iff :meth:`FinFunctor.certified`
-    passes: one generator test certifies or rejects it."""
+    candidate functor it admits.  Its maps are typed by construction (see
+    :mod:`fibrelab.fincat`), so it is kept, and recorded as checked, iff
+    F(a∘f) = F(a)∘F(f) for the generators a, a test that a thin J
+    skips."""
     i_cat.check()
     j_cat.check()
     objs = i_cat.objects
     position = {a: n for n, a in enumerate(objs)}
     i_dom, i_cod = i_cat.dom, i_cat.cod
-    j_dom, j_cod = j_cat.dom, j_cat.cod
+    j_dom, j_cod = j_cat._dom, j_cat._cod
     # the variable an object's image is read from, and how
     image_var, lead = {}, {}
     after = {a: [] for a in objs}
@@ -1023,14 +1038,13 @@ def enumerate_functors(i_cat, j_cat):
         variables.append(var)
         variables.extend(after[a])
 
-    def image(var, value):
-        """F(a) from the value of the variable ``image_var[a]``."""
-        kind = var[0]
-        return value if kind == 0 else j_cod(value) if kind == 2 else j_dom(value)
+    # F(a) is the value of its variable, or that value's cod or dom
+    ends = {0: None, 2: j_cod, 3: j_dom}
 
     def ob(a, partial):
         var = image_var[a]
-        return image(var, partial[var])
+        end, value = ends[var[0]], partial[var]
+        return value if end is None else end[value]
 
     def candidates(var, partial):
         kind, x = var
@@ -1044,47 +1058,74 @@ def enumerate_functors(i_cat, j_cat):
 
     non_ids = [m for m in i_cat.mor_tokens if not i_cat.is_identity(m)]
     ids = [i_cat.id_of(a) for a in objs]
-    order = non_ids + ids
+    # the morphism map's keys, non-identities first, to be filled in
+    blank = dict.fromkeys(non_ids + ids)
     factors = i_cat.factorization
-    j_ids, j_comp = j_cat.identities, j_cat.composition
+    j_ids, j_comp = j_cat.identities, j_cat._composition
     ob_pos = {b: n for n, b in enumerate(j_cat.objects)}
     hom_pos = {}
     for t, d, c in j_cat.morphisms:
         if t not in hom_pos:
             hom_pos.update((m, n) for n, m in enumerate(j_cat.hom(d, c)))
+    # readers of a combo: each object's image (its variable's place, and
+    # the end to take, if any), each generator's image
+    ob_readers = [
+        (a, variables.index(image_var[a]), ends[image_var[a][0]]) for a in objs
+    ]
+    gen_readers = [(x, n) for n, (kind, x) in enumerate(variables) if kind]
+    id_readers = list(zip(objs, ids))
+    # typed maps into a thin J preserve every composite
+    outer = None if j_cat._thin else i_cat.generators
     keyed = []
-    # each object with its variable and that variable's place in a combo
-    readers = [(a, image_var[a], variables.index(image_var[a])) for a in objs]
     for combo in search(variables, candidates):
-        on_objects = {a: image(var, combo[n]) for a, var, n in readers}
-        images = {x: v for (kind, x), v in zip(variables, combo) if kind}
-        for a, i in zip(objs, ids):
+        on_objects = {
+            a: combo[n] if end is None else end[combo[n]] for a, n, end in ob_readers
+        }
+        images = blank.copy()
+        for x, n in gen_readers:
+            images[x] = combo[n]
+        for a, i in id_readers:
             images[i] = j_ids[on_objects[a]]
         for m, a, r in factors:
             images[m] = j_comp[(images[a], images[r])]
-        fun = FinFunctor(i_cat, j_cat, on_objects, {m: images[m] for m in order})
-        if fun.certified():
-            key = [ob_pos[on_objects[a]] for a in objs]
-            key += [hom_pos[images[m]] for m in non_ids]
-            keyed.append((key, fun))
+        fun = FinFunctor(i_cat, j_cat, on_objects, images)
+        if outer is not None and fun._unpreserved(outer) is not None:
+            continue
+        fun._record_pass()
+        key = [ob_pos[on_objects[a]] for a in objs]
+        key += [hom_pos[images[m]] for m in non_ids]
+        keyed.append((key, fun))
     keyed.sort(key=lambda kf: kf[0])
     return [fun for _, fun in keyed]
 
 
-def natural_families(e, shape, pools, top, bottom):
+def natural_families(e, shape, pools, top, bottom, functorial=False):
     """Components c_i in pools[i] with c_j∘top(m) = bottom(m)∘c_i in E for
-    every non-identity m: i -> j of the shape, as dicts over its objects."""
+    every non-identity m: i -> j of the shape, as dicts over its objects,
+    in the order of the product of the pools.
+
+    ``functorial`` is the caller's promise that the shape and E passed
+    their checks, that ``top`` and ``bottom`` are the morphism maps of
+    functors shape -> E, and that pools[i] holds morphisms top(i) ->
+    bottom(i) only.  The squares are then tested along the morphisms of
+    :func:`fibrelab.finset.constrained_morphisms`, which imply every other
+    square at the same search node; without the promise, along every
+    non-identity morphism."""
     if not all(pools.values()):
         return []
     objs = list(shape.objects)
+    if functorial:
+        records, _ = constrained_morphisms(
+            shape, {a: n for n, a in enumerate(objs)}
+        )
+    else:
+        records = [r for r in shape.morphisms if not shape.is_identity(r[0])]
     constraints = []
-    for m in shape.mor_tokens:
-        if shape.is_identity(m):
-            continue
+    for m, d, c in records:
         t, b = top(m), bottom(m)
         constraints.append(
             (
-                (shape.dom(m), shape.cod(m)),
+                (d, c),
                 lambda ci, cj, t=t, b=b: e.compose(cj, t) == e.compose(b, ci),
             )
         )

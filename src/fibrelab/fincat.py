@@ -130,6 +130,25 @@ does.  The proofs, for checked inputs:
   projection over a is the image of J_a (the morphisms over 1_a are the
   (1_a, f)), so ``fibrations.fibres`` renames Φa through J_a instead of
   extracting it from the total; it is the same subcategory.
+- Ran_F X over a checked J (:func:`fibrelab.kan.ran`): its set at j holds
+  the compatible families over j↓F, and (Ran_F X)(v) for v: j -> j'
+  sends a family over j to the one over j' whose value at
+  (i, u: j' -> F i) is the family's value at (i, u∘v).  That is a
+  compatible family, as (Fm∘u)∘v = Fm∘(u∘v), so each function is total
+  and typed; u∘1 = u and u∘(w∘v) = (u∘w)∘v make it a functor.  Only
+  distinct family tokens are checked: when two families render to one
+  token, the full check of the set diagram runs.
+
+:func:`fibrelab.fibrations.enumerate_functors` certifies its candidates
+by construction in the same way.  An object's image is an object of J,
+or an end of a generator's image; a generator's image is taken from
+hom(F d, F c), or from the morphisms out of F d (into F c) when it fixes
+F c (F d) as its other end; an identity's image is the identity of its
+object's image; and each other non-identity m = a∘r of
+:attr:`FinCategory.factorization` gets F(a)∘F(r), read from J's table,
+whose entries passed their endpoint checks, so it runs from F(dom m) to
+F(cod m).  So the map checks of :meth:`FinFunctor.certified` hold, and
+only its generator test runs, none for a thin J.
 """
 from __future__ import annotations
 

@@ -49,6 +49,44 @@ unions along generators.  The smallest root wins, so each root is the
 minimum of its class, and the apex, legs and classify are those of unions
 along every morphism.  :func:`restrict` records a pass for X∘F when X and F
 passed their checks, as a functor followed by a functor is one.
+
+The compatible-family searches constrain a functorial family along the
+morphisms of :func:`constrained_morphisms` only: :func:`limit_set` of a
+checked diagram on a checked shape, :func:`fibrelab.kan.ran` over checked
+I and J, and :func:`fibrelab.fibrations.natural_families` when its caller
+promises functors on a checked shape into a checked E.  A constraint
+along m: d -> c asks v_c = X(m)v_d (for natural families, c_c∘top(m) =
+bottom(m)∘c_d); the search tests it at its later variable, at position
+own(m) = max(pos d, pos c), and lists the values there that pass every
+constraint whose variables are all assigned.  The listed morphisms are
+the generators and each composite m = a∘r of
+:attr:`FinCategory.factorization` (a a generator, r a generator or
+earlier in it) whose middle object x = cod r comes after both ends.
+Claim: the listed constraints among the variables up to own(m) imply the
+one along m.  Generators are listed.  An unlisted m = a∘r has pos x ≤
+own(m), so own(a) = max(pos x, pos c) and own(r) = max(pos d, pos x) are
+at most own(m); by induction along the factorization the constraints
+along a and r hold by then, and
+
+    X(m)v_d = X(a)(X(r)v_d) = X(a)v_x = v_c
+    c_c∘top(a∘r) = c_c∘top(a)∘top(r) = bottom(a)∘c_x∘top(r)
+                 = bottom(a)∘bottom(r)∘c_d = bottom(a∘r)∘c_d
+
+(the second by associativity in E, with c_x typed from top x to bottom
+x).  So every search node lists the candidates that the constraints along
+every non-identity morphism list: the same families in the same order,
+the same node counts and the same refusals.  Identities need no
+constraint, as X(1) = 1.  ``ran`` has one variable per comma object
+(i, u: j -> F i), listed by I's objects first, and an arrow from (i1, u)
+to (i2, Fm∘u) per m: i1 -> i2; the arrows along a from (x, Fr∘u) and
+along r from (i1, u) imply it, as Fa∘(Fr∘u) = Fm∘u, by the same induction
+over the places of the comma objects.  When x is one of the ends of m,
+that place depends on u, and ``ran`` compares it for each u.  When every
+generator goes forward in the order (chains, and posets listed along
+their arrows), the middle object of d -> x -> c lies strictly between the
+ends, so only the generators are listed, and the factorization is not
+read.  An unchecked diagram or shape keeps the constraints along every
+non-identity morphism.
 """
 from __future__ import annotations
 
@@ -521,24 +559,52 @@ def forward_check(pools, constraints=(), arrows=()):
     return candidates
 
 
+def constrained_morphisms(shape, position):
+    """The non-identity morphism records (f, d, c) of a checked shape, in
+    declaration order, along which a search over its objects, assigned in
+    the order ``position``, constrains a functorial family: the generators,
+    and each composite a∘r of :attr:`FinCategory.factorization` whose
+    middle object cod r comes after both ends.  The constraints along these
+    imply every other one as soon as its variables are assigned (see the
+    module docstring).  Also returns, as a dict m -> r, the composites
+    a∘r whose middle object is their later end, which a search with one
+    variable per object need not constrain either.  When every generator
+    goes forward in ``position``, every middle object lies strictly
+    between the ends, and the factorization is not read."""
+    dom, cod = shape._dom, shape._cod
+    generators = shape.generators
+    listed, tied = set(generators), {}
+    if any(position[dom[g]] >= position[cod[g]] for g in generators):
+        for m, _, r in shape.factorization:
+            ends = max(position[dom[m]], position[cod[m]])
+            if position[cod[r]] > ends:
+                listed.add(m)
+            elif position[cod[r]] == ends:
+                tied[m] = r
+    return [record for record in shape.morphisms if record[0] in listed], tied
+
+
 def limit_set(x):
     """Limit of a FinSet-valued diagram: compatible families as tuples.
 
     The families are found by :func:`search` over the objects in shape
-    order, with one arrow ``(d, c, X(f))`` per non-identity morphism
-    f: d -> c.  An arrow from an earlier object forces the value at c from
-    the value at d, so the search visits the families and their partial
-    prefixes rather than Π|sets|; arrows from later objects and
-    endomorphisms are tests.  On a shape without such morphisms the search
-    would visit every prefix of the product, so one it would refuse is
-    refused before it starts.
+    order, with one arrow ``(d, c, X(f))`` per morphism f: d -> c of
+    :func:`constrained_morphisms` when X and its shape passed their checks
+    (X must then be a functor), and per non-identity morphism otherwise.
+    An arrow from an earlier object forces the value at c from the value
+    at d, so the search visits the families and their partial prefixes
+    rather than Π|sets|; arrows from later objects and endomorphisms are
+    tests.  On a shape without such morphisms the search would visit every
+    prefix of the product, so one it would refuse is refused before it
+    starts.
     """
-    objs = list(x.shape.objects)
-    arrows = [
-        (d, c, x.fn(f)._mapping)
-        for f, d, c in x.shape.morphisms
-        if not x.shape.is_identity(f)
-    ]
+    sh = x.shape
+    objs = list(sh.objects)
+    if x._checked and sh._checked:
+        records, _ = constrained_morphisms(sh, {a: n for n, a in enumerate(objs)})
+    else:
+        records = [r for r in sh.morphisms if not sh.is_identity(r[0])]
+    arrows = [(d, c, x.fn(f)._mapping) for f, d, c in records]
     pools = {a: x.sets[a] for a in objs}
     if not arrows:
         _refuse_free_product(pools.values())

@@ -24,6 +24,7 @@ from .finset import (
     SetDiagram,
     SetNat,
     UnionFind,
+    constrained_morphisms,
     forward_check,
     search,
 )
@@ -103,48 +104,79 @@ def ran(f, x):
 
     (Ran_F X)(j) is the limit of X∘π over j↓F, found by :func:`search`
     over the comma objects (i, u: j -> F i) in the order of I's objects.
-    Every morphism m: i1 -> i2 of I, identities included, gives the arrow
-    (i1, u) -> (i2, Fm∘u) along X(m).  An arrow from an earlier comma
-    object forces the value at the later one; arrows from later objects and
-    self-loops (identities, and endomorphisms with Fm∘u = u) are tests.
+    A morphism m: i1 -> i2 of I gives the arrow (i1, u) -> (i2, Fm∘u)
+    along X(m).  An arrow from an earlier comma object forces the value at
+    the later one; arrows from later objects and self-loops (endomorphisms
+    with Fm∘u = u) are tests.  X and F are checked here, so they are
+    functors; when I and J passed their checks too, the arrows run along
+    the morphisms of :func:`fibrelab.finset.constrained_morphisms` only,
+    which imply the others at the same search nodes (proof in
+    :mod:`fibrelab.finset`).  Otherwise every morphism of I, identities
+    included, gives its arrows.  Over a checked J the extension has a
+    derived certificate (see :mod:`fibrelab.fincat`).
     """
     if x.shape != f.source:
         raise ShapeMismatch(("ran", "diagram not on the source of F"))
     x.check()
     f.check()
     i_cat, j_cat = f.source, f.target
+    compose, f_ob, f_mor = j_cat.compose, f.ob, f.mor
+    morphisms, tied = i_cat.morphisms, {}
+    if i_cat._checked and j_cat._checked:
+        # comma objects are listed by I's objects first, so a composite
+        # a∘r whose middle object cod r is one of its ends is decided for
+        # each u: by the place of the middle comma object (cod r, Fr∘u)
+        place = {i: n for n, i in enumerate(i_cat.objects)}
+        records, tied = constrained_morphisms(i_cat, place)
+        listed = {m for m, _, _ in records}.union(tied)
+        morphisms = [record for record in morphisms if record[0] in listed]
+    along = [(m, i1, i2, f_mor(m), x.fn(m)._mapping) for m, i1, i2 in morphisms]
     sets, families, nodes, index = {}, {}, {}, {}
+    distinct = True
     for j in j_cat.objects:
         # comma objects (i, u: j -> F i); m: i1 -> i2 sends (i1, u) to
         # (i2, Fm∘u), and a family must follow X(m) along it: an arrow
-        nodes[j] = [
-            (i, u) for i in i_cat.objects for u in j_cat.hom(j, f.ob(i))
-        ]
-        arrows = [
-            ((i1, u), (i2, j_cat.compose(f.mor(m), u)), x.fn(m).mapping)
-            for m, i1, i2 in i_cat.morphisms
-            for u in j_cat.hom(j, f.ob(i1))
-        ]
+        homs = {i: j_cat.hom(j, f_ob(i)) for i in i_cat.objects}
+        nodes[j] = [(i, u) for i in i_cat.objects for u in homs[i]]
+        if tied:
+            position = {node: n for n, node in enumerate(nodes[j])}
+        arrows = []
+        for m, i1, i2, fm, mapping in along:
+            for u in homs[i1]:
+                d, c = (i1, u), (i2, compose(fm, u))
+                if m in tied:
+                    r = tied[m]
+                    middle = (i_cat.cod(r), compose(f_mor(r), u))
+                    if position[middle] <= max(position[d], position[c]):
+                        continue
+                arrows.append((d, c, mapping))
         pools = {(i, u): x.sets[i] for i, u in nodes[j]}
         toks, index[j] = {}, {}
-        for combo in search(nodes[j], forward_check(pools, arrows=arrows)):
+        combos = search(nodes[j], forward_check(pools, arrows=arrows))
+        for combo in combos:
             tok = "(%s)" % ",".join(
                 "%s|%s.%s" % (i, u, e) for (i, u), e in zip(nodes[j], combo)
             )
             toks[tok] = dict(zip(nodes[j], combo))
             index[j][combo] = tok
+        distinct = distinct and len(toks) == len(combos)
         sets[j] = FinSet(tuple(toks))
         families[j] = toks
     functions = {}
     for v in j_cat.mor_tokens:
         j1, j2 = j_cat.dom(v), j_cat.cod(v)
         # restrict a family over j1 along u ↦ u∘v
-        along = [(i, j_cat.compose(u, v)) for i, u in nodes[j2]]
+        along_v = [(i, compose(u, v)) for i, u in nodes[j2]]
         mapping = {}
         for tok, fam in families[j1].items():
-            mapping[tok] = index[j2][tuple([fam[node] for node in along])]
+            mapping[tok] = index[j2][tuple([fam[node] for node in along_v])]
         functions[v] = FinFunction(sets[j1], sets[j2], mapping)
-    ext = SetDiagram(j_cat, sets, functions).check()
+    ext = SetDiagram(j_cat, sets, functions)
+    if j_cat._checked and distinct:
+        # restriction along u ↦ u∘v is a functor by J's axioms
+        ext._checked = True
+    else:
+        ext.check()
     counit = {}
     for i in i_cat.objects:
         fi = f.ob(i)

@@ -543,6 +543,26 @@ def test_free_cofibration_rejects_unhashable_image_tokens(
     assert "unhashable" in rep["witness"]["error"]
 
 
+def test_free_cofibration_refuses_colliding_slice_tokens(tmp_path, capsys):
+    # the slice fibre morphisms (g, u@v, v) and (g@u, v, v) are both "g@u@v>v"
+    from test_derived_oracle import _slice_morphism_collision
+
+    p = _slice_morphism_collision()
+    raw = {
+        "source": p.source.to_dict(),
+        "target": p.target.to_dict(),
+        "on_objects": dict(p.on_objects),
+        "on_morphisms": dict(p.on_morphisms),
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(raw))
+    code, out = run(capsys, "--no-timing", "free-cofibration", str(path))
+    assert code == 2
+    rep = json.loads(out)
+    assert rep["status"] == "invalid_input"
+    assert "duplicate morphism token" in json.dumps(rep["witness"])
+
+
 def test_grothendieck_dual_refuses_colliding_morphism_tokens(tmp_path, capsys):
     # over a: the morphisms (a, b|c, d) and (a, b, c|d) are both "a|b|c|d"
     def discrete(objects):

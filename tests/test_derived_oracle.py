@@ -234,6 +234,22 @@ def _slice_collision():
     return FinFunctor(e, base, {"x@y": "*", "x": "b"}, {"id_x@y": "z", "id_x": "idb"})
 
 
+def _slice_morphism_collision():
+    """g with Pg = u@v, met by v, and g@u with P(g@u) = v, met by u@v:
+    both give the slice fibre token g@u@v>v over the one base object."""
+    base = category(
+        ["*"], [("v", "*", "*"), ("u@v", "*", "*")], {"*": "v"}, {("u@v", "u@v"): "u@v"}
+    )
+    e = category(
+        ["x", "y"],
+        [("id_x", "x", "x"), ("id_y", "y", "y"), ("g", "x", "y"), ("g@u", "x", "y")],
+        {"x": "id_x", "y": "id_y"},
+        {},
+    )
+    on_morphisms = {"id_x": "v", "id_y": "v", "g": "u@v", "g@u": "v"}
+    return FinFunctor(e, base, {"x": "*", "y": "*"}, on_morphisms)
+
+
 # name -> (the construction, the error class and witness of the full check)
 COLLISIONS = {
     "product objects": (
@@ -281,6 +297,24 @@ COLLISIONS = {
         lambda: free_cofibration(_slice_collision()),
         DanglingToken,
         ("duplicate object token", ("x@y@z", "x@y@z")),
+    ),
+    # refused before the composition table is keyed by the token
+    "slice fibre morphisms": (
+        lambda: free_cofibration(_slice_morphism_collision()),
+        DanglingToken,
+        (
+            "duplicate morphism token",
+            (
+                "id_x@v>v",
+                "g@u@v>v",
+                "id_x@u@v>u@v",
+                "g@u@v>v",
+                "g@u@v>u@v",
+                "g@u@u@v>u@v",
+                "id_y@v>v",
+                "id_y@u@v>u@v",
+            ),
+        ),
     ),
     # two total objects with one token: refused before the composition
     # table is keyed by the token

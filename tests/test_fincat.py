@@ -24,6 +24,11 @@ from fibrelab.fincat import (
     slice_over,
     validate_category,
 )
+from fibrelab.randgen import random_poset
+
+# at module level: an import inside a @given body would run that module's
+# own @given decorators there, which Hypothesis refuses as nested
+from test_thin_oracle import oracle_is_poset
 
 
 CATS = fixtures.all_categories()
@@ -211,12 +216,7 @@ def test_product_hom_counts_multiply(pair):
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_random_posets_are_valid_categories(seed):
-    import random as _random
-
-    from fibrelab.randgen import random_poset
-    from test_thin_oracle import oracle_is_poset
-
-    c = random_poset(_random.Random(seed))
+    c = random_poset(random.Random(seed))
     c.check()
     assert oracle_is_poset(c)
     assert opposite(opposite(c)) == c
