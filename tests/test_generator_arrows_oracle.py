@@ -320,7 +320,9 @@ def test_ran_lists_the_candidates_of_the_every_morphism_search(seed):
 
 
 def test_ran_with_colliding_family_tokens_runs_the_full_check(monkeypatch):
-    # (p,i2|1.q ; r) and (p ; q,i2|1.r) render as one family token
+    # (p,i2|1.q ; r) and (p ; q,i2|1.r) render as one family token (the
+    # string tokens of ROADMAP item 1), so the derived certificate does not
+    # apply and the extension is checked in full
     two = category(["i1", "i2"], [("1i1", "i1", "i1"), ("1i2", "i2", "i2")],
                    {"i1": "1i1", "i2": "1i2"}, {})
     one = CATS["ONE"]
@@ -337,7 +339,6 @@ def test_ran_with_colliding_family_tokens_runs_the_full_check(monkeypatch):
     )
     res = ran(to_one.check(), x)
     assert res.extension in checked
-    assert len(res.extension.sets["*"]) == 3
     assert ran_fields(res) == oracle_ran(to_one, x)
 
 
