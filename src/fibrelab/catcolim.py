@@ -1,59 +1,126 @@
-"""Colimits in Cat by completion and a finite automaton.
+"""Colimits in Cat from generator presentations of the fibres.
 
-Objects of the colimit are union-find classes of fibre objects under
-(d, x) ~ (e, Φu x).  Letters (fibre morphisms) are classed the same way
-under (d, f) ~ (e, Φu f); this is exact at the letter level because
-union-find closes the push relation symmetrically — two letters are
-identified whenever a zigzag of pushes connects them, e.g. through a common
-preimage in a third fibre.  A letter class containing an identity letter is
-an identity of its object class and is dropped from words.
+The colimit of a strict covariant Cat-valued diagram Φ: D -> Cat is
+computed from a presentation by generators and relations, which is then
+decided by completion and a finite automaton.
 
-Morphisms of the colimit are then presented by the free category on the
-non-identity letter classes modulo one equation per composable pair in each
-fibre: the stripped word (f, g) equals the stripped word (g∘f).  The
-presentation is decided in four steps.
+Objects.  The objects of colim Φ are the classes of the fibre objects (d, x)
+under (d, x) ~ (e, Φu x), found by union-find on the pairs and known by
+their roots while the presentation is decided.  A finite colimit is then
+rendered: each class is named by the least of its members' tokens ``d|x``.
+Tokens may contain ``|``, so two classes can render to one name; that is
+refused with both members as witness (DanglingToken), never answered as one
+object.
+
+The presentation.  Each checked fibre Φd carries a generating set A_d
+(``FinCategory.generators``) and a factorization m = a∘r of each other
+non-identity morphism (``FinCategory.factorization``, r a generator or
+factored earlier).  So every morphism m of Φd is a word nf_d(m) in A_d:
+the empty word for an identity, the letter a for a generator, and
+nf_d(r)·a for m = a∘r.  Words are read left to right: f·g is g∘f.  The
+letters are the pairs (d, a) with a in A_d, between the classes of their
+endpoints, and the relations are
+
+- (R1) nf_d(m)·a = nf_d(a∘m) for each generator a of Φd and each
+  non-identity m into dom a, unless a∘m is factored as (a, m), when both
+  sides are one word;
+- (R2) (d, a) = nf_e(Φu a) for each non-identity u: d -> e of D and each
+  generator a of Φd.
+
+Proof that (R1) presents Φd.  Each relation holds in Φd, since both sides
+compose to a∘m.  Conversely, let a1⋯ak be a composable word in A_d.  By
+induction on i, the prefix a1⋯ai is equivalent to nf_d(m_i), m_i its
+composite: nf_d(m_i)·a(i+1) is nf_d(a(i+1)∘m_i) by (R1) when m_i is no
+identity, and as a word when m_i is one or a(i+1)∘m_i is factored as
+(a(i+1), m_i).  So two words with one composite are equivalent, and the free
+category on A_d modulo (R1) is Φd, since A_d generates it.
+
+Proof that (R2) makes the cocones.  A family of functors K_d: Φd -> K is a
+cocone when K_e∘Φu = K_d for each u: d -> e (for identities of D this holds
+at once, Φ being strict).  Both sides are functors on Φd, and a functor on
+Φd is determined by its values on objects and on A_d, because every
+morphism of Φd is an identity or a composite of generators.  So the
+equation holds once it holds on objects, which the object classes say, and
+on each generator a, where K_e(Φu a) is the composite of K_e along the word
+nf_e(Φu a): that is (R2).  With the first proof, a cocone is exactly an
+assignment of the letters over the object classes that respects (R1) and
+(R2), so colim Φ is the free category on the letters modulo (R1) and (R2).
+
+Tokens, and proof that they are those of the letter classes.  The tokens of
+the colimit's morphisms are those of the presentation that this one
+replaced.  There every non-identity fibre morphism was a letter, letters
+were classed under (d, f) ~ (e, Φu f), the classes holding an identity were
+dropped, each class was written as its least member, and the morphism n got
+the token of its normal form under the reduced complete shortlex system.
+A shortlex rule rewrites a word to a smaller one, so the least word of n is
+irreducible, and n has only one irreducible word: the token is the
+shortlex-least word least(n) over the classes.  It is found here without the
+classes.  A prefix of a least word is the least word of its own composite,
+since putting a smaller word of that composite in its place would give a
+smaller word of n.  So least(n) is the least of least(m)·x over the pairs
+x∘m = n, and a breadth-first search that takes each length's morphisms in
+order, and each one's letters in order, reaches n first along it.  The
+members of a class have one image in the colimit (its cocone is natural),
+and a least word takes, among the classes of one image, the one written
+least: the least fibre morphism (d, f) sent to that image, since each class
+is written as its least member.  A class whose image is an identity never
+occurs in a least word.  So the search reads, for each non-identity
+morphism that some fibre morphism is sent to, the least such (d, f).
+
+The presentation is decided in four steps.
 
 1. Completion.  Knuth–Bendix completion with the shortlex order makes the
-   equations a confluent rewriting system (rules only shorten words or
+   relations a confluent rewriting system (rules only shorten words or
    decrease them lexicographically, so rewriting terminates).  A rule whose
    left side contains a newer left side is retired and its equation
    processed again, so no left side ever contains another.  The result is
    the reduced complete system, which is unique for the order.  Completion
-   can diverge on an infinite colimit, so the rule count is bounded.
+   can diverge on an infinite colimit, so the rule count is bounded.  A
+   chain fibre is free on its generators and has no relation (R1), so
+   chains glued along points complete with no rule at all.
 
-   The rules are indexed so that no step scans them all:
+   The rules are indexed so that no step scans them all, and no index
+   assumes a bound on the length of a left side ((R1) has left sides one
+   letter longer than nf_d(m)):
 
    - ``reduce`` looks the word up at a position once per distinct
      left-side length, in a dict from left side to rule.  Two left sides
      that occur at one position are prefixes of one another, so one
      contains the other; since left sides are reduced, at most one occurs,
-     and the lookup rewrites what a scan of the rules would.
+     and the lookup rewrites what a scan of the rules would.  A rewrite can
+     only make an occurrence that overlaps the new span, so the scan
+     resumes at most one left side's length minus one before it.
    - Retirement finds the left sides that contain a new one through its
-     first two letters (a bigram index), or its one letter.
+     first two letters (a bigram index), or its one letter: any left side
+     that contains it contains those.
    - A proper overlap with the new left side l in front starts the other
      left side at a letter of l after its first (first-letter index); with
      l behind, the other ends at a letter of l before its last (last-letter
-     index, read in rule-id order).  Critical pairs are queued in the order
-     a scan of every rule sharing a letter with l would queue them.
-
-   Every fibre equation has a left side of at most two letters and a right
-   side of at most one, so every critical pair does too: left sides stay
-   within two letters, and at most two lengths are looked up.
-2. Finiteness.  The morphism classes are the irreducible composable words,
-   and these are the words a finite automaton accepts: a state is the
-   longest suffix read that is a proper prefix of a left side (a node of the
+     index, read in rule-id order).  Both hold for left sides of any
+     length.  Critical pairs are queued in the order a scan of every rule
+     sharing a letter with l would queue them.
+2. Finiteness.  The morphisms are the irreducible composable words, and
+   these are the words a finite automaton accepts: a state is the longest
+   suffix read that is a proper prefix of a left side (a node of the
    Aho–Corasick trie of the left sides) together with the object class the
    word ends at.  The colimit is infinite exactly when a cycle is reachable;
-   the refusal then carries a pump u·v·w such that u·vᵏ·w is composable and
-   irreducible for every k.
+   the refusal then carries a pump u·v·w, in generator letters, such that
+   u·vᵏ·w is composable and irreducible for every k.
 3. Count.  On the acyclic automaton the non-identity normal forms are
    counted exactly by dynamic programming over a topological order, and a
    count above ``bound`` is refused before any word is listed.
-4. Enumeration.  The normal forms are listed once, and the composition table
-   takes one reduction per composable pair.
+4. Enumeration and table.  The normal forms are listed once, as a trie:
+   each is its longest proper prefix and its last letter.  The table is
+   keyed by their ids.  n2∘n1 is found by walking the trie of the words out
+   of cod n1: the composite of n1 with the word m·a is the child along a of
+   the composite c of n1 with m when the word c·a is irreducible, and
+   otherwise the normal form of c·a, which is reduced from the seam once
+   and remembered.  The least words of the tokens are then found
+   breadth-first on that table.
 
-Every refusal is a BoundExceeded: a proof of infinity, an exact count above
-the bound, or a rule count above its bound.
+Colliding object names aside, every refusal is a BoundExceeded: a proof of
+infinity, an exact count above the bound, or a rule count above its bound.
+A refusal names no class and builds no token.
 """
 from __future__ import annotations
 
@@ -92,7 +159,7 @@ def _overlaps(rule1, rule2):
 
 
 def _word_token(word):
-    return ";".join("%s:%s" % (d, f) for d, f in word)
+    return ";".join(map("%s:%s".__mod__, word))
 
 
 def _occurs(needle, word):
@@ -101,76 +168,94 @@ def _occurs(needle, word):
 
 
 class _Saturator:
+    """The presentation of colim Φ by the fibres' generators, and the
+    completion, automaton, count and enumeration that decide it.  Letters
+    are numbered in the order of their pairs (d, a), so words are tuples
+    of ints and the shortlex order of words is that of the pairs."""
+
     def __init__(self, phi, bound):
         self.phi = phi
         self.sh = phi.shape
         self.bound = bound
         # completion of an infinite colimit can add rules forever
         self.rule_bound = max(20 * bound, 1000)
-        self.obj_uf = UnionFind()
 
-    def _oc(self, d, x):
-        return self.obj_uf.find("%s|%s" % (d, x))
+    # -- 0. the presentation ------------------------------------------------
 
     def build_object_classes(self):
-        for d in self.sh.objects:
-            for x in self.phi.fibre(d).objects:
-                self.obj_uf.find("%s|%s" % (d, x))
-        for u, d, e in self.sh.morphisms:
-            t = self.phi.transition(u)
-            for x in self.phi.fibre(d).objects:
-                self.obj_uf.union("%s|%s" % (d, x), "%s|%s" % (e, t.ob(x)))
+        """The union-find of the fibre objects (d, x); a class is known by
+        its root (``find``) until :meth:`name_classes` names it."""
+        phi, sh = self.phi, self.sh
+        self.uf = uf = UnionFind()
+        self.find = find = uf.find
+        for d in sh.objects:
+            for x in phi.fibre(d).objects:
+                find((d, x))
+        for u, d, e in sh.morphisms:
+            if not sh.is_identity(u):
+                ob = phi.transition(u)._on_objects
+                for x in phi.fibre(d).objects:
+                    uf.union((d, x), (e, ob[x]))
 
-    def build_letter_classes(self):
-        uf = UnionFind()
-        letters = []
-        for d in self.sh.objects:
-            for f in self.phi.fibre(d).mor_tokens:
-                letters.append((d, f))
-                uf.find((d, f))
-        for u, d, e in self.sh.morphisms:
-            t = self.phi.transition(u)
-            for f in self.phi.fibre(d).mor_tokens:
-                uf.union((d, f), (e, t.mor(f)))
-        members = {}
-        for lt in letters:
-            members.setdefault(uf.find(lt), []).append(lt)
-        # canonical letter per class; None marks classes that contain an
-        # identity letter and are therefore identities of the colimit
-        self.letter_class = {}
-        self.alphabet = []
-        for ms in members.values():
-            is_id = any(self.phi.fibre(d).is_identity(f) for d, f in ms)
-            canon = min(ms)
-            for lt in ms:
-                self.letter_class[lt] = None if is_id else canon
-            if not is_id:
-                self.alphabet.append(canon)
-        self.alphabet.sort()
-        # pushes preserve endpoints up to object class, so every member of a
-        # letter class has the same ones
-        self.dom_of, self.cod_of = {}, {}
-        self.letters_from = {None: self.alphabet}
-        for d, f in self.alphabet:
-            fib = self.phi.fibre(d)
-            dom = self.dom_of[(d, f)] = self._oc(d, fib.dom(f))
-            self.cod_of[(d, f)] = self._oc(d, fib.cod(f))
-            self.letters_from.setdefault(dom, []).append((d, f))
+    def name_classes(self):
+        """After a finite verdict: ``obj_of[(d, x)]``, the name of each fibre
+        object's class, the least token d|x of its members (two classes of
+        one name are refused); ``name`` of each root; ``classes``, the roots
+        in order of first occurrence in declared order."""
+        self.obj_of, _ = self.uf.named("%s|%s".__mod__, "colimit object")
+        self.classes = list(dict.fromkeys(map(self.find, self.uf.parent)))
+        self.name = {root: self.obj_of[root] for root in self.classes}
 
-    def strip(self, raw_word):
-        """Canonicalize letters and drop the ones that are identities."""
-        out = []
-        for lt in raw_word:
-            canon = self.letter_class[lt]
-            if canon is not None:
-                out.append(canon)
-        return tuple(out)
+    def build_presentation(self):
+        """The letters with their endpoints, each fibre morphism's word
+        (``words[d][m]``) and the relations (R1) and (R2), sorted."""
+        phi, sh, find = self.phi, self.sh, self.find
+        fibres = {d: phi.fibre(d) for d in sh.objects}
+        self.letters = sorted(
+            (d, a) for d, fib in fibres.items() for a in fib.generators
+        )
+        number, self.dom_of, self.cod_of = {}, [], []
+        self.letters_from = {None: range(len(self.letters))}
+        for i, (d, a) in enumerate(self.letters):
+            number[(d, a)] = i
+            fib = fibres[d]
+            dom = find((d, fib._dom[a]))
+            self.dom_of.append(dom)
+            self.cod_of.append(find((d, fib._cod[a])))
+            self.letters_from.setdefault(dom, []).append(i)
+        eqs = {}
+        self.words = {}
+        for d, fib in fibres.items():
+            comp, ids = fib._composition, fib._identity_tokens
+            into, dom = fib._into, fib._dom
+            words = dict.fromkeys(ids, ())
+            for a in fib.generators:
+                words[a] = (number[(d, a)],)
+            factor = {}
+            for m, a, r in fib.factorization:
+                words[m] = words[r] + words[a]
+                factor[m] = (a, r)
+            self.words[d] = words
+            for a in fib.generators:
+                for m in into[dom[a]]:
+                    if m not in ids:
+                        am = comp[(a, m)]
+                        if factor.get(am) != (a, m):
+                            eqs[(words[m] + words[a], words[am])] = None
+        for u, d, e in sh.morphisms:
+            if not sh.is_identity(u):
+                mor, lhs_words, words = (
+                    phi.transition(u)._on_morphisms, self.words[d], self.words[e]
+                )
+                for a in fibres[d].generators:
+                    lhs, rhs = lhs_words[a], words[mor[a]]
+                    if lhs != rhs:
+                        eqs[(lhs, rhs)] = None
+        self.equations = sorted(eqs)
 
-    def word_dom(self, word):
-        return self.dom_of[word[0]]
-
-    def word_cod(self, word):
-        return self.cod_of[word[-1]]
+    def named(self, word):
+        """The word as its (d, a) pairs."""
+        return tuple(map(self.letters.__getitem__, word))
 
     # -- 1. completion ------------------------------------------------------
 
@@ -227,17 +312,7 @@ class _Saturator:
         self._containing, self._by_bigram = {}, {}
         self.max_lhs = 1
         self.critical_pairs = 0
-        eqs = {}
-        for d in self.sh.objects:
-            fib = self.phi.fibre(d)
-            for g, f in fib.composable_pairs():
-                if fib.is_identity(f) or fib.is_identity(g):
-                    continue
-                lhs = self.strip(((d, f), (d, g)))
-                rhs = self.strip(((d, fib.compose(g, f)),))
-                if lhs != rhs:
-                    eqs[(lhs, rhs)] = None
-        queue = deque(sorted(eqs))
+        queue = deque(self.equations)
         next_id = 0
         while queue:
             u, v = queue.popleft()
@@ -334,10 +409,15 @@ class _Saturator:
         out = self._edges.get(state)
         if out is None:
             node, cls = state
+            children, fail, match = self.children, self.fail, self.match
             out = []
             for a in self.letters_from.get(cls, ()):
-                nxt = self.step(node, a)
-                if self.match[nxt] is None:
+                # self.step(node, a), inlined
+                n = node
+                while n and a not in children[n]:
+                    n = fail[n]
+                nxt = children[n].get(a, 0)
+                if match[nxt] is None:
                     out.append((a, (nxt, self.cod_of[a])))
             self._edges[state] = out
         return out
@@ -357,14 +437,13 @@ class _Saturator:
                 if nxt in position:
                     letters = [lt for _, lt, _ in path[1:]] + [a]
                     i = position[nxt]
-                    pump = (tuple(letters[:i]), tuple(letters[i:]), ())
+                    u, v = self.named(letters[:i]), self.named(letters[i:])
                     raise BoundExceeded(
                         "colimit is infinite: u v^k w is a composable "
                         "irreducible word for every k, with u = [%s], "
-                        "v = [%s], w = []"
-                        % (_word_token(pump[0]), _word_token(pump[1])),
+                        "v = [%s], w = []" % (_word_token(u), _word_token(v)),
                         self._stats_trace(len(position) + len(done) - 1)
-                        + [("pump",) + pump],
+                        + [("pump", u, v, ())],
                     )
                 position[nxt] = len(path)
                 path.append((nxt, a, iter(self.edges(nxt))))
@@ -384,7 +463,7 @@ class _Saturator:
             ("automaton_states", states),
         ]
 
-    # -- 3. count and 4. enumeration ----------------------------------------
+    # -- 3. count -----------------------------------------------------------
 
     def count(self, order):
         """The exact number of non-identity normal forms."""
@@ -395,36 +474,11 @@ class _Saturator:
                 ways[nxt] += ways[state]
         return sum(ways.values()) - 1
 
-    def normal_forms(self):
-        """Every non-identity normal form, shortest first and then
-        lexicographically, with the trie node it ends at."""
-        self.node_of = {}
-        todo = [(_START, ())]
-        while todo:
-            state, word = todo.pop()
-            for a, nxt in self.edges(state):
-                w = word + (a,)
-                self.node_of[w] = nxt[0]
-                todo.append((nxt, w))
-        return sorted(self.node_of, key=lambda w: (len(w), w))
-
-    def product(self, w1, w2):
-        """The normal form of w1 then w2, for composable normal forms, and
-        whether it had to be rewritten."""
-        node = self.node_of[w1]
-        for j, a in enumerate(w2):
-            # once the tracked suffix lies inside w2, no left side can
-            # straddle the seam: w2 is irreducible
-            if self.depth[node] <= j:
-                break
-            node = self.step(node, a)
-            if self.match[node] is not None:
-                return self.reduce(w1 + w2, len(w1) - self.max_lhs + 1), True
-        return w1 + w2, False
-
     def saturate(self):
+        """Steps 0 to 3: the presentation, decided finite and counted within
+        the bound, or refused."""
         self.build_object_classes()
-        self.build_letter_classes()
+        self.build_presentation()
         self.complete()
         self.build_automaton()
         order = self.decide()
@@ -435,7 +489,113 @@ class _Saturator:
                 "morphism class count %d exceeds bound %d" % (total, self.bound),
                 self._stats_trace(self.states) + [("normal_forms", total)],
             )
-        return self.normal_forms()
+
+    # -- 4. enumeration and table -------------------------------------------
+
+    def enumerate(self):
+        """The morphisms as the trie of their normal forms, by id: first the
+        identity of each object class in order (``identity[cls]``), then
+        every irreducible composable word, after its longest proper prefix
+        ``parent[n]``, with its last letter ``last[n]``.  ``child[n]`` maps
+        a letter a to the id of the word n·a when that is irreducible."""
+        self.identity = {cls: n for n, cls in enumerate(self.classes)}
+        self.dom = list(self.classes)
+        self.cod = list(self.classes)
+        self.parent = [None] * len(self.classes)
+        self.last = [None] * len(self.classes)
+        self.child = []
+        self._rewritten = {}
+        states = [(0, cls) for cls in self.classes]
+        n = 0
+        while n < len(states):
+            children = {}
+            for a, nxt in self.edges(states[n]):
+                children[a] = len(states)
+                states.append(nxt)
+                self.dom.append(self.dom[n])
+                self.cod.append(nxt[1])
+                self.parent.append(n)
+                self.last.append(a)
+            self.child.append(children)
+            n += 1
+
+    def times(self, n, a):
+        """The id of the normal form of n·a, for a letter a out of cod n."""
+        c = self.child[n].get(a)
+        return self.rewritten(n, a) if c is None else c
+
+    def rewritten(self, n, a):
+        """The id of n·a where that word is reducible: reduced from the seam
+        (n is irreducible), then looked up in the trie; remembered."""
+        c = self._rewritten.get((n, a))
+        if c is None:
+            word = [a]
+            m = n
+            while self.last[m] is not None:
+                word.append(self.last[m])
+                m = self.parent[m]
+            word = tuple(reversed(word))
+            c = self.identity[self.dom[n]]
+            for b in self.reduce(word, len(word) - self.max_lhs):
+                c = self.child[c][b]
+            self._rewritten[(n, a)] = c
+        return c
+
+    def table(self):
+        """``table[n1][n2]``, the id of n2∘n1, for each pair of composable
+        non-identity morphisms (``table`` is indexed by n1 minus the number
+        of identities), and how many of those pairs had words that needed
+        rewriting when written one after the other."""
+        child, rewritten = self.child, self.rewritten
+        table, changed = [], 0
+        for n1 in range(len(self.classes), len(child)):
+            row = {}
+            todo = [(self.identity[self.cod[n1]], n1, True)]
+            while todo:
+                m, c, clean = todo.pop()
+                for a, m2 in child[m].items():
+                    c2 = child[c].get(a)
+                    if c2 is None:
+                        c2, clean2 = rewritten(c, a), False
+                    else:
+                        clean2 = clean
+                    row[m2] = c2
+                    changed += not clean2
+                    todo.append((m2, c2, clean2))
+            table.append(row)
+        return table, changed
+
+
+def _least_words(sat, table, images):
+    """The token of each non-identity morphism id, rendering its
+    shortlex-least word over the letter classes (module docstring), in that
+    order, and the number of those words of length at most 1, 2, ...
+    ``images`` maps each fibre morphism (d, f) to its id."""
+    k = len(sat.classes)
+    least = {}  # non-identity image -> the least (d, f) sent to it
+    for lt, n in images.items():
+        if n >= k and (n not in least or lt < least[n]):
+            least[n] = lt
+    letters = sorted((lt, n) for n, lt in least.items())
+    out = {}  # object class -> its letters out, in order
+    for lt, n in letters:
+        out.setdefault(sat.dom[n], []).append((lt, n))
+    token = {n: "%s:%s" % lt for lt, n in letters}
+    level = [n for _, n in letters]
+    order, growth = [], []
+    while level:
+        order.extend(level)
+        growth.append(len(order))
+        nxt = []
+        for m in level:
+            row, prefix = table[m - k], token[m]
+            for lt, x in out.get(sat.cod[m], ()):
+                n = row[x]
+                if n >= k and n not in token:
+                    token[n] = "%s;%s:%s" % (prefix, lt[0], lt[1])
+                    nxt.append(n)
+        level = nxt
+    return order, token, growth
 
 
 def colimit_cat(phi, bound=DEFAULT_BOUND):
@@ -445,79 +605,69 @@ def colimit_cat(phi, bound=DEFAULT_BOUND):
 
     - object_classes, morphism_classes: objects and morphisms of the
       colimit, identities included;
-    - iterations: the length of the longest normal form;
-    - growth_trace: the non-identity normal forms of length at most
-      1, 2, ..., iterations;
-    - discovered_words: the morphism classes plus the composable products
-      of two normal forms that had to be rewritten, each such word examined
-      once, so never below morphism_classes;
-    - rules, critical_pairs: the size of the reduced complete system and the
-      critical pairs formed while completing it;
+    - iterations: the length of the longest token word;
+    - growth_trace: the non-identity morphisms whose token words have
+      length at most 1, 2, ..., iterations;
+    - discovered_words: the morphism classes plus the composable pairs of
+      two normal forms whose words, one after the other, had to be
+      rewritten, so never below morphism_classes;
+    - rules, critical_pairs: the size of the reduced complete system of the
+      generator presentation and the critical pairs formed while completing
+      it;
     - automaton_states: the automaton states reachable from the start.
     """
     phi.check()
     sat = _Saturator(phi, bound)
-    normal_forms = sat.saturate()
-    sh = phi.shape
-    # deterministic object order: first occurrence in declared order
-    obj_order, seen = [], set()
+    sat.saturate()
+    sat.name_classes()
+    sat.enumerate()
+    table, changed = sat.table()
+    sh, times, identity, find = phi.shape, sat.times, sat.identity, sat.find
+    images = {}  # (d, f) -> morphism id
     for d in sh.objects:
-        for x in phi.fibre(d).objects:
-            root = sat._oc(d, x)
-            if root not in seen:
-                seen.add(root)
-                obj_order.append(root)
-
-    def id_token(oc):
-        return "id@%s" % oc
-
-    identities = {oc: id_token(oc) for oc in obj_order}
-    mor_order = [(id_token(oc), oc, oc) for oc in obj_order]
-    token = {}
-    by_dom = {}
-    growth = []  # normal forms of length at most 1, 2, ...
-    for w in normal_forms:
-        token[w] = _word_token(w)
-        mor_order.append((token[w], sat.word_dom(w), sat.word_cod(w)))
-        by_dom.setdefault(sat.word_dom(w), []).append(w)
-        if len(w) > len(growth):
-            growth.append(growth[-1] if growth else 0)
-        growth[-1] += 1
+        fib, words = phi.fibre(d), sat.words[d]
+        for f in fib.identities.values():
+            images[(d, f)] = identity[find((d, fib.dom(f)))]
+        for a in fib.generators:
+            images[(d, a)] = times(identity[find((d, fib.dom(a)))], words[a][0])
+        for m, a, r in fib.factorization:
+            images[(d, m)] = times(images[(d, r)], words[a][0])
+    order, token, growth = _least_words(sat, table, images)
+    k, name = len(sat.classes), sat.name
+    mor_order, by_dom = [], {}
+    for root, n in identity.items():
+        token[n] = "id@%s" % name[root]
+        mor_order.append((token[n], name[root], name[root]))
+    for n in order:
+        mor_order.append((token[n], name[sat.dom[n]], name[sat.cod[n]]))
+        by_dom.setdefault(sat.dom[n], []).append(n)
     composition = {}
-    rewritten = 0
-    for w1 in normal_forms:
-        for w2 in by_dom.get(sat.word_cod(w1), ()):
-            nf, changed = sat.product(w1, w2)
-            rewritten += changed
-            composition[(token[w2], token[w1])] = (
-                token[nf] if nf else id_token(sat.word_dom(w1))
-            )
+    for n1 in order:
+        row, t1 = table[n1 - k], token[n1]
+        for n2 in by_dom.get(sat.cod[n1], ()):
+            composition[(token[n2], t1)] = token[row[n2]]
+    ids = {name[root]: token[n] for root, n in identity.items()}
     for tok, a, b in mor_order:
-        composition[(id_token(b), tok)] = tok
-        composition[(tok, id_token(a))] = tok
-    colimit = FinCategory(
-        obj_order, mor_order, identities, composition
-    ).check()
-    obj_class, mor_class = {}, {}
+        composition[(ids[b], tok)] = tok
+        composition[(tok, ids[a])] = tok
+    colimit = FinCategory(list(ids), mor_order, ids, composition).check()
+    obj_class, mor_class = dict(sat.obj_of), {}
     cocone = {}
     for d in sh.objects:
         fib = phi.fibre(d)
-        on_objects = {x: sat._oc(d, x) for x in fib.objects}
-        on_morphisms = {}
-        for f in fib.mor_tokens:
-            w = sat.reduce(sat.strip(((d, f),)))
-            on_morphisms[f] = token[w] if w else id_token(sat._oc(d, fib.dom(f)))
-        cocone[d] = FinFunctor(fib, colimit, on_objects, on_morphisms).check()
-        obj_class.update({(d, x): on_objects[x] for x in fib.objects})
-        mor_class.update({(d, f): on_morphisms[f] for f in fib.mor_tokens})
+        on_morphisms = {f: token[images[(d, f)]] for f in fib.mor_tokens}
+        cocone[d] = FinFunctor(
+            fib, colimit, {x: obj_class[(d, x)] for x in fib.objects}, on_morphisms
+        ).check()
+        mor_class.update({(d, f): t for f, t in on_morphisms.items()})
     result = CatColimitResult(
         colimit,
         cocone,
         {
-            "object_classes": len(obj_order),
+            "object_classes": k,
             "morphism_classes": len(mor_order),
             "iterations": len(growth),
-            "discovered_words": len(mor_order) + rewritten,
+            "discovered_words": len(mor_order) + changed,
             "growth_trace": growth,
             "rules": len(sat.rules),
             "critical_pairs": sat.critical_pairs,

@@ -764,6 +764,21 @@ def identity_functor(c):
     )
 
 
+def is_identity_functor(f, c):
+    """Whether ``f == identity_functor(c)``, without building it: the same
+    endpoints, and maps that send every token of c, and nothing else, to
+    itself."""
+    obs, mors = f._on_objects, f._on_morphisms
+    return (
+        f.source == c
+        and f.target == c
+        and len(obs) == len(c.objects)
+        and len(mors) == len(c.mor_tokens)
+        and all(obs.get(a) == a for a in c.objects)
+        and all(mors.get(m) == m for m in c.mor_tokens)
+    )
+
+
 def constant_functor(source, target, obj):
     """The functor sending everything in ``source`` to ``obj`` / its identity."""
     i = target.id_of(obj)

@@ -129,6 +129,26 @@ class UnionFind:
         if px != py:
             self.parent[px] = self.parent[py] = min(px, py)
 
+    def named(self, render, what):
+        """The name of each member's class, the least ``render`` of its
+        members, and the names in order of each class's first member.  Two
+        classes of one name are refused, with a member of each, so a
+        rendered token never names two classes."""
+        roots = [(m, self.find(m)) for m in self.parent]
+        least = {}  # root -> (name, member)
+        for member, root in roots:
+            name = render(member)
+            if root not in least or name < least[root][0]:
+                least[root] = (name, member)
+        owner = {}
+        for name, member in least.values():
+            other = owner.setdefault(name, member)
+            if other != member:
+                raise DanglingToken(
+                    ("colliding %s tokens" % what, name, other, member)
+                )
+        return {m: least[root][0] for m, root in roots}, list(owner)
+
 
 @dataclass(frozen=True)
 class FinSet:
@@ -411,7 +431,8 @@ def colimit_set(x):
     """Colimit of a FinSet-valued diagram.
 
     Apex elements are the union-find classes of the tagged disjoint union,
-    named "object.element" after their smallest member.
+    keyed by (object, element) and named "object.element" after their
+    least member; two classes of one name are refused.
     """
     sh = x.shape
     if x._checked and sh._checked:
@@ -422,28 +443,18 @@ def colimit_set(x):
     uf = UnionFind()
     for a in sh.objects:
         for e in x.sets[a]:
-            uf.find(element_token(a, e))
+            uf.find((a, e))
     for f, d, c in morphisms:
         fn = x.fn(f)
         for e in x.sets[d]:
-            uf.union(element_token(d, e), element_token(c, fn(e)))
-    seen, order = set(), []
-    for a in x.shape.objects:
-        for e in x.sets[a]:
-            root = uf.find(element_token(a, e))
-            if root not in seen:
-                seen.add(root)
-                order.append(root)
+            uf.union((d, e), (c, fn(e)))
+    # "%s.%s" renders (object, element) as element_token does
+    classify, order = uf.named("%s.%s".__mod__, "colimit element")
     apex = FinSet(tuple(order))
-    classify = {}
-    legs = {}
-    for a in x.shape.objects:
-        mapping = {}
-        for e in x.sets[a]:
-            rep = uf.find(element_token(a, e))
-            mapping[e] = rep
-            classify[(a, e)] = rep
-        legs[a] = FinFunction(x.sets[a], apex, mapping)
+    legs = {
+        a: FinFunction(x.sets[a], apex, {e: classify[(a, e)] for e in x.sets[a]})
+        for a in sh.objects
+    }
     return SetCocone(x, apex, legs, classify).check()
 
 

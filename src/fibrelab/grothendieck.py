@@ -39,6 +39,7 @@ from .fincat import (
     first_witness,
     group_by_cod,
     identity_functor,
+    is_identity_functor,
 )
 from .finset import SetDiagram, identity_function
 
@@ -95,9 +96,10 @@ class CatDiagram:
         Strictness T(g∘f) = T(g)∘T(f) (T(f)∘T(g) contravariantly) is
         checked at the pairs with a generator g of the shape: by induction
         on m, T((a∘m)∘f) = T(a)∘T(m∘f) = T(a)∘T(m)∘T(f) = T(a∘m)∘T(f), and
-        the pairs with an identity outside hold once the identity
-        transitions are identities.  If a generator pair fails, every
-        composable pair is checked in order, to name the first
+        the pairs with an identity outside or inside hold once the identity
+        transitions are identities, so the pairs with an identity inside
+        are skipped.  If a generator pair fails, every composable pair is
+        checked in order, to name the first
         (:func:`~fibrelab.fincat.first_witness`)."""
         if self._checked:
             return self
@@ -115,14 +117,18 @@ class CatDiagram:
                 raise NonFunctorialDiagram(("transition endpoints", u))
             t.check()
         for a in sh.objects:
-            if transitions[sh.id_of(a)] != identity_functor(fibres[a]):
+            if not is_identity_functor(transitions[sh.id_of(a)], fibres[a]):
                 raise NonFunctorialDiagram(("identity transition", a))
         covariant = self.variance == "covariant"
+
+        identity_tokens = sh._identity_tokens
 
         def strict_at(g, d, c):
             # the first pair (g, f) whose composite's transition is not the
             # composite of theirs
             for f in sh.into(d):
+                if f in identity_tokens:
+                    continue
                 tg, tf = transitions[g], transitions[f]
                 expect = (
                     compose_functor(tg, tf) if covariant else compose_functor(tf, tg)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    DanglingToken,
     IncompatibleFamily,
     NaturalityFailure,
     NoSolution,
@@ -113,7 +114,9 @@ def ran(f, x):
     which imply the others at the same search nodes (proof in
     :mod:`fibrelab.finset`).  Otherwise every morphism of I, identities
     included, gives its arrows.  Over a checked J the extension has a
-    derived certificate (see :mod:`fibrelab.fincat`).
+    derived certificate (see :mod:`fibrelab.fincat`).  Elements may contain
+    the separators of a family token, so two families of one token are
+    refused (DanglingToken) instead of merged.
     """
     if x.shape != f.source:
         raise ShapeMismatch(("ran", "diagram not on the source of F"))
@@ -132,7 +135,6 @@ def ran(f, x):
         morphisms = [record for record in morphisms if record[0] in listed]
     along = [(m, i1, i2, f_mor(m), x.fn(m)._mapping) for m, i1, i2 in morphisms]
     sets, families, nodes, index = {}, {}, {}, {}
-    distinct = True
     for j in j_cat.objects:
         # comma objects (i, u: j -> F i); m: i1 -> i2 sends (i1, u) to
         # (i2, Fm∘u), and a family must follow X(m) along it: an arrow
@@ -157,9 +159,13 @@ def ran(f, x):
             tok = "(%s)" % ",".join(
                 "%s|%s.%s" % (i, u, e) for (i, u), e in zip(nodes[j], combo)
             )
+            if tok in toks:
+                # elements may contain the separators, so two families can
+                # render to one token: refuse rather than merge them
+                other = tuple(toks[tok].values())
+                raise DanglingToken(("colliding family tokens", j, tok, other, combo))
             toks[tok] = dict(zip(nodes[j], combo))
             index[j][combo] = tok
-        distinct = distinct and len(toks) == len(combos)
         sets[j] = FinSet(tuple(toks))
         families[j] = toks
     functions = {}
@@ -172,8 +178,9 @@ def ran(f, x):
             mapping[tok] = index[j2][tuple([fam[node] for node in along_v])]
         functions[v] = FinFunction(sets[j1], sets[j2], mapping)
     ext = SetDiagram(j_cat, sets, functions)
-    if j_cat._checked and distinct:
-        # restriction along u ↦ u∘v is a functor by J's axioms
+    if j_cat._checked:
+        # restriction along u ↦ u∘v is a functor by J's axioms, and the
+        # family tokens are distinct
         ext._checked = True
     else:
         ext.check()

@@ -24,7 +24,7 @@ from fibrelab.errors import BoundExceeded, NaturalityFailure
 from fibrelab.fincat import FinCategory, FinFunctor, category, compose_functor
 from fibrelab.finset import UnionFind
 from fibrelab.grothendieck import CatDiagram
-from fibrelab.randgen import chain, random_cat_diagram
+from fibrelab.randgen import chain, poset_category, random_cat_diagram
 
 BOUND = 300
 
@@ -373,7 +373,7 @@ def _pump(exc):
 def _completed(phi, bound):
     sat = _Saturator(phi.check(), bound)
     sat.build_object_classes()
-    sat.build_letter_classes()
+    sat.build_presentation()
     sat.complete()
     return sat
 
@@ -388,9 +388,11 @@ def _assert_pump_pumps(phi, exc):
         for r2 in rules:
             for a, b in OracleSaturator._critical_pairs(r1, r2):
                 assert sat.reduce(a) == sat.reduce(b), (r1, r2)
-    # so distinct irreducible words are distinct morphisms
+    # so distinct irreducible words are distinct morphisms; the pump is
+    # written in the generator letters (d, a) of the presentation
+    number = {lt: i for i, lt in enumerate(sat.letters)}
     for k in range(5):
-        word = u + v * k + w
+        word = tuple(number[lt] for lt in u + v * k + w)
         assert sat.reduce(word) == word, k
         for a, b in zip(word, word[1:]):
             assert sat.cod_of[a] == sat.dom_of[b], (k, a, b)
@@ -462,9 +464,20 @@ def test_count_refusal_is_exact():
     assert refusal.trace[-1] == ("normal_forms", 36)
 
 
+def layered_poset(width, height):
+    """``height`` antichains of ``width`` objects, each below every object
+    of the later ones: width² · (width - 1) commuting squares between each
+    layer and the next but one."""
+    rank = {"l%d_%d" % (i, j): i for i in range(height) for j in range(width)}
+    return poset_category(list(rank), lambda x, y: x == y or rank[x] < rank[y])
+
+
 def test_rule_count_is_bounded():
-    # chain(16) glued onto chain(16) completes to 2 * C(16, 3) = 1120 rules
-    _, refusal = _answer(colimit_cat, glued_chains(16, 16), 10)
+    # five layers of eight complete to 3 * 8² * 7 = 1344 rules; chain(16)
+    # glued onto chain(16), which completed to 1120 rules over the letter
+    # classes, completes with none over the generators
+    phi = CatDiagram(fixtures.one(), {"*": layered_poset(8, 5)}, {}).check()
+    _, refusal = _answer(colimit_cat, phi, 10)
     assert str(refusal) == "rewrite rule count 1001 exceeds bound 1000"
     assert refusal.trace[0] == ("rules", 1001)
 

@@ -10,6 +10,7 @@ import pytest
 from fibrelab import cli, errors, fibrations, finset, fixtures, formulas, grothendieck
 from fibrelab.cli import cat_diagram_to_json, main, set_diagram_to_json
 from fibrelab.errors import BoundExceeded
+from test_golden_reports import COLLISIONS, collision_inputs
 
 FIXDIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "fixtures")
 
@@ -782,6 +783,24 @@ def test_colliding_total_object_tokens_are_invalid_input(tmp_path, variance):
     assert rep["witness"]["error"] == str(
         ("duplicate object token", ("a|b|c", "a|b|c"))
     )
+
+
+@pytest.mark.parametrize(
+    "command, error", COLLISIONS, ids=[command[0] for command, _ in COLLISIONS]
+)
+def test_colliding_class_and_family_tokens_are_refused(tmp_path, command, error):
+    # a colimit-cat object, a colimit-set element and a ran family that
+    # would each have merged two things into one token
+    for name, raw in collision_inputs().items():
+        (tmp_path / name).write_text(json.dumps(raw))
+    argv = [a if a.startswith("--") or a in ("colimit-cat", "colimit-set", "kan")
+            else str(tmp_path / (a + ".json")) for a in command]
+    proc = _run_cli_process(argv, False)
+    assert proc.returncode == 2, proc.stdout
+    assert b"Traceback" not in proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["status"] == "invalid_input"
+    assert rep["witness"]["error"] == str(error)
 
 
 # -- bifibration and lift-limit: failures, input errors and refusals ----------

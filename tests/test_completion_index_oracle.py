@@ -7,7 +7,9 @@ candidates come from first- and last-letter indexes.  The completion below
 scanned whole first-letter and letter buckets instead.  It lives on here as
 an oracle: on random and adversarial Cat diagrams both must pop the same
 pairs in the same order, keep the same rules under the same ids, count the
-same critical pairs, and give the same colimit, stats and refusals.
+same critical pairs, and give the same colimit, stats and refusals.  The
+relations of the generator presentation have left sides of any length (one
+letter more than a fibre normal form), which the indexes must serve too.
 """
 import random
 from collections import deque
@@ -19,9 +21,13 @@ from fibrelab import catcolim, fixtures
 from fibrelab.catcolim import _Saturator, colimit_cat
 from fibrelab.errors import BoundExceeded
 from fibrelab.fibrations import enumerate_functors
-from fibrelab.fincat import FinFunctor
+from fibrelab.fincat import FinFunctor, category
 from fibrelab.grothendieck import CatDiagram
-from fibrelab.randgen import chain, random_cat_diagram
+from fibrelab.randgen import chain, poset_category, random_cat_diagram
+
+# at module level: an import inside a @given body would run that module's
+# own @given functions there
+from test_catcolim_oracle import layered_poset
 
 BOUND = 50
 
@@ -67,18 +73,8 @@ class BucketScanSaturator(_Saturator):
         self._containing = {}
         self.max_lhs = 1
         self.critical_pairs = 0
-        eqs = {}
-        for d in self.sh.objects:
-            fib = self.phi.fibre(d)
-            for g, f in fib.composable_pairs():
-                if fib.is_identity(f) or fib.is_identity(g):
-                    continue
-                lhs = self.strip(((d, f), (d, g)))
-                rhs = self.strip(((d, fib.compose(g, f)),))
-                if lhs != rhs:
-                    eqs[(lhs, rhs)] = None
         # catcolim's deque, which completion() replaces to record the pops
-        queue = catcolim.deque(sorted(eqs))
+        queue = catcolim.deque(self.equations)
         next_id = 0
         while queue:
             u, v = queue.popleft()
@@ -134,7 +130,7 @@ def completion(cls, phi, bound=BOUND):
     popped, retired = [], []
     sat = cls(phi, bound)
     sat.build_object_classes()
-    sat.build_letter_classes()
+    sat.build_presentation()
     retire = sat._retire_rule
 
     def counted(rid):
@@ -182,8 +178,6 @@ def assert_same(phi, bound=BOUND):
     old = completion(BucketScanSaturator, phi, bound)
     new = completion(_Saturator, phi, bound)
     assert new == old
-    # every critical pair of two-letter equations has sides of two letters
-    assert all(len(lhs) <= 2 for _, (lhs, _) in new["rules"])
     assert colimit_answer(_Saturator, phi, bound) == colimit_answer(
         BucketScanSaturator, phi, bound
     )
@@ -331,8 +325,74 @@ def test_a_rule_retirement_agrees():
 
 
 def test_a_rule_bound_refusal_agrees():
-    got = assert_same(glued_chains(16, 16), bound=10)
+    phi = CatDiagram(CATS["ONE"], {"*": layered_poset(8, 5)}, {}).check()
+    got = assert_same(phi, bound=10)
     assert got["refusal"] == (
         "rewrite rule count 1001 exceeds bound 1000",
         [("rules", 1001), ("critical_pairs", got["refusal"][1][1][1])],
     )
+
+
+def long_diamond(k):
+    """Two chains of k arrows from b to t: free but for one relation, the
+    two paths from b to t."""
+    objects = ["b", *("%s%d" % (s, i) for s in "lr" for i in range(1, k)), "t"]
+
+    def leq(x, y):
+        return x == y or x == "b" or y == "t" or (
+            x[0] == y[0] and int(x[1:]) <= int(y[1:])
+        )
+
+    return poset_category(objects, leq)
+
+
+def cyclic(n):
+    """Z_n on r0 (the identity), r1, ..., r(n-1): generated by r1, with the
+    one relation r1ⁿ = 1."""
+    toks = ["r%d" % i for i in range(n)]
+    return category(
+        ["*"],
+        [(t, "*", "*") for t in toks],
+        {"*": "r0"},
+        {(toks[i], toks[j]): toks[(i + j) % n] for i in range(n) for j in range(n)},
+    )
+
+
+def power_coequalizer(n, k):
+    """Z_n with r1 identified with r1ᵏ: the quotient by r1ᵏ⁻¹."""
+    z = cyclic(n)
+    on = {"*": "*"}
+    legs = {
+        "fst": FinFunctor(z, z, on, {t: t for t in z.mor_tokens}).check(),
+        "snd": FinFunctor(
+            z, z, on, {"r%d" % i: "r%d" % (i * k % n) for i in range(n)}
+        ).check(),
+    }
+    return CatDiagram(CATS["PAIR"], {"p": z, "q": z}, legs).check()
+
+
+def longest(got):
+    return max(len(lhs) for _, (lhs, _) in got["rules"])
+
+
+def test_long_left_sides_agree():
+    # (R1) writes a∘m as nf(m)·a, one letter longer than the normal form of
+    # m: the two paths of a long diamond give a left side of k letters, and
+    # r1ⁿ = 1 in Z_n one of n letters that overlaps itself n - 1 times
+    for k in (3, 5, 8):
+        got = assert_same(
+            CatDiagram(CATS["ONE"], {"*": long_diamond(k)}, {}).check()
+        )
+        assert longest(got) == k
+    for name in ("Z3", "S3"):
+        got = assert_same(CatDiagram(CATS["ONE"], {"*": FIBRES[name]}, {}).check())
+        assert longest(got) == 3
+    for n in (5, 8):
+        got = assert_same(CatDiagram(CATS["ONE"], {"*": cyclic(n)}, {}).check())
+        assert longest(got) == n
+        assert got["critical_pairs"] == n - 1
+    # identifying r1 with r1ᵏ retires the long left side: Z_8 / r1⁴ = Z_4
+    got = assert_same(power_coequalizer(8, 5))
+    assert got["retired"] and longest(got) == 4
+    res = colimit_cat(power_coequalizer(8, 5), bound=BOUND)
+    assert res.saturation_stats["morphism_classes"] == 4

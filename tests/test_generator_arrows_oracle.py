@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fibrelab import catcolim, fibrations, finset, fixtures, formulas, kan
+from fibrelab.errors import DanglingToken
 from fibrelab.fibrations import enumerate_functors, natural_families
 from fibrelab.fincat import FinCategory, FinFunctor, category, product
 from fibrelab.finset import (
@@ -319,10 +320,10 @@ def test_ran_lists_the_candidates_of_the_every_morphism_search(seed):
     assert recorded(kan, lambda: ran(f, x)) == old
 
 
-def test_ran_with_colliding_family_tokens_runs_the_full_check(monkeypatch):
+def test_ran_with_colliding_family_tokens_is_refused():
     # (p,i2|1.q ; r) and (p ; q,i2|1.r) render as one family token (the
-    # string tokens of ROADMAP item 1), so the derived certificate does not
-    # apply and the extension is checked in full
+    # string tokens of ROADMAP item 1); merging them would give 3 elements
+    # instead of 4, on which a full check passes, so ran refuses
     two = category(["i1", "i2"], [("1i1", "i1", "i1"), ("1i2", "i2", "i2")],
                    {"i1": "1i1", "i2": "1i2"}, {})
     one = CATS["ONE"]
@@ -332,14 +333,15 @@ def test_ran_with_colliding_family_tokens_runs_the_full_check(monkeypatch):
         "1i1": FinFunction(sets["i1"], sets["i1"], {e: e for e in sets["i1"]}),
         "1i2": FinFunction(sets["i2"], sets["i2"], {e: e for e in sets["i2"]}),
     })
-    checked = []
-    full_check = SetDiagram.check
-    monkeypatch.setattr(
-        SetDiagram, "check", lambda self: checked.append(self) or full_check(self)
+    with pytest.raises(DanglingToken) as exc:
+        ran(to_one.check(), x)
+    assert exc.value.args[0] == (
+        "colliding family tokens",
+        "*",
+        "(i1|1.p,i2|1.q,i2|1.r)",
+        ("p,i2|1.q", "r"),
+        ("p", "q,i2|1.r"),
     )
-    res = ran(to_one.check(), x)
-    assert res.extension in checked
-    assert ran_fields(res) == oracle_ran(to_one, x)
 
 
 # -- natural_families ---------------------------------------------------------------

@@ -122,6 +122,86 @@ def glued_chains(n, m):
     )
 
 
+def loop_coequalizer(n):
+    """Both ends of chain(n) identified along PAIR: a free loop through
+    every object, so an infinite colimit."""
+    cats = fixtures.all_categories()
+    pt, c, top = cats["ONE"], chain(n), "c%d" % (n - 1)
+    return CatDiagram(
+        cats["PAIR"],
+        {"p": pt, "q": c},
+        {
+            "fst": FinFunctor(pt, c, {"*": "c0"}, {"1": "idc0"}),
+            "snd": FinFunctor(pt, c, {"*": top}, {"1": "id" + top}),
+        },
+        "covariant",
+    )
+
+
+def collision_inputs():
+    """Valid inputs on which tokens glued from strings collide (ROADMAP
+    item 1): each command must refuse them with exit 2, not answer with two
+    things merged into one."""
+    from fibrelab.fincat import category
+    from fibrelab.finset import FinFunction, SetDiagram
+
+    def discrete(objects):
+        ids = {o: "id_" + o for o in objects}
+        return category(objects, [(ids[o], o, o) for o in objects], ids, {})
+
+    def identities(sets):
+        return {
+            "id_" + a: FinFunction(s, s, {e: e for e in s}) for a, s in sets.items()
+        }
+
+    # colimit-cat: the objects b|c over a and c over a|b are both a|b|c
+    phi = CatDiagram(
+        discrete(["a", "a|b"]),
+        {"a": discrete(["b|c"]), "a|b": discrete(["c"])},
+        {},
+        "covariant",
+    )
+    # colimit-set: the elements c of a.b and b.c of a are both a.b.c
+    sets = {"a.b": FinSet(("c",)), "a": FinSet(("b.c",))}
+    x = SetDiagram(discrete(["a.b", "a"]), sets, identities(sets))
+    # kan --dual: the families (p,i2|1.q ; r) and (p ; q,i2|1.r) over
+    # i1, i2 -> * are both (i1|1.p,i2|1.q,i2|1.r)
+    two, one = discrete(["i1", "i2"]), fixtures.all_categories()["ONE"]
+    to_one = constant_functor(two, one, "*")
+    sets = {"i1": FinSet(("p,i2|1.q", "p")), "i2": FinSet(("r", "q,i2|1.r"))}
+    return {
+        "collide-colimit-cat.json": cat_diagram_to_json(phi),
+        "collide-colimit-set.json": set_diagram_to_json(x),
+        "collide-ran-f.json": functor_to_json(to_one),
+        "collide-ran-x.json": set_diagram_to_json(
+            SetDiagram(two, sets, identities(sets))
+        ),
+    }
+
+
+# the commands that refuse the collision inputs, with their witnesses
+COLLISIONS = (
+    (
+        ("colimit-cat", "--phi", "collide-colimit-cat"),
+        ("colliding colimit object tokens", "a|b|c", ("a", "b|c"), ("a|b", "c")),
+    ),
+    (
+        ("colimit-set", "collide-colimit-set"),
+        ("colliding colimit element tokens", "a.b.c", ("a.b", "c"), ("a", "b.c")),
+    ),
+    (
+        ("kan", "--dual", "--functor", "collide-ran-f", "--diagram", "collide-ran-x"),
+        (
+            "colliding family tokens",
+            "*",
+            "(i1|1.p,i2|1.q,i2|1.r)",
+            ("p,i2|1.q", "r"),
+            ("p", "q,i2|1.r"),
+        ),
+    ),
+)
+
+
 def category_inputs():
     """Category descriptions for ``validate`` and ``opposite``: a thin
     category with a 2-cycle (not a poset), a Grothendieck total that is a
@@ -202,6 +282,10 @@ def golden_inputs():
         )
     )
     inputs["glued-chain.json"] = cat_diagram_to_json(glued_chains(3, 4))
+    # for the hash-seed steps of CI, not for golden reports
+    inputs["glued-chain16.json"] = cat_diagram_to_json(glued_chains(16, 16))
+    inputs["loop-chain4.json"] = cat_diagram_to_json(loop_coequalizer(4))
+    inputs.update(collision_inputs())
     inputs.update(limit_inputs())
     inputs.update(category_inputs())
     return inputs
