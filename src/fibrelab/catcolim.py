@@ -492,7 +492,7 @@ class _Saturator:
 
     # -- 4. enumeration and table -------------------------------------------
 
-    def enumerate(self):
+    def normal_forms(self):
         """The morphisms as the trie of their normal forms, by id: first the
         identity of each object class in order (``identity[cls]``), then
         every irreducible composable word, after its longest proper prefix
@@ -620,7 +620,7 @@ def colimit_cat(phi, bound=DEFAULT_BOUND):
     sat = _Saturator(phi, bound)
     sat.saturate()
     sat.name_classes()
-    sat.enumerate()
+    sat.normal_forms()
     table, changed = sat.table()
     sh, times, identity, find = phi.shape, sat.times, sat.identity, sat.find
     images = {}  # (d, f) -> morphism id
