@@ -159,7 +159,7 @@ def _overlaps(rule1, rule2):
 
 
 def _word_token(word):
-    return ";".join(map("%s:%s".__mod__, word))
+    return ";".join("%s:%s" % (d, f) for d, f in word)
 
 
 def _occurs(needle, word):
@@ -370,10 +370,10 @@ class _Saturator:
     # -- 2. finiteness ------------------------------------------------------
 
     def build_automaton(self):
-        """The Aho–Corasick trie of the left sides: ``children``, ``fail``,
-        ``depth`` per node, and ``match`` — the rule whose left side ends
+        """The Aho–Corasick trie of the left sides: ``children`` and
+        ``fail`` per node, and ``match`` — the rule whose left side ends
         there, or None."""
-        self.children, self.depth, self.match = [{}], [0], [None]
+        self.children, self.match = [{}], [None]
         for lhs, rhs in self.rules.values():
             node = 0
             for a in lhs:
@@ -382,7 +382,6 @@ class _Saturator:
                     nxt = len(self.children)
                     self.children[node][a] = nxt
                     self.children.append({})
-                    self.depth.append(self.depth[node] + 1)
                     self.match.append(None)
                 node = nxt
             self.match[node] = (lhs, rhs)
@@ -409,15 +408,10 @@ class _Saturator:
         out = self._edges.get(state)
         if out is None:
             node, cls = state
-            children, fail, match = self.children, self.fail, self.match
             out = []
             for a in self.letters_from.get(cls, ()):
-                # self.step(node, a), inlined
-                n = node
-                while n and a not in children[n]:
-                    n = fail[n]
-                nxt = children[n].get(a, 0)
-                if match[nxt] is None:
+                nxt = self.step(node, a)
+                if self.match[nxt] is None:
                     out.append((a, (nxt, self.cod_of[a])))
             self._edges[state] = out
         return out

@@ -135,9 +135,9 @@ does.  The proofs, for checked inputs:
   sends a family over j to the one over j' whose value at
   (i, u: j' -> F i) is the family's value at (i, u∘v).  That is a
   compatible family, as (Fm∘u)∘v = Fm∘(u∘v), so each function is total
-  and typed; u∘1 = u and u∘(w∘v) = (u∘w)∘v make it a functor.  Only
-  distinct family tokens are checked: when two families render to one
-  token, the full check of the set diagram runs.
+  and typed; u∘1 = u and u∘(w∘v) = (u∘w)∘v make it a functor.  Two
+  families that render to one token are refused (``DanglingToken``), so
+  the derived certificate always applies over a checked J.
 
 :func:`fibrelab.fibrations.enumerate_functors` certifies its candidates
 by construction in the same way.  An object's image is an object of J,
