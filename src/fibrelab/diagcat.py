@@ -40,6 +40,7 @@ from .finset import (
     FinSet,
     SetDiagram,
     SetNat,
+    UnionFind,
     colimit_set,
     identity_function,
     mediate,
@@ -442,31 +443,21 @@ def colimit_in_diag(t, bound=10000, kres=None):
     k_cat = kres.colimit
     lans = {d: lan(kres.cocone[d], t.diagram_at(d)) for d in sh.objects}
     # pointwise colimit over D of the L_d, transitions pushing comma classes
-    # (i, w, x) ↦ (Φu i, w, φ^u_i(x))
-    sets, classify, legs = {}, {}, {}
+    # (i, w, x) ↦ (Φu i, w, φ^u_i(x)); the unions along the generators of D
+    # imply those along their composites, as Φ and φ are functorial
+    sets, classify = {}, {}
     for k in k_cat.objects:
-        from .finset import UnionFind, element_token
-
         uf = UnionFind()
-        members = []
         for d in sh.objects:
             for rep in lans[d].extension.sets[k]:
-                uf.find("%s.%s" % (d, rep))
-                members.append((d, rep))
-        for u, d, e in sh.morphisms:
-            tr = phi.transition(u)
+                uf.find((d, rep))
+        for u in sh.generators:
+            d, e, tr, phi_u = sh.dom(u), sh.cod(u), phi.transition(u), t.phi(u)
             for (i, w, x), rep in lans[d].classify[k].items():
-                pushed = lans[e].classify[k][(tr.ob(i), w, t.phi(u)[i](x))]
-                uf.union("%s.%s" % (d, rep), "%s.%s" % (e, pushed))
-        seen, order, cls = set(), [], {}
-        for d, rep in members:
-            root = uf.find("%s.%s" % (d, rep))
-            cls[(d, rep)] = root
-            if root not in seen:
-                seen.add(root)
-                order.append(root)
+                pushed = lans[e].classify[k][(tr.ob(i), w, phi_u[i](x))]
+                uf.union((d, rep), (e, pushed))
+        classify[k], order = uf.named("%s.%s".__mod__, "diagram colimit element")
         sets[k] = FinSet(tuple(order))
-        classify[k] = cls
     functions = {}
     for m in k_cat.mor_tokens:
         k1, k2 = k_cat.dom(m), k_cat.cod(m)

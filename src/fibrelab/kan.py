@@ -1,12 +1,18 @@
 """Pointwise Kan extensions of FinSet-valued diagrams, and the joint-Kan
 factorization used by the general colimit decomposition.
 
-Left Kan extensions are computed pointwise: (Lan_F X)(j) is the colimit of X
-over the comma category F↓j, realised directly by union-find over triples
-(i, u: F i -> j, element of X(i)).  Right Kan extensions dually are the
-compatible families over j↓F, found by the backtracking search of
-:func:`fibrelab.finset.search`, where each arrow of j↓F forces the value at
-its codomain from the value at its domain.
+``lan`` and ``ran`` check their categories, functor and diagram first (the
+checks are memoised, so this is free on checked input), and each then takes
+one path, along the generators of I (see :mod:`fibrelab.fincat`);
+``joint_lan_factor`` propagates along the generators of K.  (Lan_F X)(j) is
+the colimit of X over the comma category F↓j: a union-find over the tuples
+(i, u: F i -> j, element of X(i)), united along the generators of I.  (Ran_F X)(j) is the set of compatible families over j↓F,
+found by the backtracking search of :func:`fibrelab.finset.search`, where
+each arrow of j↓F forces the value at its codomain from the value at its
+domain.  Their elements are tokens glued from strings (``i|u|e`` for a
+class, ``(i|u.e,...)`` for a family), and elements may hold the separators,
+so two classes or families of one token are refused (DanglingToken) rather
+than merged.
 """
 from __future__ import annotations
 
@@ -19,6 +25,7 @@ from .errors import (
     NoSolution,
     ShapeMismatch,
 )
+from .fincat import first_witness
 from .finset import (
     FinFunction,
     FinSet,
@@ -41,39 +48,40 @@ class KanResult:
 
 
 def lan(f, x):
-    """Pointwise left Kan extension of X: I -> FinSet along F: I -> J."""
+    """Pointwise left Kan extension of X: I -> FinSet along F: I -> J.
+
+    I, J, F and X are checked first.  (Lan_F X)(j) is the colimit of X over
+    F↓j: a union-find over the tuples (i, u: F i -> j, e in X(i)), with a
+    union along each generator m: i1 -> i2 of I and each u: F i2 -> j of
+    (i1, u∘Fm, e) and (i2, u, X(m)(e)).  The generators suffice: for
+    m = a∘r, the unions along r at u∘Fa and along a at u join (i1,
+    u∘F(a∘r), e) to (i2, u, X(a∘r)(e)), since F and X are functors and J
+    is associative; at an identity the union is trivial.  Each class is
+    named by the least ``i|u|e`` of its members, and two classes of one
+    name (elements may contain ``|``) are refused (DanglingToken) instead
+    of merged.  The unit's naturality is certified at the generators
+    (:func:`fibrelab.fincat.first_witness`).
+    """
     if x.shape != f.source:
         raise ShapeMismatch(("lan", "diagram not on the source of F"))
+    i_cat, j_cat = f.source.check(), f.target.check()
     x.check()
     f.check()
-    i_cat, j_cat = f.source, f.target
     classify, sets = {}, {}
     for j in j_cat.objects:
         uf = UnionFind()
-        triples = []
         for i in i_cat.objects:
             for u in j_cat.hom(f.ob(i), j):
                 for e in x.sets[i]:
-                    triples.append((i, u, e))
-                    uf.find("%s|%s|%s" % (i, u, e))
-        for m in i_cat.mor_tokens:
-            i1, i2 = i_cat.dom(m), i_cat.cod(m)
+                    uf.find((i, u, e))
+        for m in i_cat.generators:
+            i1, i2, fm, xm = i_cat.dom(m), i_cat.cod(m), f.mor(m), x.fn(m)
             for u2 in j_cat.hom(f.ob(i2), j):
-                u1 = j_cat.compose(u2, f.mor(m))
+                u1 = j_cat.compose(u2, fm)
                 for e in x.sets[i1]:
-                    uf.union(
-                        "%s|%s|%s" % (i1, u1, e),
-                        "%s|%s|%s" % (i2, u2, x.fn(m)(e)),
-                    )
-        seen, order, cls = set(), [], {}
-        for t in triples:
-            root = uf.find("%s|%s|%s" % t)
-            cls[t] = root
-            if root not in seen:
-                seen.add(root)
-                order.append(root)
+                    uf.union((i1, u1, e), (i2, u2, xm(e)))
+        classify[j], order = uf.named("%s|%s|%s".__mod__, "lan element")
         sets[j] = FinSet(tuple(order))
-        classify[j] = cls
     functions = {}
     for v in j_cat.mor_tokens:
         j1, j2 = j_cat.dom(v), j_cat.cod(v)
@@ -90,49 +98,47 @@ def lan(f, x):
             sets[fi],
             {e: classify[fi][(i, j_cat.id_of(fi), e)] for e in x.sets[i]},
         )
-    # unit naturality: κ is a transformation X -> L∘F
-    for m in i_cat.mor_tokens:
-        i1, i2 = i_cat.dom(m), i_cat.cod(m)
-        left = x.fn(m).then(unit[i2])
-        right = unit[i1].then(ext.fn(f.mor(m)))
-        if left != right:
-            raise NaturalityFailure(("lan unit naturality", m))
+
+    def square(m, i1, i2):
+        # unit naturality: κ is a transformation X -> L∘F
+        if x.fn(m).then(unit[i2]) != unit[i1].then(ext.fn(f.mor(m))):
+            return m
+
+    bad = first_witness(i_cat, square, True)
+    if bad is not None:
+        raise NaturalityFailure(("lan unit naturality", bad))
     return KanResult(ext, unit, classify)
 
 
 def ran(f, x):
     """Pointwise right Kan extension: compatible families over j↓F.
 
-    (Ran_F X)(j) is the limit of X∘π over j↓F, found by :func:`search`
-    over the comma objects (i, u: j -> F i) in the order of I's objects.
-    A morphism m: i1 -> i2 of I gives the arrow (i1, u) -> (i2, Fm∘u)
-    along X(m).  An arrow from an earlier comma object forces the value at
-    the later one; arrows from later objects and self-loops (endomorphisms
-    with Fm∘u = u) are tests.  X and F are checked here, so they are
-    functors; when I and J passed their checks too, the arrows run along
-    the morphisms of :func:`fibrelab.finset.constrained_morphisms` only,
-    which imply the others at the same search nodes (proof in
-    :mod:`fibrelab.finset`).  Otherwise every morphism of I, identities
-    included, gives its arrows.  Over a checked J the extension has a
-    derived certificate (see :mod:`fibrelab.fincat`).  Elements may contain
-    the separators of a family token, so two families of one token are
-    refused (DanglingToken) instead of merged.
+    I, J, F and X are checked first.  (Ran_F X)(j) is the limit of X∘π
+    over j↓F, found by :func:`search` over the comma objects
+    (i, u: j -> F i) in the order of I's objects.  A morphism m: i1 -> i2
+    of I gives the arrow (i1, u) -> (i2, Fm∘u) along X(m).  An arrow from
+    an earlier comma object forces the value at the later one; arrows from
+    later objects and self-loops (endomorphisms with Fm∘u = u) are tests.
+    The arrows run along the morphisms of
+    :func:`fibrelab.finset.constrained_morphisms` only, which imply the
+    others at the same search nodes (proof in :mod:`fibrelab.finset`).
+    The extension has a derived certificate (see :mod:`fibrelab.fincat`).
+    Elements may contain the separators of a family token, so two families
+    of one token are refused (DanglingToken) instead of merged.
     """
     if x.shape != f.source:
         raise ShapeMismatch(("ran", "diagram not on the source of F"))
+    i_cat, j_cat = f.source.check(), f.target.check()
     x.check()
     f.check()
-    i_cat, j_cat = f.source, f.target
     compose, f_ob, f_mor = j_cat.compose, f.ob, f.mor
-    morphisms, tied = i_cat.morphisms, {}
-    if i_cat._checked and j_cat._checked:
-        # comma objects are listed by I's objects first, so a composite
-        # a∘r whose middle object cod r is one of its ends is decided for
-        # each u: by the place of the middle comma object (cod r, Fr∘u)
-        place = {i: n for n, i in enumerate(i_cat.objects)}
-        records, tied = constrained_morphisms(i_cat, place)
-        listed = {m for m, _, _ in records}.union(tied)
-        morphisms = [record for record in morphisms if record[0] in listed]
+    # comma objects are listed by I's objects first, so a composite a∘r
+    # whose middle object cod r is one of its ends is decided for each u:
+    # by the place of the middle comma object (cod r, Fr∘u)
+    place = {i: n for n, i in enumerate(i_cat.objects)}
+    records, tied = constrained_morphisms(i_cat, place)
+    listed = {m for m, _, _ in records}.union(tied)
+    morphisms = [record for record in i_cat.morphisms if record[0] in listed]
     along = [(m, i1, i2, f_mor(m), x.fn(m)._mapping) for m, i1, i2 in morphisms]
     sets, families, nodes, index = {}, {}, {}, {}
     for j in j_cat.objects:
@@ -178,12 +184,9 @@ def ran(f, x):
             mapping[tok] = index[j2][tuple([fam[node] for node in along_v])]
         functions[v] = FinFunction(sets[j1], sets[j2], mapping)
     ext = SetDiagram(j_cat, sets, functions)
-    if j_cat._checked:
-        # restriction along u ↦ u∘v is a functor by J's axioms, and the
-        # family tokens are distinct
-        ext._checked = True
-    else:
-        ext.check()
+    # restriction along u ↦ u∘v is a functor by J's axioms, and the family
+    # tokens are distinct
+    ext._checked = True
     counit = {}
     for i in i_cat.objects:
         fi = f.ob(i)
@@ -207,9 +210,13 @@ def joint_lan_factor(phi, k_cat, k_legs, x_family, phi_maps, x, injections, y, m
     Kan extension; a target Y on K and a family μ_d: X_d -> Y∘K_d.
 
     Precondition (checked): μ_e(Φu)·φ^u = μ_d for every u: d -> e.  The
-    solver seeds β on injected elements and propagates along the morphisms
-    of K, recording the equation chain that determines each value; an
-    undetermined element or a conflict raises NoSolution.
+    solver seeds β on injected elements and propagates it along the
+    generators of K: β_k2(X(m)(x)) = Y(m)(β_k1(x)).  Every morphism of K is
+    an identity or a composite of generators, and X and Y are functors, so
+    the propagation along every morphism would reach the same elements
+    with the same values.  Two seeds or pushes that disagree, or an
+    element left unreached, raise NoSolution; the transformation that
+    results is certified by :meth:`SetNat.check`.
     """
     sh = phi.shape
     for u, d, e in sh.morphisms:
@@ -218,7 +225,6 @@ def joint_lan_factor(phi, k_cat, k_legs, x_family, phi_maps, x, injections, y, m
             if phi_maps[u][i].then(mu[e][t.ob(i)]) != mu[d][i]:
                 raise IncompatibleFamily((u, i))
     beta = {kk: {} for kk in k_cat.objects}
-    chains = {kk: {} for kk in k_cat.objects}
     for d in sh.objects:
         for i in phi.fibre(d).objects:
             kd_i = k_legs[d].ob(i)
@@ -231,11 +237,10 @@ def joint_lan_factor(phi, k_cat, k_legs, x_family, phi_maps, x, injections, y, m
                         ("conflicting seeds", kd_i, tgt, prev, val)
                     )
                 beta[kd_i][tgt] = val
-                chains[kd_i][tgt] = ["seed", d, i, el]
     changed = True
     while changed:
         changed = False
-        for m in k_cat.mor_tokens:
+        for m in k_cat.generators:
             k1, k2 = k_cat.dom(m), k_cat.cod(m)
             for el, val in list(beta[k1].items()):
                 tgt = x.fn(m)(el)
@@ -243,7 +248,6 @@ def joint_lan_factor(phi, k_cat, k_legs, x_family, phi_maps, x, injections, y, m
                 prev = beta[k2].get(tgt)
                 if prev is None:
                     beta[k2][tgt] = new
-                    chains[k2][tgt] = ["push", m, k1, el]
                     changed = True
                 elif prev != new:
                     raise NoSolution(("conflict", m, k1, el, prev, new))
@@ -255,6 +259,4 @@ def joint_lan_factor(phi, k_cat, k_legs, x_family, phi_maps, x, injections, y, m
         kk: FinFunction(x.sets[kk], y.sets[kk], beta[kk])
         for kk in k_cat.objects
     }
-    nat = SetNat(x, y, components).check()
-    nat.chains = chains
-    return nat
+    return SetNat(x, y, components).check()

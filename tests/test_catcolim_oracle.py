@@ -25,6 +25,7 @@ from fibrelab.fincat import FinCategory, FinFunctor, category, compose_functor
 from fibrelab.finset import UnionFind
 from fibrelab.grothendieck import CatDiagram
 from fibrelab.randgen import chain, poset_category, random_cat_diagram
+from builders import glued_chains
 
 BOUND = 300
 
@@ -306,20 +307,6 @@ def oracle_colimit_cat(phi, bound=10000):
 
 
 # -- inputs --------------------------------------------------------------------
-
-def glued_chains(n, m):
-    """chain(n) glued end to start onto chain(m) along SPAN: chain(n + m - 1)."""
-    pt, left, right = fixtures.one(), chain(n), chain(m)
-    top = "c%d" % (n - 1)
-    return CatDiagram(
-        fixtures.span(),
-        {"l": left, "s": pt, "r": right},
-        {
-            "le": FinFunctor(pt, left, {"*": top}, {"1": "id" + top}),
-            "ri": FinFunctor(pt, right, {"*": "c0"}, {"1": "idc0"}),
-        },
-    ).check()
-
 
 def zigzag_chains(k):
     """k copies of chain(2), each glued end to start onto the next along a

@@ -10,6 +10,7 @@ import pytest
 from fibrelab import cli, errors, fibrations, finset, fixtures, formulas, grothendieck
 from fibrelab.cli import cat_diagram_to_json, main, set_diagram_to_json
 from fibrelab.errors import BoundExceeded
+from builders import discrete
 from test_golden_reports import COLLISIONS, collision_inputs
 
 FIXDIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "fixtures")
@@ -566,13 +567,6 @@ def test_free_cofibration_refuses_colliding_slice_tokens(tmp_path, capsys):
 
 def test_grothendieck_dual_refuses_colliding_morphism_tokens(tmp_path, capsys):
     # over a: the morphisms (a, b|c, d) and (a, b, c|d) are both "a|b|c|d"
-    def discrete(objects):
-        return {
-            "objects": objects,
-            "morphisms": [{"id": "i" + y, "dom": y, "cod": y} for y in objects],
-            "identities": {y: "i" + y for y in objects},
-        }
-
     fibre0 = {
         "objects": ["p", "q"],
         "morphisms": [
@@ -586,7 +580,7 @@ def test_grothendieck_dual_refuses_colliding_morphism_tokens(tmp_path, capsys):
     raw = {
         "base": fixtures.all_categories()["TWO"].to_dict(),
         "variance": "contravariant",
-        "fibres": {"0": fibre0, "1": discrete(["d", "c|d"])},
+        "fibres": {"0": fibre0, "1": discrete(["d", "c|d"], ["id", "ic|d"]).to_dict()},
         "transitions": {
             "a": {
                 "on_objects": {"d": "q", "c|d": "q"},
@@ -633,26 +627,18 @@ def test_colimit_set_rejects_malformed_set_diagrams(tmp_path, capsys, change, wi
 
 # -- refusals and malformed cat-diagram files ----------------------------------
 
-def _discrete(names):
-    return {
-        "objects": list(names),
-        "morphisms": [{"id": "1" + a, "dom": a, "cod": a} for a in names],
-        "identities": {a: "1" + a for a in names},
-        "composition": [],
-    }
-
-
 def test_search_refusal_reaching_main_exits_3(tmp_path, capsys, monkeypatch):
     # Ran along abc -> ONE is the product of the three sets: 11**3 nodes
     monkeypatch.setattr(finset, "SEARCH_NODE_CAP", 1000)
+    abc = discrete(list("abc"), ["1a", "1b", "1c"]).to_dict()
     functor = {
-        "source": _discrete("abc"),
-        "target": _discrete("*"),
+        "source": abc,
+        "target": discrete(["*"], ["1*"]).to_dict(),
         "on_objects": {a: "*" for a in "abc"},
         "on_morphisms": {"1" + a: "1*" for a in "abc"},
     }
     diagram = {
-        "shape": _discrete("abc"),
+        "shape": abc,
         "sets": {a: [str(i) for i in range(11)] for a in "abc"},
         "functions": {},
     }
@@ -763,12 +749,7 @@ def test_a_fibre_for_an_undeclared_object_is_invalid_input(tmp_path, capsys):
 def test_colliding_total_object_tokens_are_invalid_input(tmp_path, variance):
     # over the discrete base {a, a|b}, the fibre objects b|c over a and c
     # over a|b both give the total object token a|b|c
-    from fibrelab.fincat import category
     from fibrelab.grothendieck import CatDiagram
-
-    def discrete(objects):
-        ids = {o: "id_" + o for o in objects}
-        return category(objects, [(ids[o], o, o) for o in objects], ids, {})
 
     fibres = {"a": discrete(["b|c"]), "a|b": discrete(["c"])}
     phi = CatDiagram(discrete(["a", "a|b"]), fibres, {}, variance)
@@ -789,12 +770,14 @@ def test_colliding_total_object_tokens_are_invalid_input(tmp_path, variance):
     "command, error", COLLISIONS, ids=[command[0] for command, _ in COLLISIONS]
 )
 def test_colliding_class_and_family_tokens_are_refused(tmp_path, command, error):
-    # a colimit-cat object, a colimit-set element and a ran family that
-    # would each have merged two things into one token
+    # a colimit-cat object, a colimit-set element, a ran family, a lan
+    # element and a diagram-colimit element that would each have merged two
+    # things into one token
     for name, raw in collision_inputs().items():
         (tmp_path / name).write_text(json.dumps(raw))
-    argv = [a if a.startswith("--") or a in ("colimit-cat", "colimit-set", "kan")
-            else str(tmp_path / (a + ".json")) for a in command]
+    argv = [command[0]] + [
+        a if a.startswith("--") else str(tmp_path / (a + ".json")) for a in command[1:]
+    ]
     proc = _run_cli_process(argv, False)
     assert proc.returncode == 2, proc.stdout
     assert b"Traceback" not in proc.stderr

@@ -27,6 +27,7 @@ from fibrelab.randgen import chain, poset_category, random_cat_diagram
 
 # at module level: an import inside a @given body would run that module's
 # own @given functions there
+from builders import glued_chains
 from test_catcolim_oracle import layered_poset
 
 BOUND = 50
@@ -219,19 +220,6 @@ def adversarial_diagrams(draw):
             transitions[u] = draw(st.sampled_from(functors(names[d], names[e])))
     fibres = {d: FIBRES[names[d]] for d in base.objects}
     return CatDiagram(base, fibres, transitions).check()
-
-
-def glued_chains(n, m):
-    pt, left, right = fixtures.one(), chain(n), chain(m)
-    top = "c%d" % (n - 1)
-    return CatDiagram(
-        fixtures.span(),
-        {"l": left, "s": pt, "r": right},
-        {
-            "le": FinFunctor(pt, left, {"*": top}, {"1": "id" + top}),
-            "ri": FinFunctor(pt, right, {"*": "c0"}, {"1": "idc0"}),
-        },
-    ).check()
 
 
 def hom(src, tgt, on_objects, on_morphisms):

@@ -36,6 +36,7 @@ from fibrelab.fincat import (
 )
 from fibrelab.grothendieck import CatDiagram, groth_co, groth_contra, opposed_fibres
 from fibrelab.randgen import chain, random_cat_diagram, random_poset
+from builders import discrete
 
 CATS = fixtures.all_categories()
 NON_THIN = ("S3", "Z2", "Z3", "PAIR")
@@ -199,13 +200,6 @@ def test_free_cofibration(seed):
 
 
 # -- collisions and unchecked inputs -----------------------------------------------
-
-
-def discrete(objects, ids=None):
-    ids = ids or ["id_" + o for o in objects]
-    return category(
-        objects, [(i, o, o) for o, i in zip(objects, ids)], dict(zip(objects, ids)), {}
-    )
 
 
 def _twisted_transition():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fibrelab import finset, fixtures
+from fibrelab import diagcat, finset, fixtures
 from fibrelab.catcolim import colimit_cat
 from fibrelab.diagcat import (
     DiagMorphism,
@@ -289,7 +289,7 @@ def glue_without_unions(monkeypatch):
     phi = fixtures.span_push3_diagram()
     t = finset.constant_diagram(groth_co(phi).total, FinSet(("*",)))
     kres = colimit_cat(phi)
-    monkeypatch.setattr(finset, "UnionFind", NoUnion)
+    monkeypatch.setattr(diagcat, "UnionFind", NoUnion)
     return colimit_in_diag(guitart_hat(phi, t), kres=kres)
 
 

@@ -251,7 +251,7 @@ def test_general_cdf_checks_the_shape_diagram_once(monkeypatch):
     """A family builds its shape diagram once, so one check_general_cdf on
     glued chains runs one CatDiagram.check body (a second call none), with
     the outcome and witness it had when each step built its own."""
-    from test_golden_reports import glued_chains
+    from builders import glued_chains
 
     bodies = []
     check = CatDiagram.check

@@ -15,8 +15,9 @@ what they built; the code they replaced lives on as oracles.
 The tests require the same apex tokens, legs, counits, families and
 functors, in order, on fixture, loop, group, permuted, product and
 Grothendieck shapes and their opposites; the same candidate lists at every
-search node, so the same node counts and refusals; the old path for
-unchecked inputs; and the node counts of the smallest limits-ladder
+search node, so the same node counts and refusals; the old path for an
+unchecked diagram in ``limit_set``, while ``ran`` checks an unchecked
+source first; and the node counts of the smallest limits-ladder
 inputs, counted by wrapping the ``candidates`` that each search is given.
 """
 import random
@@ -48,8 +49,8 @@ from fibrelab.randgen import (
     random_set_diagram,
     representable_diagram,
 )
+from builders import glued_chains
 from test_enumerate_oracle import category_pairs, tables
-from test_golden_reports import glued_chains
 from test_join_oracle import (
     cone_fields,
     oracle_limit_set,
@@ -419,7 +420,7 @@ def test_enumerate_functors_between_groups_matches_the_certified_path(src, tgt):
     assert tables(found) == tables(certified_enumerate_functors(CATS[src], CATS[tgt]))
 
 
-# -- unchecked inputs take the every-morphism path ------------------------------------
+# -- unchecked inputs: limit_set's every-morphism path, ran's check first -------------
 
 
 def bent_chain_diagram():
@@ -443,27 +444,27 @@ def test_an_unchecked_diagram_takes_the_every_morphism_path():
     assert list(cone.apex) == []
 
 
-def test_ran_over_an_unchecked_source_keeps_every_arrow(monkeypatch):
+def test_ran_checks_an_unchecked_source_first():
     c = chain(3)
     unchecked = FinCategory(c.objects, c.morphisms, c.identities, c.composition)
     inc = FinFunctor(
         unchecked, c, {a: a for a in c.objects}, {m: m for m in c.mor_tokens}
     )
     x = random_set_diagram(random.Random(5), unchecked, 2)
-    seen = []
-    real = finset.forward_check
-
-    def noted(pools, constraints=(), arrows=()):
-        seen.append(list(arrows))
-        return real(pools, constraints, arrows)
-
-    monkeypatch.setattr(kan, "forward_check", noted)
-    res = ran(inc, x)
-    # one arrow per morphism out of each comma object, identities included
-    assert len(seen[0]) == sum(
-        len(c.hom("c0", i1)) for _, i1, _ in c.morphisms
+    assert ran_fields(ran(inc, x)) == oracle_ran(inc, x)
+    assert unchecked._checked
+    # a mistyped composite: ran raises the source's own check error
+    table = dict(c.composition)
+    table[("c1<c2", "c0<c1")] = "c0<c1"
+    broken = FinCategory(c.objects, c.morphisms, c.identities, table)
+    with pytest.raises(Exception) as own:
+        FinCategory(c.objects, c.morphisms, c.identities, table).check()
+    inc = FinFunctor(
+        broken, c, {a: a for a in c.objects}, {m: m for m in c.mor_tokens}
     )
-    assert ran_fields(res) == oracle_ran(inc, x)
+    with pytest.raises(type(own.value)) as err:
+        ran(inc, constant_diagram(broken, FinSet(("a",))))
+    assert err.value.args == own.value.args
 
 
 # -- the smallest limits-ladder inputs: node counts pinned ----------------------------

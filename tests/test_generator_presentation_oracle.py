@@ -34,7 +34,8 @@ from fibrelab.randgen import random_cat_diagram
 
 # at module level: an import inside a @given body would run that module's
 # own @given functions there
-from test_catcolim_oracle import _assert_pump_pumps, glued_chains, zigzag_chains
+from builders import glued_chains
+from test_catcolim_oracle import _assert_pump_pumps, zigzag_chains
 from test_completion_index_oracle import (
     adversarial_diagrams,
     cyclic,

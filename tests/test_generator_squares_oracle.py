@@ -66,6 +66,7 @@ from fibrelab.randgen import (
     random_set_diagram,
     representable_diagram,
 )
+from builders import discrete
 from test_join_oracle import functor_pairs, outcome
 
 CATS = fixtures.all_categories()
@@ -500,11 +501,6 @@ def test_groups_have_natural_and_unnatural_families():
 # -- strict Cat diagrams -----------------------------------------------------------
 
 
-def discrete(objects):
-    return category(objects, [("1:%s" % x, x, x) for x in objects],
-                    {x: "1:%s" % x for x in objects}, {})
-
-
 def object_map(src, tgt, on_objects):
     """The functor between discrete categories with this object map."""
     return FinFunctor(
@@ -515,7 +511,9 @@ def object_map(src, tgt, on_objects):
 def arrows_into(sh):
     """c ↦ the discrete category on the morphisms into c, and m ↦ (x ↦ m∘x):
     a strict diagram on any shape."""
-    fibres = {c: discrete(sh.into(c)) for c in sh.objects}
+    fibres = {
+        c: discrete(sh.into(c), ["1:%s" % x for x in sh.into(c)]) for c in sh.objects
+    }
     transitions = {
         m: object_map(fibres[d], fibres[c], {x: sh.compose(m, x) for x in sh.into(d)})
         for m, d, c in sh.morphisms

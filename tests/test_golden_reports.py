@@ -25,6 +25,7 @@ import sys
 
 import pytest
 
+from builders import discrete, glued_chains
 from fibrelab import fixtures
 from fibrelab.catcolim import colimit_cat
 from fibrelab.cli import cat_diagram_to_json, main, set_diagram_to_json
@@ -107,21 +108,6 @@ def z2_with_identity_last():
     )
 
 
-def glued_chains(n, m):
-    """chain(n) glued end to start onto chain(m) along SPAN."""
-    cats = fixtures.all_categories()
-    pt, left, right = cats["ONE"], chain(n), chain(m)
-    return CatDiagram(
-        cats["SPAN"],
-        {"l": left, "s": pt, "r": right},
-        {
-            "le": FinFunctor(pt, left, {"*": "c%d" % (n - 1)}, {"1": "idc%d" % (n - 1)}),
-            "ri": FinFunctor(pt, right, {"*": "c0"}, {"1": "idc0"}),
-        },
-        "covariant",
-    )
-
-
 def loop_coequalizer(n):
     """Both ends of chain(n) identified along PAIR: a free loop through
     every object, so an infinite colimit."""
@@ -143,17 +129,14 @@ def collision_inputs():
     item 1): each command must refuse them with exit 2, not answer with two
     things merged into one."""
     from fibrelab.fincat import category
-    from fibrelab.finset import FinFunction, SetDiagram
-
-    def discrete(objects):
-        ids = {o: "id_" + o for o in objects}
-        return category(objects, [(ids[o], o, o) for o in objects], ids, {})
+    from fibrelab.finset import FinFunction, SetDiagram, identity_function
 
     def identities(sets):
         return {
             "id_" + a: FinFunction(s, s, {e: e for e in s}) for a, s in sets.items()
         }
 
+    one = fixtures.all_categories()["ONE"]
     # colimit-cat: the objects b|c over a and c over a|b are both a|b|c
     phi = CatDiagram(
         discrete(["a", "a|b"]),
@@ -166,16 +149,49 @@ def collision_inputs():
     x = SetDiagram(discrete(["a.b", "a"]), sets, identities(sets))
     # kan --dual: the families (p,i2|1.q ; r) and (p ; q,i2|1.r) over
     # i1, i2 -> * are both (i1|1.p,i2|1.q,i2|1.r)
-    two, one = discrete(["i1", "i2"]), fixtures.all_categories()["ONE"]
-    to_one = constant_functor(two, one, "*")
-    sets = {"i1": FinSet(("p,i2|1.q", "p")), "i2": FinSet(("r", "q,i2|1.r"))}
+    two = discrete(["i1", "i2"])
+    ran_sets = {"i1": FinSet(("p,i2|1.q", "p")), "i2": FinSet(("r", "q,i2|1.r"))}
+    # kan: the classes of q|1|x at a and of x at a|1|q over a, a|1|q -> *
+    # are both a|1|q|1|x
+    pair = discrete(["a", "a|1|q"])
+    lan_sets = {"a": FinSet(("q|1|x",)), "a|1|q": FinSet(("x",))}
+    # check-general-cdf: over a -> a.p, with fibres p.q and q and the
+    # transition p.q -> q, the classes of the Lan elements at x1 over a
+    # and at y1 over a.p and of those at x2 over a and at x1 over a.p are
+    # both a.p.q|id@a.p|q|x1
+    fa, fb = discrete(["p.q"]), discrete(["q"])
+    glue = CatDiagram(
+        category(
+            ["a", "a.p"],
+            [("id_a", "a", "a"), ("id_a.p", "a.p", "a.p"), ("u", "a", "a.p")],
+            {"a": "id_a", "a.p": "id_a.p"},
+            {},
+        ),
+        {"a": fa, "a.p": fb},
+        {"u": FinFunctor(fa, fb, {"p.q": "q"}, {"id_p.q": "id_q"})},
+        "covariant",
+    )
+    total = groth_co(glue).total
+    t_sets = {"a|p.q": FinSet(("x1", "x2")), "a.p|q": FinSet(("x1", "y1"))}
+    t_fns = {
+        m: identity_function(t_sets[d])
+        if d == c
+        else FinFunction(t_sets[d], t_sets[c], {"x1": "y1", "x2": "x1"})
+        for m, d, c in total.morphisms
+    }
     return {
         "collide-colimit-cat.json": cat_diagram_to_json(phi),
         "collide-colimit-set.json": set_diagram_to_json(x),
-        "collide-ran-f.json": functor_to_json(to_one),
+        "collide-ran-f.json": functor_to_json(constant_functor(two, one, "*")),
         "collide-ran-x.json": set_diagram_to_json(
-            SetDiagram(two, sets, identities(sets))
+            SetDiagram(two, ran_sets, identities(ran_sets))
         ),
+        "collide-lan-f.json": functor_to_json(constant_functor(pair, one, "*")),
+        "collide-lan-x.json": set_diagram_to_json(
+            SetDiagram(pair, lan_sets, identities(lan_sets))
+        ),
+        "collide-gcdf-phi.json": cat_diagram_to_json(glue),
+        "collide-gcdf-t.json": set_diagram_to_json(SetDiagram(total, t_sets, t_fns)),
     }
 
 
@@ -197,6 +213,24 @@ COLLISIONS = (
             "(i1|1.p,i2|1.q,i2|1.r)",
             ("p,i2|1.q", "r"),
             ("p", "q,i2|1.r"),
+        ),
+    ),
+    (
+        ("kan", "--functor", "collide-lan-f", "--diagram", "collide-lan-x"),
+        (
+            "colliding lan element tokens",
+            "a|1|q|1|x",
+            ("a", "1", "q|1|x"),
+            ("a|1|q", "1", "x"),
+        ),
+    ),
+    (
+        ("check-general-cdf", "--phi", "collide-gcdf-phi", "--t", "collide-gcdf-t"),
+        (
+            "colliding diagram colimit element tokens",
+            "a.p.q|id@a.p|q|x1",
+            ("a", "p.q|id@a.p|q|x1"),
+            ("a.p", "q|id@a.p|q|x1"),
         ),
     ),
 )
