@@ -767,7 +767,9 @@ def test_colliding_total_object_tokens_are_invalid_input(tmp_path, variance):
 
 
 @pytest.mark.parametrize(
-    "command, error", COLLISIONS, ids=[command[0] for command, _ in COLLISIONS]
+    "command, error",
+    COLLISIONS,
+    ids=["colimit-cat", "colimit-set", "kan", "lan", "check-general-cdf"],
 )
 def test_colliding_class_and_family_tokens_are_refused(tmp_path, command, error):
     # a colimit-cat object, a colimit-set element, a ran family, a lan

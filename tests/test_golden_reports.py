@@ -132,9 +132,7 @@ def collision_inputs():
     from fibrelab.finset import FinFunction, SetDiagram, identity_function
 
     def identities(sets):
-        return {
-            "id_" + a: FinFunction(s, s, {e: e for e in s}) for a, s in sets.items()
-        }
+        return {"id_" + a: identity_function(s) for a, s in sets.items()}
 
     one = fixtures.all_categories()["ONE"]
     # colimit-cat: the objects b|c over a and c over a|b are both a|b|c
