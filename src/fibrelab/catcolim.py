@@ -75,13 +75,9 @@ The presentation is decided in four steps.
    left side contains a newer left side is retired and its equation
    processed again, so no left side ever contains another.  The result is
    the reduced complete system, which is unique for the order.  Completion
-   can diverge on an infinite colimit, so the rule count is bounded.  It can
-   also diverge while retiring rules as fast as it adds them (S3 glued to
-   S3 along the Z2 of the composite transposition p210 keeps about a
-   hundred live rules), so the critical pairs it forms are bounded by the
-   same number.  A chain fibre is free on its generators and has no
-   relation (R1), so chains glued along points complete with no rule at
-   all.
+   can diverge on an infinite colimit, so the rule count is bounded.  A
+   chain fibre is free on its generators and has no relation (R1), so
+   chains glued along points complete with no rule at all.
 
    The rules are indexed so that no step scans them all, and no index
    assumes a bound on the length of a left side ((R1) has left sides one
@@ -123,8 +119,7 @@ The presentation is decided in four steps.
    breadth-first on that table.
 
 Colliding object names aside, every refusal is a BoundExceeded: a proof of
-infinity, an exact count above the bound, or a rule or critical pair count
-above its bound.
+infinity, an exact count above the bound, or a rule count above its bound.
 A refusal names no class and builds no token.
 """
 from __future__ import annotations
@@ -182,8 +177,7 @@ class _Saturator:
         self.phi = phi
         self.sh = phi.shape
         self.bound = bound
-        # completion of an infinite colimit can add rules, or form critical
-        # pairs, forever
+        # completion of an infinite colimit can add rules forever
         self.rule_bound = max(20 * bound, 1000)
 
     # -- 0. the presentation ------------------------------------------------
@@ -346,12 +340,6 @@ class _Saturator:
                 raise BoundExceeded(
                     "rewrite rule count %d exceeds bound %d"
                     % (len(self.rules), self.rule_bound),
-                    [("rules", len(self.rules)), ("critical_pairs", self.critical_pairs)],
-                )
-            if self.critical_pairs > self.rule_bound:
-                raise BoundExceeded(
-                    "critical pair count %d exceeds bound %d"
-                    % (self.critical_pairs, self.rule_bound),
                     [("rules", len(self.rules)), ("critical_pairs", self.critical_pairs)],
                 )
             # a proper overlap with lhs in front needs the other left side to

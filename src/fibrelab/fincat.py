@@ -130,8 +130,8 @@ does.  The proofs, for checked inputs:
   projection over a is the image of J_a (the morphisms over 1_a are the
   (1_a, f)), so ``fibrations.fibres`` renames Φa through J_a instead of
   extracting it from the total; it is the same subcategory.
-- Ran_F X (:func:`fibrelab.kan.ran`, which checks J first): its set at j holds
-  the compatible families over j↓F, and (Ran_F X)(v) for v: j -> j'
+- Ran_F X (:func:`fibrelab.kan.ran`, which checks J first): its set at j
+  holds the compatible families over j↓F, and (Ran_F X)(v) for v: j -> j'
   sends a family over j to the one over j' whose value at
   (i, u: j' -> F i) is the family's value at (i, u∘v).  That is a
   compatible family, as (Fm∘u)∘v = Fm∘(u∘v), so each function is total
@@ -139,13 +139,10 @@ does.  The proofs, for checked inputs:
   families that render to one token are refused (``DanglingToken``), so
   the derived certificate always applies.
 
-The class tokens of the colimits are glued in the same way, and refused in
-the same way when two classes render to one token: those of
-:func:`fibrelab.finset.colimit_set`, of the objects of
-:func:`fibrelab.catcolim.colimit_cat`, of Lan_F X (:func:`fibrelab.kan.lan`,
-``i|u|e``) and of :func:`fibrelab.diagcat.colimit_in_diag`.  Their
-union-finds are keyed by tuples, so two classes are never merged because
-their tokens collide.
+The class tokens of :func:`fibrelab.finset.colimit_set`, of the objects of
+:func:`fibrelab.catcolim.colimit_cat`, of :func:`fibrelab.kan.lan` and of
+:func:`fibrelab.diagcat.colimit_in_diag` are glued in the same way; their
+union-finds are keyed by tuples, and two classes of one token are refused.
 
 :func:`fibrelab.fibrations.enumerate_functors` certifies its candidates
 by construction in the same way.  An object's image is an object of J,

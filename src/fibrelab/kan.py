@@ -1,18 +1,15 @@
 """Pointwise Kan extensions of FinSet-valued diagrams, and the joint-Kan
 factorization used by the general colimit decomposition.
 
-``lan`` and ``ran`` check their categories, functor and diagram first (the
-checks are memoised, so this is free on checked input), and each then takes
-one path, along the generators of I (see :mod:`fibrelab.fincat`);
-``joint_lan_factor`` propagates along the generators of K.  (Lan_F X)(j) is
-the colimit of X over the comma category F↓j: a union-find over the tuples
-(i, u: F i -> j, element of X(i)), united along the generators of I.  (Ran_F X)(j) is the set of compatible families over j↓F,
-found by the backtracking search of :func:`fibrelab.finset.search`, where
-each arrow of j↓F forces the value at its codomain from the value at its
-domain.  Their elements are tokens glued from strings (``i|u|e`` for a
-class, ``(i|u.e,...)`` for a family), and elements may hold the separators,
-so two classes or families of one token are refused (DanglingToken) rather
-than merged.
+``lan`` and ``ran`` check their inputs first (the checks are memoised),
+and each takes one path.  (Lan_F X)(j), the colimit of X over F↓j, is a
+union-find over the tuples (i, u: F i -> j, e in X(i)), united along the
+generators of I.
+(Ran_F X)(j), the compatible families over j↓F, is found by the
+backtracking search of :func:`fibrelab.finset.search`.  Elements are
+tokens glued from strings (``i|u|e``, ``(i|u.e,...)``) and may hold the
+separators, so two classes or families of one token are refused
+(DanglingToken) rather than merged.
 """
 from __future__ import annotations
 
@@ -50,16 +47,13 @@ class KanResult:
 def lan(f, x):
     """Pointwise left Kan extension of X: I -> FinSet along F: I -> J.
 
-    I, J, F and X are checked first.  (Lan_F X)(j) is the colimit of X over
-    F↓j: a union-find over the tuples (i, u: F i -> j, e in X(i)), with a
-    union along each generator m: i1 -> i2 of I and each u: F i2 -> j of
-    (i1, u∘Fm, e) and (i2, u, X(m)(e)).  The generators suffice: for
-    m = a∘r, the unions along r at u∘Fa and along a at u join (i1,
-    u∘F(a∘r), e) to (i2, u, X(a∘r)(e)), since F and X are functors and J
-    is associative; at an identity the union is trivial.  Each class is
-    named by the least ``i|u|e`` of its members, and two classes of one
-    name (elements may contain ``|``) are refused (DanglingToken) instead
-    of merged.  The unit's naturality is certified at the generators
+    (Lan_F X)(j) is a union-find over the tuples (i, u: F i -> j, e in
+    X(i)) that unites (i1, u∘Fm, e) with (i2, u, X(m)(e)) for each
+    generator m: i1 -> i2 of I.  That suffices: for m = a∘r the unions
+    along r at u∘Fa and along a at u join the same two tuples, as F and X
+    are functors and J is associative.  Each class is named by its least
+    ``i|u|e``, and two classes of one name are refused (DanglingToken).
+    The unit is certified at the generators
     (:func:`fibrelab.fincat.first_witness`).
     """
     if x.shape != f.source:

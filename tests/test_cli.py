@@ -766,11 +766,7 @@ def test_colliding_total_object_tokens_are_invalid_input(tmp_path, variance):
     )
 
 
-@pytest.mark.parametrize(
-    "command, error",
-    COLLISIONS,
-    ids=["colimit-cat", "colimit-set", "kan", "lan", "check-general-cdf"],
-)
+@pytest.mark.parametrize("command, error", COLLISIONS)
 def test_colliding_class_and_family_tokens_are_refused(tmp_path, command, error):
     # a colimit-cat object, a colimit-set element, a ran family, a lan
     # element and a diagram-colimit element that would each have merged two

@@ -195,15 +195,17 @@ def collision_inputs():
 
 # the commands that refuse the collision inputs, with their witnesses
 COLLISIONS = (
-    (
+    pytest.param(
         ("colimit-cat", "--phi", "collide-colimit-cat"),
         ("colliding colimit object tokens", "a|b|c", ("a", "b|c"), ("a|b", "c")),
+        id="colimit-cat",
     ),
-    (
+    pytest.param(
         ("colimit-set", "collide-colimit-set"),
         ("colliding colimit element tokens", "a.b.c", ("a.b", "c"), ("a", "b.c")),
+        id="colimit-set",
     ),
-    (
+    pytest.param(
         ("kan", "--dual", "--functor", "collide-ran-f", "--diagram", "collide-ran-x"),
         (
             "colliding family tokens",
@@ -212,8 +214,9 @@ COLLISIONS = (
             ("p,i2|1.q", "r"),
             ("p", "q,i2|1.r"),
         ),
+        id="kan",
     ),
-    (
+    pytest.param(
         ("kan", "--functor", "collide-lan-f", "--diagram", "collide-lan-x"),
         (
             "colliding lan element tokens",
@@ -221,8 +224,9 @@ COLLISIONS = (
             ("a", "1", "q|1|x"),
             ("a|1|q", "1", "x"),
         ),
+        id="lan",
     ),
-    (
+    pytest.param(
         ("check-general-cdf", "--phi", "collide-gcdf-phi", "--t", "collide-gcdf-t"),
         (
             "colliding diagram colimit element tokens",
@@ -230,6 +234,7 @@ COLLISIONS = (
             ("a", "p.q|id@a.p|q|x1"),
             ("a.p", "q|id@a.p|q|x1"),
         ),
+        id="check-general-cdf",
     ),
 )
 
